@@ -6,6 +6,14 @@ CSV trace (header ``iter,seconds,metric,lambda,beta,corrections``);
 optimal objective value for gap plots. Flags default to the benchmark
 settings of each problem family. The environment variable SADDLE_SOLVE_DATA
 names the directory holding the Matrix Market files for the NNLS families.
+A ``--reference`` file is a JSON object with the key ``phi_star`` (the
+optimal objective value), as ``saddle-solve reference`` writes it.
+
+Exit codes of ``run_experiment`` and ``reference_solve_cmd``: 0 ok; 1 usage,
+configuration or bad input (unknown flag, inadmissible parameter, missing
+data, a reference file without ``phi_star``); 2 diverged (non-finite
+iterate); 3 stalled (a backtracking loop hit its shrink cap). On 2 and 3 the
+trace recorded so far is still written to the output file.
 """
 
 from __future__ import annotations
@@ -31,6 +39,7 @@ from .solvers import (
     BaselineConfig,
     ConfigError,
     DivergenceError,
+    LinesearchStallError,
     SolverConfig,
     default_lambda0,
     run,
@@ -42,6 +51,9 @@ PROBLEM_NAMES = sorted(list(LASSO_FAMILIES) + list(GAME_FAMILIES) + list(NNLS_FA
 SOLVER_NAMES = ["pdac", "apdac", "pda", "pdal", "pgm", "fista"]
 
 DATA_ENV = "SADDLE_SOLVE_DATA"
+
+EXIT_DIVERGED = 2
+EXIT_STALLED = 3
 
 
 def _family_kind(name):
@@ -75,6 +87,15 @@ def _resolve_matrix_path(problem_name, matrix_file):
     return os.path.join(data_dir, NNLS_FAMILIES[problem_name])
 
 
+def _read_phi_star(path):
+    """The optimal value ``phi_star`` from a reference JSON file."""
+    with open(path) as fh:
+        data = json.load(fh)
+    if not isinstance(data, dict) or "phi_star" not in data:
+        raise click.BadParameter(f"{path} has no 'phi_star' key", param_hint="--reference")
+    return data["phi_star"]
+
+
 def _build_problem(problem_name, seed, swapped, matrix_file):
     kind = _family_kind(problem_name)
     if seed is None:
@@ -90,39 +111,32 @@ def _build_problem(problem_name, seed, swapped, matrix_file):
 
 
 def _solver_config(problem, kind, solver, flags):
-    """Fill a SolverConfig from flags, defaulting to the benchmark settings."""
-    beta = flags["beta"] if flags["beta"] is not None else _default_beta(kind)
+    """SolverConfig from the given flags over the family's benchmark settings;
+    every other field keeps its SolverConfig default."""
+
+    def given(name, default):
+        return default if flags[name] is None else flags[name]
+
+    beta = given("beta", _default_beta(kind))
     if solver == "apdac":
-        delta = flags["delta"] if flags["delta"] is not None else 1.0
-        alpha = flags["alpha"] if flags["alpha"] is not None else 0.99
-        nonmonotone = False
+        delta, alpha, nonmonotone = given("delta", 1.0), given("alpha", 0.99), False
     else:
-        delta = flags["delta"] if flags["delta"] is not None else (1.0 if kind == "game" else 0.62)
-        if flags["alpha"] is not None:
-            alpha = flags["alpha"]
-        else:
-            # the headline alpha = 1.27 is only admissible for delta < 1/1.27^2
-            alpha = 1.27 if 1.27 < 1.0 / math.sqrt(delta) else 0.99
-        nm = flags["nonmonotone"]
-        nonmonotone = True if nm is None else nm
-    n_hat = flags["n_hat"] if flags["n_hat"] is not None else _default_n_hat(kind)
-    n_zero = flags["n_zero"] if flags["n_zero"] is not None else 2 * n_hat
-    lam0 = flags["lambda0"] if flags["lambda0"] is not None else default_lambda0(problem, beta)
-    gamma = flags["gamma"] if flags["gamma"] is not None else problem.gamma
+        delta = given("delta", 1.0 if kind == "game" else 0.62)
+        # the headline alpha = 1.27 is only admissible for delta < 1/1.27^2
+        alpha = given("alpha", 1.27 if 1.27 < 1.0 / math.sqrt(delta) else 0.99)
+        nonmonotone = given("nonmonotone", True)
+    n_hat = given("n_hat", _default_n_hat(kind))
+    optional = ("rho", "mu_corr", "nu_corr", "lambda_cap")
     return SolverConfig(
         delta=delta,
         alpha=alpha,
-        rho=flags["rho"] if flags["rho"] is not None else 0.7,
-        mu_corr=flags["mu_corr"] if flags["mu_corr"] is not None else 10.0,
-        nu_corr=flags["nu_corr"] if flags["nu_corr"] is not None else 1.5,
         beta0=beta,
-        gamma=gamma,
-        lambda0=lam0,
-        lambda_cap=flags["lambda_cap"] if flags["lambda_cap"] is not None else 1e6,
+        gamma=given("gamma", problem.gamma),
+        lambda0=given("lambda0", default_lambda0(problem, beta)),
         n_hat=n_hat,
-        n_zero=n_zero,
+        n_zero=given("n_zero", 2 * n_hat),
         nonmonotone=nonmonotone,
-        seed=flags["seed"] or 0,
+        **{name: flags[name] for name in optional if flags[name] is not None},
     )
 
 
@@ -204,16 +218,12 @@ def cli_run(
     if max_iters < 0:
         raise click.UsageError("--max-iters must be nonnegative")
     kind = _family_kind(problem_name)
-    flags["seed"] = seed
     problem = _build_problem(problem_name, seed, swapped, matrix_file)
     if solver in ("pdac", "apdac"):
         cfg = _solver_config(problem, kind, solver, flags)
     else:
         cfg = _baseline_config(problem, kind, solver, flags)
-    reference_value = None
-    if reference_path:
-        with open(reference_path) as fh:
-            reference_value = json.load(fh)["phi_star"]
+    reference_value = _read_phi_star(reference_path) if reference_path else None
     x0, y0 = problem.start
     if output is None:
         output = f"trace_{problem_name}_{solver}.csv"
@@ -229,11 +239,11 @@ def cli_run(
             trace_every=trace_every,
             reference_value=reference_value,
         )
-    except DivergenceError as err:
+    except (DivergenceError, LinesearchStallError) as err:
         if err.trace is not None:
             err.trace.to_csv(output)
         click.echo(f"error: {err}", err=True)
-        sys.exit(2)
+        sys.exit(EXIT_DIVERGED if isinstance(err, DivergenceError) else EXIT_STALLED)
     trace.to_csv(output)
     click.echo(
         f"summary problem={problem_name} solver={solver} iters={trace.rows[-1][0]} "

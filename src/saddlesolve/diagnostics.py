@@ -198,16 +198,16 @@ class ErgodicAverage:
     """Weighted running average (X_j, Y_j) of extrapolated primal points and
     dual iterates.
 
-    The primal average carries a head term delta*w_1*x_{n1-1} so that X_j is
-    a convex combination of {x_{n1-1}} and the z_l; feed weights lambda_l for
-    the base solver and beta_l*lambda_l for the accelerated one.
+    The primal average carries a head term delta*w_1*x_0 so that X_j is a
+    convex combination of x_0 and the z_l. ``run`` feeds weights
+    lambda_l with head delta for the base solver, beta_l*lambda_l with head
+    delta for the accelerated one, 1 with head 1 for the fixed-step PDA and
+    tau_l with head 1 for the linesearch PDA.
     """
 
-    def __init__(self, head_point, delta, mode="PdaCWeights", n1=1):
-        self.mode = mode
+    def __init__(self, head_point, delta):
         self.head_point = np.asarray(head_point, dtype=float).copy()
         self.delta = float(delta)
-        self.n1 = int(n1)
         self.head_weight = 0.0
         self.s_j = 0.0
         self.x_num = np.zeros_like(self.head_point)

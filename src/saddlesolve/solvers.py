@@ -19,9 +19,12 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from operator import attrgetter
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
+from .diagnostics import ErgodicAverage
 from .problems import pd_gap_game
 from .prox import QuadShift
 
@@ -68,7 +71,10 @@ class ConfigError(ValueError):
 
 class LinesearchStallError(RuntimeError):
     """A backtracking loop exceeded the shrink cap; signals a bug or a
-    degenerate problem since the correction is guaranteed to terminate."""
+    degenerate problem since the correction is guaranteed to terminate.
+    ``trace`` may carry the partial run trace."""
+
+    trace = None
 
 
 class DivergenceError(RuntimeError):
@@ -87,7 +93,9 @@ class SolverConfig:
 
     Admissible ranges (checked by ``validate``): delta > (sqrt(5)-1)/2,
     0 < alpha < 1/sqrt(delta), 1 < nu_corr <= mu_corr, 0 < rho < 1. The
-    accelerated variant additionally needs delta >= 1 and gamma >= 0.
+    accelerated variant additionally needs delta >= 1, gamma >= 0 and the
+    monotone step rule. ``gamma`` is read only by the accelerated variant;
+    ``max_iter`` is the budget ``run`` uses when it is given none.
     """
 
     delta: float = 0.62
@@ -103,10 +111,6 @@ class SolverConfig:
     n_zero: int = 10000
     max_iter: int = 1000
     nonmonotone: bool = False
-    seed: int = 0
-    # experimentation only: skip the delta < 1 correction loop; no
-    # convergence guarantee holds with this set
-    unsafe_no_correction: bool = False
 
     def validate(self, kind="pdac"):
         if not self.delta > DELTA_LOWER:
@@ -115,6 +119,8 @@ class SolverConfig:
             )
         if kind == "apdac" and not self.delta >= 1.0:
             raise ConfigError(f"accelerated solver needs delta >= 1; got {self.delta}")
+        if kind == "apdac" and self.nonmonotone:
+            raise ConfigError("accelerated solver needs the monotone step rule (nonmonotone=False)")
         alpha_bound = 1.0 / math.sqrt(self.delta)
         if not 0.0 < self.alpha < alpha_bound:
             raise ConfigError(
@@ -170,16 +176,17 @@ class BaselineConfig:
 
 @dataclass
 class SolverState:
-    """Evolving iterates of the corrected solver.
+    """Evolving iterates of the corrected solver and its accelerated variant.
 
-    ``lam_cur``/``lam_next`` hold lambda_n and lambda_{n+1}; ``Ky_cur`` and
-    ``Ky_prev`` cache the adjoint images K*y_n and K*y_{n-1} so each outer
-    iteration spends exactly one forward and one adjoint application.
+    ``x_prev``/``x_cur`` hold x_{n-1} and x_n (the driver rebuilds the
+    extrapolated point z_n from them); ``lam_cur``/``lam_next`` hold
+    lambda_n and lambda_{n+1}; ``beta_cur`` is beta_n, constant unless the
+    run is accelerated. ``Ky_cur`` caches the adjoint image K*y_n so each
+    outer iteration spends exactly one forward and one adjoint application.
     """
 
     x_prev: np.ndarray
     x_cur: np.ndarray
-    y_prev: np.ndarray
     y_cur: np.ndarray
     lam_cur: float
     lam_next: float
@@ -189,7 +196,6 @@ class SolverState:
     iter: int
     correction_backtracks: int
     Ky_cur: np.ndarray
-    Ky_prev: np.ndarray
 
 
 @dataclass
@@ -259,7 +265,6 @@ def init_state(problem, x0, y0, cfg, kind="pdac"):
     return SolverState(
         x_prev=x0.copy(),
         x_cur=x0.copy(),
-        y_prev=y0.copy(),
         y_cur=y0.copy(),
         lam_cur=lam,
         lam_next=lam,
@@ -269,7 +274,6 @@ def init_state(problem, x0, y0, cfg, kind="pdac"):
         iter=0,
         correction_backtracks=0,
         Ky_cur=Ky0,
-        Ky_prev=Ky0.copy(),
     )
 
 
@@ -291,19 +295,19 @@ def phi_schedule(n, cfg):
     return 1.0
 
 
-def predict_step(dy_norm, kdy_norm, lam_next, phi, cfg):
+def predict_step(dy_norm, kdy_norm, lam_next, phi, cfg, beta=None):
     """Next step size from the local inverse Lipschitz ratio.
 
     Monotone mode: min(alpha*||dy|| / (sqrt(beta)*||K* dy||), lam_next).
     Nonmonotone mode allows growth up to phi*lam_next, capped at lambda_cap.
     A zero adjoint difference carries lam_next forward (times phi when
-    growth is allowed).
+    growth is allowed). ``beta`` defaults to ``cfg.beta0``.
     """
     if kdy_norm == 0.0:
         if cfg.nonmonotone:
             return min(lam_next * phi, cfg.lambda_cap)
         return lam_next
-    ratio = cfg.alpha * dy_norm / (math.sqrt(cfg.beta0) * kdy_norm)
+    ratio = cfg.alpha * dy_norm / (math.sqrt(cfg.beta0 if beta is None else beta) * kdy_norm)
     if cfg.nonmonotone:
         return min(ratio, phi * lam_next, cfg.lambda_cap)
     return min(ratio, lam_next)
@@ -344,71 +348,38 @@ def _check_finite(state, n):
         raise DivergenceError(f"non-finite iterate at iteration {n}", n)
 
 
-def pdac_iterate(state, problem, cfg):
+def _pd_iterate(state, problem, cfg, accelerated):
     """One outer iteration of the corrected primal-dual solver.
 
     Primal prox with lambda_n, correction when delta < 1, extrapolation,
-    dual prox with beta*lambda_{n+1}, then step prediction for lambda_{n+2}.
+    dual prox with beta_{n+1}*lambda_{n+1}, then step prediction for
+    lambda_{n+2} capped at sqrt(beta_n / beta_{n+1})*lambda_{n+1}. beta
+    grows as beta_{n+1} = beta_n*(1 + gamma*lambda_{n+1}) with gamma =
+    cfg.gamma when accelerated and 0 otherwise; at gamma = 0 the growth
+    factor and the cap ratio are exactly 1.0, so the accelerated variant
+    reduces bitwise to the monotone base solver.
     """
     n = state.iter
     K = problem.K
+    gamma = cfg.gamma if accelerated else 0.0
     phi_n = phi_schedule(n, cfg)
     x_next = problem.g.prox(state.x_cur - state.lam_cur * state.Ky_cur, state.lam_cur)
     zeta_next = float(np.linalg.norm(x_next - state.x_cur))
-    if cfg.delta < 1.0 and not cfg.unsafe_no_correction:
+    if cfg.delta < 1.0:
         x_next, zeta_next = correction_pass(state, problem, cfg, x_next, zeta_next, phi_n)
     z_next = x_next + cfg.delta * (x_next - state.x_cur)
-    s = cfg.beta0 * state.lam_next
-    y_next = problem.fstar.prox(state.y_cur + s * K.apply(z_next), s)
-    Ky_next = K.adjoint_apply(y_next)
-    dy = float(np.linalg.norm(y_next - state.y_cur))
-    kdy = float(np.linalg.norm(Ky_next - state.Ky_cur))
-    lam_after = predict_step(dy, kdy, state.lam_next, phi_n, cfg)
-
-    state.x_prev = state.x_cur
-    state.x_cur = x_next
-    state.y_prev = state.y_cur
-    state.y_cur = y_next
-    state.Ky_prev = state.Ky_cur
-    state.Ky_cur = Ky_next
-    state.lam_cur = state.lam_next
-    state.lam_next = lam_after
-    state.zeta_cur = zeta_next
-    state.iter = n + 1
-    _check_finite(state, n + 1)
-    return state
-
-
-def apdac_iterate(state, problem, cfg):
-    """One iteration of the accelerated variant (delta >= 1, g strongly convex).
-
-    beta grows as beta_{n+1} = beta_n * (1 + gamma*lambda_{n+1}); the dual
-    prox uses beta_{n+1}*lambda_{n+1} and the step prediction caps at
-    sqrt(beta_n / beta_{n+1}) * lambda_{n+1}. With gamma = 0 the iterates
-    coincide bitwise with the monotone base solver.
-    """
-    n = state.iter
-    K = problem.K
-    x_next = problem.g.prox(state.x_cur - state.lam_cur * state.Ky_cur, state.lam_cur)
-    zeta_next = float(np.linalg.norm(x_next - state.x_cur))
-    z_next = x_next + cfg.delta * (x_next - state.x_cur)
-    beta_next = state.beta_cur * (1.0 + cfg.gamma * state.lam_next)
+    beta_next = state.beta_cur * (1.0 + gamma * state.lam_next)
     s = beta_next * state.lam_next
     y_next = problem.fstar.prox(state.y_cur + s * K.apply(z_next), s)
     Ky_next = K.adjoint_apply(y_next)
     dy = float(np.linalg.norm(y_next - state.y_cur))
     kdy = float(np.linalg.norm(Ky_next - state.Ky_cur))
     cap = math.sqrt(state.beta_cur / beta_next) * state.lam_next
-    if kdy == 0.0:
-        lam_after = cap
-    else:
-        lam_after = min(cfg.alpha * dy / (math.sqrt(beta_next) * kdy), cap)
+    lam_after = predict_step(dy, kdy, cap, phi_n, cfg, beta_next)
 
     state.x_prev = state.x_cur
     state.x_cur = x_next
-    state.y_prev = state.y_cur
     state.y_cur = y_next
-    state.Ky_prev = state.Ky_cur
     state.Ky_cur = Ky_next
     state.lam_cur = state.lam_next
     state.lam_next = lam_after
@@ -417,6 +388,16 @@ def apdac_iterate(state, problem, cfg):
     state.iter = n + 1
     _check_finite(state, n + 1)
     return state
+
+
+def pdac_iterate(state, problem, cfg):
+    """One iteration of the corrected solver; beta stays at beta0."""
+    return _pd_iterate(state, problem, cfg, accelerated=False)
+
+
+def apdac_iterate(state, problem, cfg):
+    """One iteration of the accelerated variant (delta >= 1, g strongly convex)."""
+    return _pd_iterate(state, problem, cfg, accelerated=True)
 
 
 def init_pda(problem, x0, y0, bcfg, norm_estimate=None):
@@ -614,32 +595,69 @@ class IterationTrace:
         return trace
 
 
-class _ErgodicAccumulator:
-    """Weighted running average of (z_l, y_l) with the head term delta*w1*x0."""
+class _Driver(NamedTuple):
+    """The per-solver pieces ``run`` drives."""
 
-    def __init__(self, head_point, delta):
-        self.head_point = np.asarray(head_point, dtype=float).copy()
-        self.delta = delta
-        self.head_weight = 0.0
-        self.s = 0.0
-        self.x_num = np.zeros_like(self.head_point)
-        self.y_num = None
+    state: object
+    step: Callable  # (state, problem, cfg) -> state
+    point: Callable  # state -> the iterate the objective is evaluated at
+    report: Callable  # state -> (lambda, beta, corrections) trace columns
+    sample: Optional[Callable]  # state -> (weight, z, y) for the ergodic average
+    head: float  # the ergodic average's head weight is head * w_1 on x_0
 
-    def update(self, weight, z, y):
-        if self.s == 0.0:
-            self.head_weight = self.delta * weight
-            self.y_num = np.zeros_like(np.asarray(y, dtype=float))
-        self.s += weight
-        self.x_num += weight * z
-        self.y_num += weight * y
 
-    @property
-    def X(self):
-        return (self.head_weight * self.head_point + self.x_num) / (self.head_weight + self.s)
+def _driver(kind, problem, cfg, x0, y0):
+    """Build the driver of one solver kind: the only dispatch on the kind.
 
-    @property
-    def Y(self):
-        return self.y_num / self.s
+    Iterates are looked up as module attributes on every call, so a wrapped
+    ``<kind>_iterate`` is the one that runs.
+    """
+    dual = problem.objective_var == "y"
+    if kind in ("pdac", "apdac"):
+        accelerated = kind == "apdac"
+        return _Driver(
+            init_state(problem, x0, y0, cfg, kind=kind),
+            apdac_iterate if accelerated else pdac_iterate,
+            attrgetter("y_cur" if dual else "x_cur"),
+            lambda st: (st.lam_cur, st.beta_cur, st.correction_backtracks),
+            lambda st: (
+                st.beta_cur * st.lam_cur if accelerated else st.lam_cur,
+                st.x_cur + cfg.delta * (st.x_cur - st.x_prev),
+                st.y_cur,
+            ),
+            cfg.delta,
+        )
+    if kind == "pda":
+        return _Driver(
+            init_pda(problem, x0, y0, cfg),
+            pda_iterate,
+            attrgetter("y" if dual else "x"),
+            lambda st: (cfg.tau, cfg.sigma / cfg.tau, 0),
+            lambda st: (1.0, st.x, st.y),
+            1.0,
+        )
+    if kind == "pdal":
+        return _Driver(
+            init_pdal(problem, x0, y0, cfg),
+            pdal_iterate,
+            attrgetter("y" if dual else "x"),
+            lambda st: (st.tau, cfg.beta, st.shrinks),
+            lambda st: (st.tau, st.x, st.y),
+            1.0,
+        )
+    if kind not in ("pgm", "fista"):
+        raise ConfigError(f"unknown solver kind {kind!r}")
+    if problem.metric_kind == "pd_gap":
+        raise ConfigError(f"{kind} does not support matrix games")
+    if kind == "pgm":
+        return _Driver(
+            init_pgm(problem, x0, cfg), pgm_iterate, attrgetter("x"),
+            lambda st: (cfg.step, 0.0, 0), None, 1.0,
+        )
+    return _Driver(
+        init_fista(problem, x0, cfg), fista_iterate, attrgetter("x"),
+        lambda st: (st.lam, 0.0, st.shrinks), None, 1.0,
+    )
 
 
 def run(
@@ -661,7 +679,9 @@ def run(
     column holds the problem objective (minus ``reference_value`` when given)
     for least-squares families, and the primal-dual gap of the running ergodic
     average for matrix games. Runs are deterministic for a fixed iteration
-    budget.
+    budget. The last row is the last iteration run, whether the iteration or
+    the time budget ended the run. A DivergenceError or LinesearchStallError
+    carries the trace recorded so far in its ``trace`` attribute.
     """
     if max_iter is None:
         max_iter = cfg.max_iter if isinstance(cfg, SolverConfig) else 0
@@ -669,99 +689,38 @@ def run(
         raise ValueError("max_iter must be nonnegative")
     if trace_every < 1:
         raise ValueError("trace_every must be at least 1")
-    is_game = problem.metric_kind == "pd_gap"
     x0 = np.asarray(x0, dtype=float)
     y0 = np.asarray(y0, dtype=float)
+    drv = _driver(solver_kind, problem, cfg, x0, y0)
+    state = drv.state
+    ergodic = ErgodicAverage(x0, drv.head) if problem.metric_kind == "pd_gap" else None
 
-    ergodic = None
-    if solver_kind in ("pdac", "apdac"):
-        state = init_state(problem, x0, y0, cfg, kind=solver_kind)
-        if is_game:
-            ergodic = _ErgodicAccumulator(x0, cfg.delta)
-    elif solver_kind == "pda":
-        state = init_pda(problem, x0, y0, cfg)
-        if is_game:
-            ergodic = _ErgodicAccumulator(x0, 1.0)
-    elif solver_kind == "pdal":
-        state = init_pdal(problem, x0, y0, cfg)
-        if is_game:
-            ergodic = _ErgodicAccumulator(x0, 1.0)
-    elif solver_kind == "pgm":
-        if is_game:
-            raise ConfigError("pgm does not support matrix games")
-        state = init_pgm(problem, x0, cfg)
-    elif solver_kind == "fista":
-        if is_game:
-            raise ConfigError("fista does not support matrix games")
-        state = init_fista(problem, x0, cfg)
-    else:
-        raise ConfigError(f"unknown solver kind {solver_kind!r}")
-
-    def metric_now():
-        if is_game:
-            if ergodic is not None and ergodic.s > 0.0:
+    def metric():
+        if ergodic is not None:
+            if ergodic.updates:
                 return pd_gap_game(problem.K, ergodic.X, ergodic.Y)
             return pd_gap_game(problem.K, x0, y0)
         if problem.objective is None:
             return float("nan")
-        if solver_kind in ("pdac", "apdac"):
-            point = state.y_cur if problem.objective_var == "y" else state.x_cur
-        elif solver_kind in ("pda", "pdal"):
-            point = state.y if problem.objective_var == "y" else state.x
-        else:
-            point = state.x
-        value = problem.objective(point)
+        value = problem.objective(drv.point(state))
         if reference_value is not None:
             value -= reference_value
         return value
 
-    def lam_beta_corr():
-        if solver_kind in ("pdac", "apdac"):
-            return state.lam_cur, state.beta_cur, state.correction_backtracks
-        if solver_kind == "pda":
-            return cfg.tau, cfg.sigma / cfg.tau, 0
-        if solver_kind == "pdal":
-            return state.tau, cfg.beta, state.shrinks
-        if solver_kind == "pgm":
-            return cfg.step, 0.0, 0
-        return state.lam, 0.0, state.shrinks
-
     trace = IterationTrace(solver=solver_kind, problem=problem.label)
     t0 = time.perf_counter()
-    lam, beta, corr = lam_beta_corr()
-    trace.append(0, 0.0, metric_now(), lam, beta, corr)
-
-    step_fns = {
-        "pdac": pdac_iterate,
-        "apdac": apdac_iterate,
-        "pda": pda_iterate,
-        "pdal": pdal_iterate,
-        "pgm": pgm_iterate,
-        "fista": fista_iterate,
-    }
-    step = step_fns[solver_kind]
-
-    for n in range(max_iter):
+    trace.append(0, 0.0, metric(), *drv.report(state))
+    for n in range(1, max_iter + 1):
         try:
-            step(state, problem, cfg)
-        except DivergenceError as err:
+            drv.step(state, problem, cfg)
+        except (DivergenceError, LinesearchStallError) as err:
             err.trace = trace
             raise
         if ergodic is not None:
-            if solver_kind == "pdac":
-                z = state.x_cur + cfg.delta * (state.x_cur - state.x_prev)
-                ergodic.update(state.lam_cur, z, state.y_cur)
-            elif solver_kind == "apdac":
-                z = state.x_cur + cfg.delta * (state.x_cur - state.x_prev)
-                ergodic.update(state.beta_cur * state.lam_cur, z, state.y_cur)
-            elif solver_kind == "pda":
-                ergodic.update(1.0, state.x, state.y)
-            else:  # pdal
-                ergodic.update(state.tau, state.x, state.y)
-        done = n + 1 == max_iter
-        if (n + 1) % trace_every == 0 or done:
-            lam, beta, corr = lam_beta_corr()
-            trace.append(n + 1, time.perf_counter() - t0, metric_now(), lam, beta, corr)
-        if max_seconds is not None and time.perf_counter() - t0 > max_seconds:
+            ergodic.update(*drv.sample(state))
+        out_of_time = max_seconds is not None and time.perf_counter() - t0 > max_seconds
+        if n % trace_every == 0 or n == max_iter or out_of_time:
+            trace.append(n, time.perf_counter() - t0, metric(), *drv.report(state))
+        if out_of_time:
             break
     return trace

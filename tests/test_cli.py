@@ -5,6 +5,9 @@ import pytest
 
 import saddlesolve.cli as cli
 from saddlesolve.cli import reference_solve_cmd, run_experiment
+from saddlesolve.linop import LinearOperator
+from saddlesolve.problems import SaddleProblem
+from saddlesolve.prox import QuadShift
 from saddlesolve.solvers import DivergenceError, IterationTrace, TRACE_HEADER
 
 
@@ -124,6 +127,47 @@ def test_divergence_exit_code_flushes_trace(tmp_path, monkeypatch):
     )
     assert code == 2
     assert out.exists() and len(_read_lines(out)) == 2
+
+
+class _NanProx:
+    """A prox that returns NaN, so no backtracking test ever accepts."""
+
+    def prox(self, v, step):
+        return np.full_like(v, np.nan)
+
+    def value(self, x):
+        return 0.0
+
+
+def test_stall_exit_code_flushes_trace(tmp_path, monkeypatch, capsys):
+    stalls = SaddleProblem(
+        g=_NanProx(), fstar=QuadShift(np.ones(3)), K=LinearOperator(np.eye(3)),
+        label="stall", start=(np.zeros(3), np.zeros(3)),
+    )
+    monkeypatch.setattr(cli, "_build_problem", lambda *args: stalls)
+    out = tmp_path / "t.csv"
+    code = run_experiment(
+        ["--problem", "lasso1", "--solver", "fista", "--max-iters", "5", "--output", str(out)]
+    )
+    assert code == 3
+    assert "FISTA backtracking exceeded" in capsys.readouterr().err
+    lines = _read_lines(out)
+    assert lines[0] == TRACE_HEADER and len(lines) == 2  # header plus initial row
+
+
+def test_reference_without_phi_star_is_usage_error(tmp_path, capsys):
+    ref_path = tmp_path / "ref.json"
+    ref_path.write_text(json.dumps({"problem": "lasso1", "residual": 1e-12}))
+    out = tmp_path / "t.csv"
+    code = run_experiment(
+        [
+            "--problem", "lasso1", "--solver", "pdac", "--max-iters", "1",
+            "--reference", str(ref_path), "--output", str(out),
+        ]
+    )
+    assert code == 1
+    assert "phi_star" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_reference_cmd_and_gap_metric(tmp_path):

@@ -3,8 +3,16 @@ import math
 import numpy as np
 import pytest
 
+import saddlesolve.solvers as solvers
+from saddlesolve.diagnostics import ErgodicAverage
 from saddlesolve.linop import LinearOperator
-from saddlesolve.problems import ProblemSpec, SaddleProblem, gen_lasso, gen_matrix_game
+from saddlesolve.problems import (
+    ProblemSpec,
+    SaddleProblem,
+    gen_lasso,
+    gen_matrix_game,
+    pd_gap_game,
+)
 from saddlesolve.prox import QuadShift, Zero
 from saddlesolve.solvers import (
     BaselineConfig,
@@ -74,6 +82,8 @@ def test_config_nu_and_rho():
 def test_config_apdac_needs_delta_ge_one():
     with pytest.raises(ConfigError, match="delta >= 1"):
         _cfg(delta=0.9, alpha=0.9).validate("apdac")
+    with pytest.raises(ConfigError, match="monotone"):
+        _cfg(delta=1.0, alpha=0.9, nonmonotone=True).validate("apdac")
     _cfg(delta=1.0, alpha=0.9).validate("apdac")
 
 
@@ -163,8 +173,8 @@ def test_pdac_hand_simulation(fixtures):
     pdac_iterate(st, prob, _cfg(lambda0=0.5))
     assert st.x_cur[0] == pytest.approx(rec["x1"], abs=1e-15)
     assert st.y_cur[0] == pytest.approx(rec["y1"], abs=1e-15)
-    # z1 = 0 means the dual point did not move
-    assert st.y_cur[0] == st.y_prev[0]
+    # z1 = 0 means the dual point did not move from y0 = 1
+    assert st.y_cur[0] == 1.0
 
 
 def test_pdac_fixed_at_zero_saddle():
@@ -226,7 +236,6 @@ def test_correction_shrink_count_matches_fixture(fixtures):
     st = SolverState(
         x_prev=np.array([0.0]),
         x_cur=np.array([0.0]),
-        y_prev=np.array([rec["c"]]),
         y_cur=np.array([rec["c"]]),
         lam_cur=rec["lam"],
         lam_next=rec["lam"],
@@ -236,7 +245,6 @@ def test_correction_shrink_count_matches_fixture(fixtures):
         iter=1,
         correction_backtracks=0,
         Ky_cur=np.array([rec["c"]]),
-        Ky_prev=np.array([rec["c"]]),
     )
     x_cand = st.x_cur - st.lam_cur * st.Ky_cur
     zeta = float(np.linalg.norm(x_cand - st.x_cur))
@@ -253,7 +261,6 @@ def test_correction_stall_error():
     st = SolverState(
         x_prev=np.array([0.0]),
         x_cur=np.array([0.0]),
-        y_prev=np.array([1.0]),
         y_cur=np.array([1.0]),
         lam_cur=1.0,
         lam_next=1.0,
@@ -263,24 +270,9 @@ def test_correction_stall_error():
         iter=3,
         correction_backtracks=0,
         Ky_cur=np.array([1.0]),
-        Ky_prev=np.array([1.0]),
     )
     with pytest.raises(LinesearchStallError, match="200"):
         correction_pass(st, prob, cfg, st.x_cur - st.Ky_cur, 1.0, 1.0)
-
-
-def test_unsafe_flag_disables_correction():
-    prob, _ = gen_lasso(ProblemSpec("lasso1", seed=41, m=15, n=30, s=3))
-    cfg = _cfg(
-        delta=0.62, alpha=1.27, beta0=0.0025,
-        lambda0=default_lambda0(prob, 0.0025),
-        nonmonotone=True, n_hat=500, n_zero=1000,
-        unsafe_no_correction=True,
-    )
-    st = init_state(prob, *prob.start, cfg)
-    for _ in range(2000):
-        pdac_iterate(st, prob, cfg)
-    assert st.correction_backtracks == 0
 
 
 def test_lambda_monotone_mode_nonincreasing():
@@ -566,12 +558,63 @@ def test_trace_csv_round_trip(tmp_path):
     assert back.rows == trace.rows
 
 
-def test_run_game_ergodic_gap_decreases():
+def _game_run_pieces(kind, game):
+    """Config, initial state, iterate and documented ergodic (weight, z, y,
+    head) for a hand-written run of ``kind`` on a game."""
+    x0, y0 = game.start
+    if kind in ("pdac", "apdac"):
+        gamma = 0.1 if kind == "apdac" else 0.0
+        cfg = _cfg(delta=1.0, alpha=0.99, beta0=1.0, gamma=gamma,
+                   lambda0=default_lambda0(game, 1.0))
+        st = init_state(game, x0, y0, cfg, kind=kind)
+        step = apdac_iterate if kind == "apdac" else pdac_iterate
+
+        def sample(st):
+            weight = st.beta_cur * st.lam_cur if kind == "apdac" else st.lam_cur
+            return weight, st.x_cur + cfg.delta * (st.x_cur - st.x_prev), st.y_cur
+
+        return cfg, st, step, sample, cfg.delta
+    L = game.K.operator_norm()
+    if kind == "pda":
+        cfg = BaselineConfig(tau=1.0 / L, sigma=1.0 / L)
+        return cfg, init_pda(game, x0, y0, cfg), pda_iterate, lambda st: (1.0, st.x, st.y), 1.0
+    cfg = BaselineConfig(tau=1.0 / L, beta=1.0)
+    return cfg, init_pdal(game, x0, y0, cfg), pdal_iterate, lambda st: (st.tau, st.x, st.y), 1.0
+
+
+@pytest.mark.parametrize("kind", ["pdac", "apdac", "pda", "pdal"])
+def test_run_game_ergodic_gap_decreases(kind):
     game = gen_matrix_game(ProblemSpec("game1", seed=3, m=30, n=30))
-    cfg = _cfg(delta=1.0, alpha=0.99, beta0=1.0, lambda0=default_lambda0(game, 1.0))
-    trace = run("pdac", game, cfg, *game.start, max_iter=3000, trace_every=1000)
+    cfg, st, step, sample, head = _game_run_pieces(kind, game)
+    trace = run(kind, game, cfg, *game.start, max_iter=3000, trace_every=1000)
     gaps = trace.column("metric")
     assert gaps[-1] < 0.2 * gaps[0]
+    # the driver's metric is the gap of the documented weighted average
+    x0, y0 = game.start
+    avg = ErgodicAverage(x0, head)
+    expect = [pd_gap_game(game.K, x0, y0)]
+    for n in range(1, 3001):
+        step(st, game, cfg)
+        avg.update(*sample(st))
+        if n % 1000 == 0:
+            expect.append(pd_gap_game(game.K, avg.X, avg.Y))
+    assert gaps == expect
+
+
+def test_run_time_budget_ends_on_final_row(monkeypatch):
+    prob, _ = gen_lasso(ProblemSpec("lasso1", seed=2, m=8, n=12, s=2))
+    cfg = _cfg(delta=0.62, alpha=1.27, lambda0=0.1, beta0=1.0)
+    calls = []
+    iterate = solvers.pdac_iterate
+
+    def counted(*args):
+        calls.append(1)
+        return iterate(*args)
+
+    monkeypatch.setattr(solvers, "pdac_iterate", counted)
+    trace = run("pdac", prob, cfg, *prob.start, max_iter=100, max_seconds=0.0, trace_every=1000)
+    assert 1 <= len(calls) < 100
+    assert trace.rows[-1][0] == len(calls)
 
 
 def test_run_pda_on_game():
