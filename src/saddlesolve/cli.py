@@ -9,11 +9,13 @@ names the directory holding the Matrix Market files for the NNLS families.
 A ``--reference`` file is a JSON object with the key ``phi_star`` (the
 optimal objective value), as ``saddle-solve reference`` writes it.
 
-Exit codes of ``run_experiment`` and ``reference_solve_cmd``: 0 ok; 1 usage,
-configuration or bad input (unknown flag, inadmissible parameter, missing
-data, a reference file without ``phi_star``); 2 diverged (non-finite
-iterate); 3 stalled (a backtracking loop hit its shrink cap). On 2 and 3 the
-trace recorded so far is still written to the output file.
+Exit codes of the installed ``saddle-solve`` command (``console_main``), of
+``run_experiment`` and of ``reference_solve_cmd``: 0 ok; 1 usage,
+configuration or bad input (unknown flag, a solver flag the chosen solver does
+not read, inadmissible parameter, missing data, a reference file without
+``phi_star``); 2 diverged (non-finite iterate); 3 stalled (a backtracking loop
+hit its shrink cap). On 2 and 3 the trace recorded so far is still written to
+the output file.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from .solvers import (
     run,
 )
 
-__all__ = ["main", "run_experiment", "reference_solve_cmd"]
+__all__ = ["main", "console_main", "run_experiment", "reference_solve_cmd"]
 
 PROBLEM_NAMES = sorted(list(LASSO_FAMILIES) + list(GAME_FAMILIES) + list(NNLS_FAMILIES))
 SOLVER_NAMES = ["pdac", "apdac", "pda", "pdal", "pgm", "fista"]
@@ -110,6 +112,27 @@ def _build_problem(problem_name, seed, swapped, matrix_file):
     return load_nnls(spec, swapped=swapped)
 
 
+# The solver flags each solver reads; any other one given is refused. The
+# accelerated solver runs monotone at delta >= 1, so it never corrects and
+# never reads the nonmonotone schedule; only it reads gamma.
+_SOLVER_FLAGS = {
+    "pdac": {"delta", "alpha", "rho", "beta", "lambda0", "lambda_cap", "mu_corr", "nu_corr",
+             "n_hat", "n_zero", "nonmonotone"},
+    "apdac": {"delta", "alpha", "beta", "gamma", "lambda0", "nonmonotone"},
+    "pda": set(),
+    "pdal": {"beta"},
+    "pgm": set(),
+    "fista": set(),
+}
+
+
+def _reject_unread_flags(solver, flags):
+    unread = sorted(k for k, v in flags.items() if v is not None and k not in _SOLVER_FLAGS[solver])
+    if unread:
+        names = ", ".join("--" + name.replace("_", "-") for name in unread)
+        raise click.UsageError(f"--solver {solver} does not read {names}")
+
+
 def _solver_config(problem, kind, solver, flags):
     """SolverConfig from the given flags over the family's benchmark settings;
     every other field keeps its SolverConfig default."""
@@ -119,7 +142,8 @@ def _solver_config(problem, kind, solver, flags):
 
     beta = given("beta", _default_beta(kind))
     if solver == "apdac":
-        delta, alpha, nonmonotone = given("delta", 1.0), given("alpha", 0.99), False
+        delta, alpha = given("delta", 1.0), given("alpha", 0.99)
+        nonmonotone = given("nonmonotone", False)
     else:
         delta = given("delta", 1.0 if kind == "game" else 0.62)
         # the headline alpha = 1.27 is only admissible for delta < 1/1.27^2
@@ -217,6 +241,7 @@ def cli_run(
     """Run one solver on one problem and write a CSV trace."""
     if max_iters < 0:
         raise click.UsageError("--max-iters must be nonnegative")
+    _reject_unread_flags(solver, flags)
     kind = _family_kind(problem_name)
     problem = _build_problem(problem_name, seed, swapped, matrix_file)
     if solver in ("pdac", "apdac"):
@@ -300,6 +325,11 @@ def _invoke(args):
     except (ConfigError, ValueError, OSError) as exc:
         click.echo(f"error: {exc}", err=True)
         return 1
+
+
+def console_main():
+    """The installed ``saddle-solve`` command; returns the documented exit code."""
+    return _invoke(sys.argv[1:])
 
 
 def run_experiment(argv):

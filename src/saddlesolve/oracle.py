@@ -278,18 +278,62 @@ def _polish_nnls(problem, x, threshold):
     return cand
 
 
+_POLISH_THRESHOLDS = (0.0, 1e-10, 1e-8, 1e-6, 1e-4)
+
+
+def _signed_support(x, threshold):
+    """sign(x_i) where |x_i| > threshold and 0 elsewhere, as hashable bytes."""
+    return np.where(np.abs(x) > threshold, np.sign(x), 0.0).tobytes()
+
+
+def _polish(problem, x, quality, tried):
+    """Best active-set candidate near ``x`` whose saddle residual beats
+    ``quality``: returns (candidate, residual), or (None, quality) when none
+    does.
+
+    Polishes over the support thresholds in ``_POLISH_THRESHOLDS`` (scaled by
+    max|x|); after a win the later thresholds polish the winner. A candidate
+    depends only on the signed support, so ``tried`` maps each signed support
+    already polished to its (candidate, residual), or to None when the KKT
+    checks rejected it, and a repeated support costs no solve.
+    """
+    polish_support = _polish_lasso if isinstance(problem.g, ScaledL1) else _polish_nnls
+    b = problem.fstar.shift
+    scale = max(1.0, float(np.abs(x).max(initial=0.0)))
+    best = None
+    for thr in _POLISH_THRESHOLDS:
+        thr *= scale
+        key = _signed_support(x, thr)
+        if key not in tried:
+            cand = polish_support(problem, x, thr)
+            tried[key] = None if cand is None else (
+                cand, saddle_residual(problem, cand, problem.K.apply(cand) - b)
+            )
+        if tried[key] is not None and tried[key][1] < quality:
+            best, quality = tried[key]
+            x = best
+    return best, quality
+
+
 def solve_reference(
     problem, *, max_iter=1_000_000, stall_window=5000, residual_target=1e-12, polish=True
 ):
     """High-accuracy reference solve for least-squares families.
 
-    Runs FISTA with backtracking until the saddle residual reaches
-    ``residual_target``, stalls for ``stall_window`` iterations, or the
-    budget runs out; then polishes via the active-set stationarity system
-    over a few support thresholds and keeps the best point. Returns
-    (ReferencePoint, phi_star, iterations); the reference dual point is
-    y_bar = K x_bar - b and the quality field holds the measured saddle
-    residual at probe step 1.
+    Runs FISTA with backtracking and measures the saddle residual every 50
+    iterations. With ``polish``, a check at which the iterate's sign pattern
+    is the same as at the previous check, and was not polished before, also
+    polishes it via the active-set stationarity system over a few support
+    thresholds. The solve stops at the first polished candidate that passes
+    the KKT checks of the support (sign consistency on it, the subgradient
+    bound off it) and has a smaller residual than the iterate: the candidate
+    depends only on the support, so it is the point that running on would
+    polish to. Without such a certificate FISTA runs until the residual
+    reaches ``residual_target``, stalls for ``stall_window`` iterations, or
+    the budget runs out; then the same polish runs on the last iterate and
+    the best point is kept. Returns (ReferencePoint, phi_star, iterations);
+    the reference dual point is y_bar = K x_bar - b and the quality field
+    holds the measured saddle residual at probe step 1.
     """
     if not isinstance(problem.fstar, QuadShift) or not isinstance(
         problem.g, (ScaledL1, IndNonneg)
@@ -303,6 +347,9 @@ def solve_reference(
     since_improve = 0
     check_every = 50
     iters_done = 0
+    tried = {}
+    signs = None
+    x_bar = None
     for k in range(max_iter):
         fista_iterate(state, problem, bcfg)
         iters_done = k + 1
@@ -310,6 +357,12 @@ def solve_reference(
             resid = saddle_residual(problem, state.x, problem.K.apply(state.x) - b)
             if resid <= residual_target:
                 break
+            if polish:
+                prev_signs, signs = signs, _signed_support(state.x, 0.0)
+                if signs == prev_signs and signs not in tried:
+                    x_bar, quality = _polish(problem, state.x, resid, tried)
+                    if x_bar is not None:
+                        break
             if resid < best_resid * (1.0 - 1e-6):
                 best_resid = resid
                 since_improve = 0
@@ -317,21 +370,13 @@ def solve_reference(
                 since_improve += check_every
                 if since_improve >= stall_window:
                     break
-    x_bar = state.x
-    quality = saddle_residual(problem, x_bar, problem.K.apply(x_bar) - b)
-    if polish:
-        scale = max(1.0, float(np.abs(x_bar).max(initial=0.0)))
-        for thr in (0.0, 1e-10 * scale, 1e-8 * scale, 1e-6 * scale, 1e-4 * scale):
-            if isinstance(problem.g, ScaledL1):
-                cand = _polish_lasso(problem, x_bar, thr)
-            else:
-                cand = _polish_nnls(problem, x_bar, thr)
-            if cand is None:
-                continue
-            cand_quality = saddle_residual(problem, cand, problem.K.apply(cand) - b)
-            if cand_quality < quality:
-                x_bar = cand
-                quality = cand_quality
+    if x_bar is None:
+        x_bar = state.x
+        quality = saddle_residual(problem, x_bar, problem.K.apply(x_bar) - b)
+        if polish:
+            cand, cand_quality = _polish(problem, x_bar, quality, tried)
+            if cand is not None:
+                x_bar, quality = cand, cand_quality
     y_bar = problem.K.apply(x_bar) - b
     ref = ReferencePoint(x_bar=x_bar, y_bar=y_bar, quality=quality)
     phi_star = primal_objective(problem, x_bar)

@@ -242,15 +242,24 @@ def default_lambda0(problem, beta):
     return 1.0 / (math.sqrt(beta) * fro)
 
 
+def _finite_start(x0, y0):
+    """(x0, y0) as float arrays; a non-finite entry raises ValueError."""
+    x0 = np.asarray(x0, dtype=float)
+    y0 = np.asarray(y0, dtype=float)
+    if not (np.all(np.isfinite(x0)) and np.all(np.isfinite(y0))):
+        raise ValueError("the start (x0, y0) must be finite")
+    return x0, y0
+
+
 def init_state(problem, x0, y0, cfg, kind="pdac"):
     """Validate the configuration and build the initial solver state.
 
     zeta_0 is the larger of the two prox fixed-point residuals at (x0, y0);
-    it vanishes exactly at saddle points.
+    it vanishes exactly at saddle points. A non-finite start raises
+    ValueError.
     """
     cfg.validate(kind)
-    x0 = np.asarray(x0, dtype=float)
-    y0 = np.asarray(y0, dtype=float)
+    x0, y0 = _finite_start(x0, y0)
     if x0.shape != (problem.K.cols,):
         raise ValueError(f"x0 must have length {problem.K.cols}, got shape {x0.shape}")
     if y0.shape != (problem.K.rows,):
@@ -678,10 +687,11 @@ def run(
     SolverConfig for the first two and a BaselineConfig otherwise. The metric
     column holds the problem objective (minus ``reference_value`` when given)
     for least-squares families, and the primal-dual gap of the running ergodic
-    average for matrix games. Runs are deterministic for a fixed iteration
-    budget. The last row is the last iteration run, whether the iteration or
-    the time budget ended the run. A DivergenceError or LinesearchStallError
-    carries the trace recorded so far in its ``trace`` attribute.
+    average for matrix games. A non-finite start raises ValueError. Runs are
+    deterministic for a fixed iteration budget. The last row is the last
+    iteration run, whether the iteration or the time budget ended the run. A
+    DivergenceError or LinesearchStallError carries the trace recorded so far
+    in its ``trace`` attribute.
     """
     if max_iter is None:
         max_iter = cfg.max_iter if isinstance(cfg, SolverConfig) else 0
@@ -689,8 +699,7 @@ def run(
         raise ValueError("max_iter must be nonnegative")
     if trace_every < 1:
         raise ValueError("trace_every must be at least 1")
-    x0 = np.asarray(x0, dtype=float)
-    y0 = np.asarray(y0, dtype=float)
+    x0, y0 = _finite_start(x0, y0)
     drv = _driver(solver_kind, problem, cfg, x0, y0)
     state = drv.state
     ergodic = ErgodicAverage(x0, drv.head) if problem.metric_kind == "pd_gap" else None

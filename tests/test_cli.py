@@ -1,4 +1,7 @@
+import importlib
 import json
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -89,6 +92,49 @@ def test_bad_flag_usage_error(tmp_path, capsys):
     assert run_experiment(["--problem", "lasso1", "--no-such-flag"]) == 1
     err = capsys.readouterr().err
     assert "error" in err
+
+
+def _script_exit_code(monkeypatch, argv):
+    """Exit code of the ``saddle-solve`` script that pyproject.toml installs."""
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with open(pyproject, "rb") as fh:
+        target = tomllib.load(fh)["project"]["scripts"]["saddle-solve"]
+    module, attr = target.split(":")
+    monkeypatch.setattr(sys, "argv", ["saddle-solve", *argv])
+    try:  # console scripts end in sys.exit(entry())
+        code = getattr(importlib.import_module(module), attr)()
+    except SystemExit as exc:
+        code = exc.code
+    return 0 if code is None else code
+
+
+def test_installed_script_exit_codes(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "t.csv"
+    run = ["run", "--problem", "lasso1", "--solver", "pdac", "--output", str(out)]
+    assert _script_exit_code(monkeypatch, ["run", "--problem", "nosuch", "--solver", "pdac"]) == 1
+    assert _script_exit_code(monkeypatch, [*run, "--delta", "0.5", "--max-iters", "1"]) == 1
+    assert "delta" in capsys.readouterr().err and not out.exists()
+    assert _script_exit_code(monkeypatch, [*run, "--max-iters", "1"]) == 0
+    assert len(_read_lines(out)) == 3
+
+
+@pytest.mark.parametrize(
+    "solver, flags, named",
+    [
+        ("apdac", ["--nonmonotone"], "monotone"),
+        ("fista", ["--rho", "5"], "--rho"),
+        ("pdac", ["--gamma", "0.1"], "--gamma"),
+        ("pda", ["--beta", "0.5", "--n-hat", "10"], "--beta, --n-hat"),
+        ("apdac", ["--n-hat", "10"], "--n-hat"),
+    ],
+)
+def test_flags_the_solver_does_not_read_are_rejected(tmp_path, capsys, solver, flags, named):
+    out = tmp_path / "t.csv"
+    argv = ["--problem", "lasso1", "--solver", solver, "--max-iters", "1", "--output", str(out)]
+    assert run_experiment(argv + flags) == 1
+    assert named in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_invalid_config_rejected(tmp_path):

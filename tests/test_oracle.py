@@ -1,8 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
 from saddlesolve.linop import LinearOperator
 from saddlesolve.oracle import (
+    _polish_lasso,
+    _polish_nnls,
     gram_norm_oracle,
     naive_matvec,
     prox_l1_oracle,
@@ -11,8 +15,9 @@ from saddlesolve.oracle import (
     saddle_residual,
     solve_reference,
 )
-from saddlesolve.problems import ProblemSpec, SaddleProblem, gen_lasso
+from saddlesolve.problems import ProblemSpec, SaddleProblem, build_nnls, gen_lasso, primal_objective
 from saddlesolve.prox import QuadShift, ScaledL1, Zero, proj_simplex
+from saddlesolve.solvers import BaselineConfig, fista_iterate, init_fista
 from make_fixtures import build_records, FIXTURE_PATH
 
 
@@ -113,3 +118,64 @@ def test_reference_zero_problem():
     ref, phi_star, _ = solve_reference(prob, max_iter=100, polish=False)
     assert phi_star == pytest.approx(0.0, abs=1e-12)
     assert np.allclose(ref.x_bar, 0.0)
+
+
+def _reference_to_stall(problem, stall_window=5000):
+    """solve_reference without the certified stop: FISTA with a residual check
+    every 50 iterations until the residual target or the stall, then the
+    active-set polish over the support thresholds of the last iterate."""
+    b = problem.fstar.shift
+    bcfg = BaselineConfig(fista_beta=0.7)
+    state = init_fista(problem, np.zeros(problem.K.cols), bcfg, lam0=1.0)
+    best_resid, since_improve, iters = math.inf, 0, 0
+    while since_improve < stall_window:
+        for _ in range(50):
+            fista_iterate(state, problem, bcfg)
+        iters += 50
+        resid = saddle_residual(problem, state.x, problem.K.apply(state.x) - b)
+        if resid <= 1e-12:
+            break
+        if resid < best_resid * (1.0 - 1e-6):
+            best_resid, since_improve = resid, 0
+        else:
+            since_improve += 50
+    x_bar = state.x
+    quality = saddle_residual(problem, x_bar, problem.K.apply(x_bar) - b)
+    polish = _polish_lasso if isinstance(problem.g, ScaledL1) else _polish_nnls
+    scale = max(1.0, float(np.abs(x_bar).max()))
+    for thr in (0.0, 1e-10 * scale, 1e-8 * scale, 1e-6 * scale, 1e-4 * scale):
+        cand = polish(problem, x_bar, thr)
+        if cand is None:
+            continue
+        cand_quality = saddle_residual(problem, cand, problem.K.apply(cand) - b)
+        if cand_quality < quality:
+            x_bar, quality = cand, cand_quality
+    return x_bar, quality, iters
+
+
+def _small_nnls():
+    rng = np.random.default_rng(7)
+    K = rng.standard_normal((30, 12)) * (rng.uniform(size=(30, 12)) < 0.4)
+    return build_nnls(K, rng.standard_normal(30))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: gen_lasso(ProblemSpec("lasso1", seed=26, m=14, n=30, s=3))[0],
+        lambda: gen_lasso(ProblemSpec("lasso1", seed=6, m=15, n=40, s=4))[0],
+        _small_nnls,
+    ],
+    ids=["lasso-14x30", "lasso-15x40", "nnls-30x12"],
+)
+def test_reference_certified_stop_matches_stalled_polish(make):
+    # stopping at the first KKT-certified polish returns bitwise the point
+    # that running FISTA to its stall and polishing then gives, sooner
+    problem = make()
+    x_stall, quality_stall, iters_stall = _reference_to_stall(problem)
+    ref, phi_star, iters = solve_reference(problem)
+    assert ref.x_bar.tobytes() == x_stall.tobytes()
+    assert ref.y_bar.tobytes() == (problem.K.apply(x_stall) - problem.fstar.shift).tobytes()
+    assert ref.quality == quality_stall
+    assert phi_star == primal_objective(problem, x_stall)
+    assert iters < iters_stall

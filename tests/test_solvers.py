@@ -163,6 +163,14 @@ def test_init_state_dim_error():
         init_state(prob, [0.0, 1.0], [0.0], _cfg())
 
 
+def test_init_state_rejects_non_finite_start():
+    prob = _bilinear_problem()
+    with pytest.raises(ValueError, match="finite"):
+        init_state(prob, [np.nan], [0.0], _cfg())
+    with pytest.raises(ValueError, match="finite"):
+        init_state(prob, [0.0], [np.inf], _cfg())
+
+
 # --- corrected solver -------------------------------------------------------
 
 
@@ -546,6 +554,21 @@ def test_run_divergence_error_carries_trace():
         run("pdac", prob, cfg, [1e200], [1e200], max_iter=10)
     assert exc.value.trace is not None
     assert exc.value.iteration >= 1
+
+
+@pytest.mark.parametrize(
+    "kind, cfg",
+    [("pdac", _cfg(delta=0.62, alpha=1.27, lambda0=0.1)), ("pdal", BaselineConfig()),
+     ("fista", BaselineConfig())],
+)
+def test_run_rejects_non_finite_start(kind, cfg):
+    # a NaN start is bad input, not a divergence at iteration 1
+    prob, _ = gen_lasso(ProblemSpec("lasso1", seed=2, m=8, n=12, s=2))
+    x0, y0 = prob.start
+    x0 = x0.copy()
+    x0[3] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        run(kind, prob, cfg, x0, y0, max_iter=5)
 
 
 def test_trace_csv_round_trip(tmp_path):
