@@ -11,11 +11,11 @@ optimal objective value), as ``saddle-solve reference`` writes it.
 
 Exit codes of the installed ``saddle-solve`` command (``console_main``), of
 ``run_experiment`` and of ``reference_solve_cmd``: 0 ok; 1 usage,
-configuration or bad input (unknown flag, a solver flag the chosen solver does
-not read, inadmissible parameter, missing data, a reference file without
-``phi_star``); 2 diverged (non-finite iterate); 3 stalled (a backtracking loop
-hit its shrink cap). On 2 and 3 the trace recorded so far is still written to
-the output file.
+configuration or bad input (unknown flag, a solver flag the run does not read
+at the chosen solver and settings, inadmissible parameter, missing data, a
+reference file without ``phi_star``); 2 diverged (non-finite iterate); 3
+stalled (a backtracking loop hit its shrink cap). On 2 and 3 the trace
+recorded so far is still written to the output file.
 """
 
 from __future__ import annotations
@@ -45,6 +45,7 @@ from .solvers import (
     SolverConfig,
     default_lambda0,
     run,
+    unread_fields,
 )
 
 __all__ = ["main", "console_main", "run_experiment", "reference_solve_cmd"]
@@ -112,24 +113,15 @@ def _build_problem(problem_name, seed, swapped, matrix_file):
     return load_nnls(spec, swapped=swapped)
 
 
-# The solver flags each solver reads; any other one given is refused. The
-# accelerated solver runs monotone at delta >= 1, so it never corrects and
-# never reads the nonmonotone schedule; only it reads gamma.
-_SOLVER_FLAGS = {
-    "pdac": {"delta", "alpha", "rho", "beta", "lambda0", "lambda_cap", "mu_corr", "nu_corr",
-             "n_hat", "n_zero", "nonmonotone"},
-    "apdac": {"delta", "alpha", "beta", "gamma", "lambda0", "nonmonotone"},
-    "pda": set(),
-    "pdal": {"beta"},
-    "pgm": set(),
-    "fista": set(),
-}
+# The solver flags each baseline reads. pdac and apdac read the ones their
+# resolved SolverConfig uses (solvers.unread_fields names the others).
+_BASELINE_FLAGS = {"pda": set(), "pdal": {"beta"}, "pgm": set(), "fista": set()}
 
 
-def _reject_unread_flags(solver, flags):
-    unread = sorted(k for k, v in flags.items() if v is not None and k not in _SOLVER_FLAGS[solver])
-    if unread:
-        names = ", ".join("--" + name.replace("_", "-") for name in unread)
+def _reject_unread_flags(solver, flags, unread):
+    given = sorted(k for k, v in flags.items() if v is not None and k in unread)
+    if given:
+        names = ", ".join("--" + name.replace("_", "-") for name in given)
         raise click.UsageError(f"--solver {solver} does not read {names}")
 
 
@@ -188,43 +180,29 @@ def main():
     """Saddle-point solver benchmark harness."""
 
 
-_run_options = [
-    click.option("--problem", "problem_name", required=True, type=click.Choice(PROBLEM_NAMES)),
-    click.option("--solver", required=True, type=click.Choice(SOLVER_NAMES)),
-    click.option("--seed", type=int, default=None),
-    click.option("--max-iters", type=int, default=1000),
-    click.option("--max-seconds", type=float, default=None),
-    click.option("--trace-every", type=int, default=1),
-    click.option("--output", type=click.Path(), default=None),
-    click.option("--reference", "reference_path", type=click.Path(exists=True), default=None),
-    click.option("--delta", type=float, default=None),
-    click.option("--alpha", type=float, default=None),
-    click.option("--rho", type=float, default=None),
-    click.option("--beta", type=float, default=None),
-    click.option("--gamma", type=float, default=None),
-    click.option("--lambda0", type=float, default=None),
-    click.option("--lambda-cap", "lambda_cap", type=float, default=None),
-    click.option("--mu-corr", "mu_corr", type=float, default=None),
-    click.option("--nu-corr", "nu_corr", type=float, default=None),
-    click.option("--n-hat", "n_hat", type=int, default=None),
-    click.option("--n-zero", "n_zero", type=int, default=None),
-    click.option("--nonmonotone/--monotone", "nonmonotone", default=None),
-    click.option("--swapped", is_flag=True, default=False),
-    click.option("--matrix-file", type=click.Path(), default=None),
-]
-
-
-def _apply_options(options):
-    def deco(fn):
-        for opt in reversed(options):
-            fn = opt(fn)
-        return fn
-
-    return deco
-
-
 @main.command("run")
-@_apply_options(_run_options)
+@click.option("--problem", "problem_name", required=True, type=click.Choice(PROBLEM_NAMES))
+@click.option("--solver", required=True, type=click.Choice(SOLVER_NAMES))
+@click.option("--seed", type=int, default=None)
+@click.option("--max-iters", type=int, default=1000)
+@click.option("--max-seconds", type=float, default=None)
+@click.option("--trace-every", type=int, default=1)
+@click.option("--output", type=click.Path(), default=None)
+@click.option("--reference", "reference_path", type=click.Path(exists=True), default=None)
+@click.option("--delta", type=float, default=None)
+@click.option("--alpha", type=float, default=None)
+@click.option("--rho", type=float, default=None)
+@click.option("--beta", type=float, default=None)
+@click.option("--gamma", type=float, default=None)
+@click.option("--lambda0", type=float, default=None)
+@click.option("--lambda-cap", "lambda_cap", type=float, default=None)
+@click.option("--mu-corr", "mu_corr", type=float, default=None)
+@click.option("--nu-corr", "nu_corr", type=float, default=None)
+@click.option("--n-hat", "n_hat", type=int, default=None)
+@click.option("--n-zero", "n_zero", type=int, default=None)
+@click.option("--nonmonotone/--monotone", "nonmonotone", default=None)
+@click.option("--swapped", is_flag=True, default=False)
+@click.option("--matrix-file", type=click.Path(), default=None)
 def cli_run(
     problem_name,
     solver,
@@ -241,13 +219,15 @@ def cli_run(
     """Run one solver on one problem and write a CSV trace."""
     if max_iters < 0:
         raise click.UsageError("--max-iters must be nonnegative")
-    _reject_unread_flags(solver, flags)
     kind = _family_kind(problem_name)
     problem = _build_problem(problem_name, seed, swapped, matrix_file)
-    if solver in ("pdac", "apdac"):
-        cfg = _solver_config(problem, kind, solver, flags)
-    else:
+    if solver in _BASELINE_FLAGS:
         cfg = _baseline_config(problem, kind, solver, flags)
+        unread = flags.keys() - _BASELINE_FLAGS[solver]
+    else:
+        cfg = _solver_config(problem, kind, solver, flags)
+        unread = unread_fields(cfg, solver)
+    _reject_unread_flags(solver, flags, unread)
     reference_value = _read_phi_star(reference_path) if reference_path else None
     x0, y0 = problem.start
     if output is None:

@@ -68,8 +68,10 @@ class DenseMatrix:
 
 
 class SparseMatrix:
-    """CSR-format sparse matrix.
+    """CSR-format sparse matrix over one ``scipy.sparse`` CSR matrix.
 
+    ``row_offsets``, ``col_indices`` (both int64) and ``values`` are the
+    arrays of that matrix, and ``LinearOperator`` multiplies with it.
     Invariants enforced at construction: nondecreasing row offsets, strictly
     increasing column indices within each row, finite nonzero values.
     """
@@ -92,27 +94,31 @@ class SparseMatrix:
             raise ValueError("col_indices and values must have equal length")
         if len(col_indices) and (col_indices.min() < 0 or col_indices.max() >= cols):
             raise ValueError("column index out of range")
-        for r in range(rows):
-            seg = col_indices[row_offsets[r] : row_offsets[r + 1]]
-            if len(seg) > 1 and np.any(np.diff(seg) <= 0):
-                raise ValueError(f"column indices not strictly increasing in row {r}")
+        csr = sp.csr_matrix((values, col_indices, row_offsets), shape=(rows, cols))
+        # scipy narrows small index arrays to int32; keep the int64 ones
+        csr.indptr, csr.indices = row_offsets, col_indices
+        if not csr.has_canonical_format:
+            row_of = np.repeat(np.arange(rows), np.diff(row_offsets))
+            bad = (np.diff(col_indices) <= 0) & (np.diff(row_of) == 0)
+            raise ValueError(
+                f"column indices not strictly increasing in row {row_of[np.argmax(bad)]}"
+            )
         if not np.all(np.isfinite(values)):
             raise ValueError("sparse values must be finite")
         if np.any(values == 0.0):
             raise ValueError("sparse values must be nonzero (drop explicit zeros)")
-        self._rows = rows
-        self._cols = cols
+        self._csr = csr
         self.row_offsets = row_offsets
         self.col_indices = col_indices
-        self.values = values
+        self.values = csr.data
 
     @property
     def rows(self):
-        return self._rows
+        return self._csr.shape[0]
 
     @property
     def cols(self):
-        return self._cols
+        return self._csr.shape[1]
 
     @property
     def nnz(self):
@@ -120,30 +126,15 @@ class SparseMatrix:
 
     @classmethod
     def from_coo(cls, rows, cols, row_idx, col_idx, values):
-        """Build CSR from coordinate triplets; duplicates are summed and
-        entries whose sum is exactly zero are dropped."""
-        row_idx = np.asarray(row_idx, dtype=np.int64)
-        col_idx = np.asarray(col_idx, dtype=np.int64)
-        values = np.asarray(values, dtype=float)
-        key = row_idx * np.int64(cols) + col_idx
-        order = np.argsort(key, kind="stable")
-        key_sorted = key[order]
-        val_sorted = values[order]
-        if len(key_sorted):
-            uniq, start = np.unique(key_sorted, return_index=True)
-            sums = np.add.reduceat(val_sorted, start)
-        else:
-            uniq = np.empty(0, dtype=np.int64)
-            sums = np.empty(0, dtype=float)
-        keep = sums != 0.0
-        uniq = uniq[keep]
-        sums = sums[keep]
-        r = uniq // cols
-        c = uniq % cols
-        counts = np.bincount(r, minlength=rows)
-        offsets = np.zeros(rows + 1, dtype=np.int64)
-        np.cumsum(counts, out=offsets[1:])
-        return cls(rows, cols, offsets, c, sums)
+        """Build CSR from coordinate triplets; duplicates are summed in input
+        order and entries whose sum is exactly zero are dropped."""
+        coo = sp.coo_matrix(
+            (np.asarray(values, dtype=float), (row_idx, col_idx)), shape=(rows, cols)
+        )
+        coo.sum_duplicates()
+        coo.eliminate_zeros()
+        csr = coo.tocsr()
+        return cls(rows, cols, csr.indptr, csr.indices, csr.data)
 
     @classmethod
     def from_dense(cls, entries):
@@ -152,25 +143,22 @@ class SparseMatrix:
         return cls.from_coo(arr.shape[0], arr.shape[1], rr, cc, arr[rr, cc])
 
     def to_dense(self):
-        out = np.zeros((self._rows, self._cols))
-        for r in range(self._rows):
-            lo, hi = self.row_offsets[r], self.row_offsets[r + 1]
-            out[r, self.col_indices[lo:hi]] = self.values[lo:hi]
-        return out
+        return self._csr.toarray()
 
     def transposed(self, negate=False):
         """CSR matrix of the (optionally negated) transpose."""
-        row_idx = np.repeat(np.arange(self._rows), np.diff(self.row_offsets))
-        vals = -self.values if negate else self.values
-        return SparseMatrix.from_coo(self._cols, self._rows, self.col_indices, row_idx, vals)
+        t = self._csr.T.tocsr()
+        values = -t.data if negate else t.data
+        return SparseMatrix(self.cols, self.rows, t.indptr, t.indices, values)
 
 
 class LinearOperator:
     """Matrix-backed linear operator with forward and adjoint application.
 
     The adjoint of CSR storage is applied by a transposed traversal of the
-    same data (no stored transpose). ``apply_calls``/``adjoint_calls`` count
-    matrix applications so tests can pin per-iteration budgets.
+    backing's CSR matrix (no stored transpose). ``apply_calls`` and
+    ``adjoint_calls`` count matrix applications so tests can pin
+    per-iteration budgets.
     """
 
     def __init__(self, backing):
@@ -180,12 +168,8 @@ class LinearOperator:
             self._mat = backing.entries
             self._mat_t = backing.entries.T
         elif isinstance(backing, SparseMatrix):
-            csr = sp.csr_matrix(
-                (backing.values, backing.col_indices, backing.row_offsets),
-                shape=(backing.rows, backing.cols),
-            )
-            self._mat = csr
-            self._mat_t = csr.T  # CSC view over the same arrays
+            self._mat = backing._csr
+            self._mat_t = backing._csr.T  # CSC view over the same values
         else:
             raise TypeError("backing must be a DenseMatrix or SparseMatrix")
         self.backing = backing

@@ -280,6 +280,12 @@ def _polish_nnls(problem, x, threshold):
 
 _POLISH_THRESHOLDS = (0.0, 1e-10, 1e-8, 1e-6, 1e-4)
 
+# solve_reference's stopping rules: a saddle residual target, and a stall
+# when the residual has not improved by a relative 1e-6 for this many
+# iterations.
+_RESIDUAL_TARGET = 1e-12
+_STALL_WINDOW = 5000
+
 
 def _signed_support(x, threshold):
     """sign(x_i) where |x_i| > threshold and 0 elsewhere, as hashable bytes."""
@@ -315,25 +321,23 @@ def _polish(problem, x, quality, tried):
     return best, quality
 
 
-def solve_reference(
-    problem, *, max_iter=1_000_000, stall_window=5000, residual_target=1e-12, polish=True
-):
+def solve_reference(problem, *, max_iter=1_000_000):
     """High-accuracy reference solve for least-squares families.
 
     Runs FISTA with backtracking and measures the saddle residual every 50
-    iterations. With ``polish``, a check at which the iterate's sign pattern
-    is the same as at the previous check, and was not polished before, also
-    polishes it via the active-set stationarity system over a few support
-    thresholds. The solve stops at the first polished candidate that passes
-    the KKT checks of the support (sign consistency on it, the subgradient
-    bound off it) and has a smaller residual than the iterate: the candidate
-    depends only on the support, so it is the point that running on would
-    polish to. Without such a certificate FISTA runs until the residual
-    reaches ``residual_target``, stalls for ``stall_window`` iterations, or
-    the budget runs out; then the same polish runs on the last iterate and
-    the best point is kept. Returns (ReferencePoint, phi_star, iterations);
-    the reference dual point is y_bar = K x_bar - b and the quality field
-    holds the measured saddle residual at probe step 1.
+    iterations. A check at which the iterate's sign pattern is the same as
+    at the previous check, and was not polished before, also polishes it via
+    the active-set stationarity system over a few support thresholds. The
+    solve stops at the first polished candidate that passes the KKT checks
+    of the support (sign consistency on it, the subgradient bound off it)
+    and has a smaller residual than the iterate: the candidate depends only
+    on the support, so it is the point that running on would polish to.
+    Without such a certificate FISTA runs until the residual reaches 1e-12,
+    stalls for 5000 iterations, or the budget runs out; then the same polish
+    runs on the last iterate and the best point is kept. Returns
+    (ReferencePoint, phi_star, iterations); the reference dual point is
+    y_bar = K x_bar - b and the quality field holds the measured saddle
+    residual at probe step 1.
     """
     if not isinstance(problem.fstar, QuadShift) or not isinstance(
         problem.g, (ScaledL1, IndNonneg)
@@ -355,28 +359,26 @@ def solve_reference(
         iters_done = k + 1
         if (k + 1) % check_every == 0:
             resid = saddle_residual(problem, state.x, problem.K.apply(state.x) - b)
-            if resid <= residual_target:
+            if resid <= _RESIDUAL_TARGET:
                 break
-            if polish:
-                prev_signs, signs = signs, _signed_support(state.x, 0.0)
-                if signs == prev_signs and signs not in tried:
-                    x_bar, quality = _polish(problem, state.x, resid, tried)
-                    if x_bar is not None:
-                        break
+            prev_signs, signs = signs, _signed_support(state.x, 0.0)
+            if signs == prev_signs and signs not in tried:
+                x_bar, quality = _polish(problem, state.x, resid, tried)
+                if x_bar is not None:
+                    break
             if resid < best_resid * (1.0 - 1e-6):
                 best_resid = resid
                 since_improve = 0
             else:
                 since_improve += check_every
-                if since_improve >= stall_window:
+                if since_improve >= _STALL_WINDOW:
                     break
     if x_bar is None:
         x_bar = state.x
         quality = saddle_residual(problem, x_bar, problem.K.apply(x_bar) - b)
-        if polish:
-            cand, cand_quality = _polish(problem, x_bar, quality, tried)
-            if cand is not None:
-                x_bar, quality = cand, cand_quality
+        cand, cand_quality = _polish(problem, x_bar, quality, tried)
+        if cand is not None:
+            x_bar, quality = cand, cand_quality
     y_bar = problem.K.apply(x_bar) - b
     ref = ReferencePoint(x_bar=x_bar, y_bar=y_bar, quality=quality)
     phi_star = primal_objective(problem, x_bar)

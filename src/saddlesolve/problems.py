@@ -180,7 +180,8 @@ def build_nnls(sparse, b, swapped=False, label="nnls"):
     solver, exploiting primal/dual symmetry): the roles trade places, the
     coupling operator becomes the negated adjoint, and g picks up strong
     convexity gamma = 1/2. The swapped problem's dual iterate is the original
-    primal variable, so the objective evaluator consumes "y".
+    primal variable, so it reuses the unswapped problem's objective, which
+    consumes "y".
     """
     if not isinstance(sparse, SparseMatrix):
         sparse = SparseMatrix.from_dense(np.asarray(sparse, dtype=float))
@@ -188,41 +189,29 @@ def build_nnls(sparse, b, swapped=False, label="nnls"):
     b = np.asarray(b, dtype=float)
     if b.shape != (m,):
         raise ValueError(f"observation must have length {m}, got {b.shape}")
-    orig_op = LinearOperator(sparse)
-
-    def original_objective(v):
-        v = np.asarray(v, dtype=float)
-        if v.size and v.min() < -1e-12:
-            return float("inf")
-        r = orig_op.apply(v) - b
-        return 0.5 * float(r @ r)
-
-    if not swapped:
-        prob = SaddleProblem(
-            g=IndNonneg(),
-            fstar=QuadShift(b),
-            K=orig_op,
-            gamma=0.0,
-            label=label,
-            metric_kind="objective",
-            start=(np.zeros(n), -b.copy()),
-        )
-        prob.objective = lambda x: primal_objective(prob, x)
-        return prob
-
-    swapped_op = LinearOperator(sparse.transposed(negate=True))
     prob = SaddleProblem(
+        g=IndNonneg(),
+        fstar=QuadShift(b),
+        K=LinearOperator(sparse),
+        gamma=0.0,
+        label=label,
+        metric_kind="objective",
+        start=(np.zeros(n), -b.copy()),
+    )
+    prob.objective = lambda x: primal_objective(prob, x)
+    if not swapped:
+        return prob
+    return SaddleProblem(
         g=QuadShift(b),
         fstar=IndNonneg(),
-        K=swapped_op,
+        K=LinearOperator(sparse.transposed(negate=True)),
         gamma=0.5,
         label=f"{label}-swapped",
         metric_kind="objective",
+        objective=prob.objective,
         objective_var="y",
         start=(np.zeros(m), np.zeros(n)),
     )
-    prob.objective = original_objective
-    return prob
 
 
 def load_nnls(spec, swapped=False):
@@ -238,25 +227,20 @@ def load_nnls(spec, swapped=False):
 
 
 def primal_objective(problem, x):
-    """Objective of the underlying minimization at a primal point.
+    """Objective of the underlying minimization at a primal point:
+    0.5||Kx - b||^2 + g(x) for the least-squares families.
 
-    LASSO: 0.5||Kx - b||^2 + mu ||x||_1. NNLS: 0.5||Kx - b||^2 for x within
-    -1e-12 of the orthant, +inf otherwise. Matrix games have no primal
-    objective here.
+    LASSO: g = mu ||x||_1. NNLS: g is 0 for x within -1e-12 of the orthant
+    and +inf otherwise. Matrix games have no primal objective here.
     """
     g, fstar = problem.g, problem.fstar
-    if isinstance(fstar, QuadShift) and isinstance(g, (ScaledL1, IndNonneg)):
-        x = np.asarray(x, dtype=float)
-        r = problem.K.apply(x) - fstar.shift
-        quad = 0.5 * float(r @ r)
-        if isinstance(g, ScaledL1):
-            return quad + g.mu * float(np.sum(np.abs(x)))
-        if x.size and x.min() < -1e-12:
-            return float("inf")
-        return quad
-    raise UnsupportedMetricError(
-        f"problem {problem.label!r} has no primal objective in this form"
-    )
+    if not (isinstance(fstar, QuadShift) and isinstance(g, (ScaledL1, IndNonneg))):
+        raise UnsupportedMetricError(
+            f"problem {problem.label!r} has no primal objective in this form"
+        )
+    x = np.asarray(x, dtype=float)
+    r = problem.K.apply(x) - fstar.shift
+    return 0.5 * float(r @ r) + g.value(x)
 
 
 def pd_gap_game(K, x, y):

@@ -49,6 +49,7 @@ __all__ = [
     "correction_pass",
     "pdac_iterate",
     "apdac_iterate",
+    "unread_fields",
     "init_pda",
     "pda_iterate",
     "init_pdal",
@@ -407,6 +408,23 @@ def pdac_iterate(state, problem, cfg):
 def apdac_iterate(state, problem, cfg):
     """One iteration of the accelerated variant (delta >= 1, g strongly convex)."""
     return _pd_iterate(state, problem, cfg, accelerated=True)
+
+
+def unread_fields(cfg, kind):
+    """The SolverConfig fields that a ``kind`` ("pdac" or "apdac") run under
+    ``cfg`` never reads.
+
+    Only the accelerated variant reads gamma; the correction, and with it
+    rho, mu_corr and nu_corr, runs only for delta < 1; the phi_n schedule's
+    n_hat and n_zero and the step cap lambda_cap apply only in nonmonotone
+    mode.
+    """
+    unread = set() if kind == "apdac" else {"gamma"}
+    if not cfg.delta < 1.0:
+        unread |= {"rho", "mu_corr", "nu_corr"}
+    if not cfg.nonmonotone:
+        unread |= {"n_hat", "n_zero", "lambda_cap"}
+    return unread
 
 
 def init_pda(problem, x0, y0, bcfg, norm_estimate=None):

@@ -127,11 +127,17 @@ def test_installed_script_exit_codes(tmp_path, monkeypatch, capsys):
         ("pdac", ["--gamma", "0.1"], "--gamma"),
         ("pda", ["--beta", "0.5", "--n-hat", "10"], "--beta, --n-hat"),
         ("apdac", ["--n-hat", "10"], "--n-hat"),
+        # pdac reads the nonmonotone schedule only in nonmonotone mode
+        ("pdac", ["--monotone", "--n-hat", "100", "--lambda-cap", "5"], "--lambda-cap, --n-hat"),
+        # and the correction only for delta < 1, as on games by default
+        ("pdac", ["--problem", "game1", "--rho", "0.5", "--mu-corr", "20"], "--mu-corr, --rho"),
+        ("pdac", ["--delta", "1.0", "--alpha", "0.99", "--nu-corr", "2"], "--nu-corr"),
     ],
 )
 def test_flags_the_solver_does_not_read_are_rejected(tmp_path, capsys, solver, flags, named):
     out = tmp_path / "t.csv"
-    argv = ["--problem", "lasso1", "--solver", solver, "--max-iters", "1", "--output", str(out)]
+    problem = [] if "--problem" in flags else ["--problem", "lasso1"]
+    argv = [*problem, "--solver", solver, "--max-iters", "1", "--output", str(out)]
     assert run_experiment(argv + flags) == 1
     assert named in capsys.readouterr().err
     assert not out.exists()

@@ -129,6 +129,30 @@ def test_sparse_invariants():
         SparseMatrix(1, 3, [0, 2], [1, 1], [1.0, 2.0])
     with pytest.raises(ValueError, match="out of range"):
         SparseMatrix(1, 2, [0, 1], [5], [1.0])
+    # row 1 holds the columns [2, 1]
+    with pytest.raises(ValueError, match="not strictly increasing in row 1$"):
+        SparseMatrix(3, 3, [0, 1, 3, 3], [0, 2, 1], [1.0, 2.0, 3.0])
+
+
+def test_from_coo_sums_duplicates_in_input_order():
+    # (0, 1) appears four times among other entries; the bits of its sum
+    # depend on the order of the terms, and the CSR holds numpy's sum of
+    # them in input order
+    dup = np.array([1e16, 1.0, 1.0, -1e16])
+    expected = np.add.reduceat(dup, [0])[0]
+    assert expected != np.add.reduceat(dup[[0, 1, 3, 2]], [0])[0]
+    sp = SparseMatrix.from_coo(
+        2, 2, [0, 1, 0, 0, 0, 0], [1, 0, 1, 0, 1, 1], [dup[0], 5.0, dup[1], 2.0, dup[2], dup[3]]
+    )
+    assert sp.row_offsets.tolist() == [0, 2, 3]
+    assert sp.col_indices.tolist() == [0, 1, 0]
+    assert sp.values.tobytes() == np.array([2.0, expected, 5.0]).tobytes()
+
+
+def test_from_coo_drops_duplicates_that_cancel():
+    sp = SparseMatrix.from_coo(2, 2, [0, 1, 0], [1, 0, 1], [0.5, 3.0, -0.5])
+    assert sp.nnz == 1
+    assert np.array_equal(sp.to_dense(), [[0.0, 0.0], [3.0, 0.0]])
 
 
 def test_sparse_round_trip(rng):

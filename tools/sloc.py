@@ -1,0 +1,66 @@
+"""Count the code lines of each ``src/saddlesolve`` module and their total.
+
+A code line holds at least one token of a statement: blank lines, comment
+lines and docstrings (the string that opens a module, class or function) do
+not count. Standard library only.
+
+    python3 tools/sloc.py [PACKAGE_DIR]
+
+PACKAGE_DIR defaults to ``src/saddlesolve`` next to this script's parent.
+"""
+
+from __future__ import annotations
+
+import ast
+import io
+import sys
+import tokenize
+from pathlib import Path
+
+_NON_CODE = {
+    tokenize.COMMENT,
+    tokenize.NL,
+    tokenize.NEWLINE,
+    tokenize.INDENT,
+    tokenize.DEDENT,
+    tokenize.ENDMARKER,
+}
+
+
+def _docstring_lines(tree):
+    lines = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            first = node.body[0] if node.body else None
+            if (
+                isinstance(first, ast.Expr)
+                and isinstance(first.value, ast.Constant)
+                and isinstance(first.value.value, str)
+            ):
+                lines.update(range(first.lineno, first.end_lineno + 1))
+    return lines
+
+
+def code_lines(path):
+    """Number of code lines in the Python file at ``path``."""
+    source = Path(path).read_text(encoding="utf-8")
+    lines = set()
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        if tok.type not in _NON_CODE:
+            lines.update(range(tok.start[0], tok.end[0] + 1))
+    return len(lines - _docstring_lines(ast.parse(source)))
+
+
+def main(argv):
+    default = Path(__file__).resolve().parent.parent / "src" / "saddlesolve"
+    package = Path(argv[0]) if argv else default
+    total = 0
+    for path in sorted(package.glob("*.py")):
+        count = code_lines(path)
+        total += count
+        print(f"{count:6d}  {path.name}")
+    print(f"{total:6d}  total")
+
+
+if __name__ == "__main__":
+    main(sys.argv[1:])
