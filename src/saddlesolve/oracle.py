@@ -358,7 +358,7 @@ def solve_reference(problem, *, max_iter=1_000_000):
         fista_iterate(state, problem, bcfg)
         iters_done = k + 1
         if (k + 1) % check_every == 0:
-            resid = saddle_residual(problem, state.x, problem.K.apply(state.x) - b)
+            resid = saddle_residual(problem, state.x, state.Kx - b)
             if resid <= _RESIDUAL_TARGET:
                 break
             prev_signs, signs = signs, _signed_support(state.x, 0.0)
@@ -375,7 +375,7 @@ def solve_reference(problem, *, max_iter=1_000_000):
                     break
     if x_bar is None:
         x_bar = state.x
-        quality = saddle_residual(problem, x_bar, problem.K.apply(x_bar) - b)
+        quality = saddle_residual(problem, x_bar, state.Kx - b)
         cand, cand_quality = _polish(problem, x_bar, quality, tried)
         if cand is not None:
             x_bar, quality = cand, cand_quality

@@ -86,10 +86,13 @@ class SaddleProblem:
     """One saddle-point instance: min_x max_y g(x) + <Kx, y> - fstar(y).
 
     ``gamma`` is the known strong-convexity constant of g (0 if none).
-    ``objective`` evaluates the underlying minimization objective;
-    ``objective_var`` names which iterate ("x" or "y") it consumes, which
-    matters for swapped formulations. ``start`` is the conventional initial
-    point pair for the family.
+    ``objective(point, image=None)`` evaluates the underlying minimization
+    objective; ``objective_var`` names which iterate ("x" or "y") it
+    consumes, which matters for swapped formulations. ``image`` is the
+    point's image under this problem's operator, K x for "x" and K* y for
+    "y"; given, it spares the objective its matrix application, and left
+    out, the objective applies K itself. ``start`` is the conventional
+    initial point pair for the family.
     """
 
     g: object
@@ -97,7 +100,7 @@ class SaddleProblem:
     K: LinearOperator
     gamma: float = 0.0
     label: str = ""
-    objective: Optional[Callable[[np.ndarray], float]] = None
+    objective: Optional[Callable[..., float]] = None
     objective_var: str = "x"
     metric_kind: Optional[str] = None  # "objective" | "pd_gap"
     start: Optional[tuple] = field(default=None, repr=False)
@@ -142,7 +145,7 @@ def gen_lasso(spec):
         metric_kind="objective",
         start=(np.zeros(n), -b.copy()),
     )
-    prob.objective = lambda x: primal_objective(prob, x)
+    prob.objective = lambda x, image=None: primal_objective(prob, x, image)
     return prob, GroundTruth(w=w, b=b)
 
 
@@ -181,7 +184,7 @@ def build_nnls(sparse, b, swapped=False, label="nnls"):
     coupling operator becomes the negated adjoint, and g picks up strong
     convexity gamma = 1/2. The swapped problem's dual iterate is the original
     primal variable, so it reuses the unswapped problem's objective, which
-    consumes "y".
+    consumes "y"; its image K_sw* y = -K y maps back to K y by negation.
     """
     if not isinstance(sparse, SparseMatrix):
         sparse = SparseMatrix.from_dense(np.asarray(sparse, dtype=float))
@@ -198,7 +201,7 @@ def build_nnls(sparse, b, swapped=False, label="nnls"):
         metric_kind="objective",
         start=(np.zeros(n), -b.copy()),
     )
-    prob.objective = lambda x: primal_objective(prob, x)
+    prob.objective = lambda x, image=None: primal_objective(prob, x, image)
     if not swapped:
         return prob
     return SaddleProblem(
@@ -208,7 +211,7 @@ def build_nnls(sparse, b, swapped=False, label="nnls"):
         gamma=0.5,
         label=f"{label}-swapped",
         metric_kind="objective",
-        objective=prob.objective,
+        objective=lambda y, image=None: prob.objective(y, None if image is None else -image),
         objective_var="y",
         start=(np.zeros(m), np.zeros(n)),
     )
@@ -226,12 +229,14 @@ def load_nnls(spec, swapped=False):
     return build_nnls(sparse, b, swapped=swapped, label=spec.family)
 
 
-def primal_objective(problem, x):
+def primal_objective(problem, x, Kx=None):
     """Objective of the underlying minimization at a primal point:
     0.5||Kx - b||^2 + g(x) for the least-squares families.
 
     LASSO: g = mu ||x||_1. NNLS: g is 0 for x within -1e-12 of the orthant
-    and +inf otherwise. Matrix games have no primal objective here.
+    and +inf otherwise. Matrix games have no primal objective here. ``Kx``,
+    when given, stands in for ``problem.K.apply(x)``, so the objective
+    applies no matrix.
     """
     g, fstar = problem.g, problem.fstar
     if not (isinstance(fstar, QuadShift) and isinstance(g, (ScaledL1, IndNonneg))):
@@ -239,7 +244,7 @@ def primal_objective(problem, x):
             f"problem {problem.label!r} has no primal objective in this form"
         )
     x = np.asarray(x, dtype=float)
-    r = problem.K.apply(x) - fstar.shift
+    r = (problem.K.apply(x) if Kx is None else Kx) - fstar.shift
     return 0.5 * float(r @ r) + g.value(x)
 
 

@@ -182,8 +182,9 @@ class SolverState:
     ``x_prev``/``x_cur`` hold x_{n-1} and x_n (the driver rebuilds the
     extrapolated point z_n from them); ``lam_cur``/``lam_next`` hold
     lambda_n and lambda_{n+1}; ``beta_cur`` is beta_n, constant unless the
-    run is accelerated. ``Ky_cur`` caches the adjoint image K*y_n so each
-    outer iteration spends exactly one forward and one adjoint application.
+    run is accelerated. ``Kx_cur`` and ``Ky_cur`` cache the images K x_n and
+    K*y_n, so each outer iteration spends exactly one forward and one adjoint
+    application and the objective none.
     """
 
     x_prev: np.ndarray
@@ -197,6 +198,7 @@ class SolverState:
     iter: int
     correction_backtracks: int
     Ky_cur: np.ndarray
+    Kx_cur: np.ndarray
 
 
 @dataclass
@@ -204,6 +206,9 @@ class PdaState:
     x: np.ndarray
     y: np.ndarray
     z: np.ndarray
+    Kx: np.ndarray
+    Kz: np.ndarray
+    Ky: np.ndarray
 
 
 @dataclass
@@ -220,6 +225,7 @@ class PdalState:
 @dataclass
 class PgmState:
     x: np.ndarray
+    Kx: np.ndarray
 
 
 @dataclass
@@ -228,6 +234,7 @@ class FistaState:
     v: np.ndarray
     t: float
     lam: float
+    Kx: np.ndarray
     shrinks: int = 0
 
 
@@ -268,9 +275,10 @@ def init_state(problem, x0, y0, cfg, kind="pdac"):
     lam = cfg.lambda0
     beta = cfg.beta0
     Ky0 = problem.K.adjoint_apply(y0)
+    Kx0 = problem.K.apply(x0)
     px = problem.g.prox(x0 - lam * Ky0, lam)
     s = beta * lam
-    py = problem.fstar.prox(y0 + s * problem.K.apply(x0), s)
+    py = problem.fstar.prox(y0 + s * Kx0, s)
     zeta0 = max(float(np.linalg.norm(x0 - px)), float(np.linalg.norm(y0 - py)))
     return SolverState(
         x_prev=x0.copy(),
@@ -284,6 +292,7 @@ def init_state(problem, x0, y0, cfg, kind="pdac"):
         iter=0,
         correction_backtracks=0,
         Ky_cur=Ky0,
+        Kx_cur=Kx0,
     )
 
 
@@ -367,7 +376,9 @@ def _pd_iterate(state, problem, cfg, accelerated):
     grows as beta_{n+1} = beta_n*(1 + gamma*lambda_{n+1}) with gamma =
     cfg.gamma when accelerated and 0 otherwise; at gamma = 0 the growth
     factor and the cap ratio are exactly 1.0, so the accelerated variant
-    reduces bitwise to the monotone base solver.
+    reduces bitwise to the monotone base solver. The extrapolated image is
+    recombined, K z_{n+1} = K x_{n+1} + delta*(K x_{n+1} - K x_n), so K is
+    applied to x_{n+1} only.
     """
     n = state.iter
     K = problem.K
@@ -377,10 +388,11 @@ def _pd_iterate(state, problem, cfg, accelerated):
     zeta_next = float(np.linalg.norm(x_next - state.x_cur))
     if cfg.delta < 1.0:
         x_next, zeta_next = correction_pass(state, problem, cfg, x_next, zeta_next, phi_n)
-    z_next = x_next + cfg.delta * (x_next - state.x_cur)
+    Kx_next = K.apply(x_next)
+    Kz_next = Kx_next + cfg.delta * (Kx_next - state.Kx_cur)
     beta_next = state.beta_cur * (1.0 + gamma * state.lam_next)
     s = beta_next * state.lam_next
-    y_next = problem.fstar.prox(state.y_cur + s * K.apply(z_next), s)
+    y_next = problem.fstar.prox(state.y_cur + s * Kz_next, s)
     Ky_next = K.adjoint_apply(y_next)
     dy = float(np.linalg.norm(y_next - state.y_cur))
     kdy = float(np.linalg.norm(Ky_next - state.Ky_cur))
@@ -389,6 +401,7 @@ def _pd_iterate(state, problem, cfg, accelerated):
 
     state.x_prev = state.x_cur
     state.x_cur = x_next
+    state.Kx_cur = Kx_next
     state.y_cur = y_next
     state.Ky_cur = Ky_next
     state.lam_cur = state.lam_next
@@ -437,16 +450,27 @@ def init_pda(problem, x0, y0, bcfg, norm_estimate=None):
         )
     x0 = np.asarray(x0, dtype=float)
     y0 = np.asarray(y0, dtype=float)
-    return PdaState(x=x0.copy(), y=y0.copy(), z=x0.copy())
+    Kx0 = problem.K.apply(x0)
+    return PdaState(
+        x=x0.copy(), y=y0.copy(), z=x0.copy(), Kx=Kx0, Kz=Kx0, Ky=problem.K.adjoint_apply(y0)
+    )
 
 
 def pda_iterate(state, problem, bcfg):
-    """Fixed-step primal-dual iteration (dual ascent first, extrapolation 2x - x)."""
+    """Fixed-step primal-dual iteration (dual ascent first, extrapolation 2x - x).
+
+    The images K x, K z = 2 K x_{n+1} - K x_n and K* y are cached, so each
+    iteration applies K and K* once.
+    """
     K = problem.K
-    y_next = problem.fstar.prox(state.y + bcfg.sigma * K.apply(state.z), bcfg.sigma)
-    x_next = problem.g.prox(state.x - bcfg.tau * K.adjoint_apply(y_next), bcfg.tau)
+    y_next = problem.fstar.prox(state.y + bcfg.sigma * state.Kz, bcfg.sigma)
+    state.Ky = K.adjoint_apply(y_next)
+    x_next = problem.g.prox(state.x - bcfg.tau * state.Ky, bcfg.tau)
+    Kx_next = K.apply(x_next)
     state.z = 2.0 * x_next - state.x
+    state.Kz = 2.0 * Kx_next - state.Kx
     state.x = x_next
+    state.Kx = Kx_next
     state.y = y_next
     return state
 
@@ -517,14 +541,17 @@ def _smooth_shift(problem):
 def init_pgm(problem, x0, bcfg):
     bcfg.validate()
     _smooth_shift(problem)
-    return PgmState(x=np.asarray(x0, dtype=float).copy())
+    x0 = np.asarray(x0, dtype=float)
+    return PgmState(x=x0.copy(), Kx=problem.K.apply(x0))
 
 
 def pgm_iterate(state, problem, bcfg):
-    """Proximal gradient step with the fixed step size ``bcfg.step``."""
+    """Proximal gradient step with the fixed step size ``bcfg.step``; the
+    image K x is cached."""
     b = _smooth_shift(problem)
-    grad = problem.K.adjoint_apply(problem.K.apply(state.x) - b)
+    grad = problem.K.adjoint_apply(state.Kx - b)
     state.x = problem.g.prox(state.x - bcfg.step * grad, bcfg.step)
+    state.Kx = problem.K.apply(state.x)
     return state
 
 
@@ -532,7 +559,7 @@ def init_fista(problem, x0, bcfg, lam0=1.0):
     bcfg.validate()
     _smooth_shift(problem)
     x0 = np.asarray(x0, dtype=float)
-    return FistaState(x=x0.copy(), v=x0.copy(), t=1.0, lam=lam0)
+    return FistaState(x=x0.copy(), v=x0.copy(), t=1.0, lam=lam0, Kx=problem.K.apply(x0))
 
 
 def fista_iterate(state, problem, bcfg):
@@ -541,7 +568,8 @@ def fista_iterate(state, problem, bcfg):
     Backtracks on the quadratic upper bound
     h(x+) <= h(v) + <grad h(v), x+ - v> + ||x+ - v||^2 / (2 lam),
     shrinking lam by fista_beta. A small relative slack keeps long
-    high-accuracy runs stable against roundoff in the comparison.
+    high-accuracy runs stable against roundoff in the comparison. The
+    accepted trial's image K x+ is cached.
     """
     K = problem.K
     b = _smooth_shift(problem)
@@ -553,7 +581,8 @@ def fista_iterate(state, problem, bcfg):
     while True:
         x_next = problem.g.prox(state.v - state.lam * grad, state.lam)
         d = x_next - state.v
-        rx = K.apply(x_next) - b
+        Kx_next = K.apply(x_next)
+        rx = Kx_next - b
         hx = 0.5 * float(rx @ rx)
         if hx <= hv + float(grad @ d) + float(d @ d) / (2.0 * state.lam) + slack:
             break
@@ -567,6 +596,7 @@ def fista_iterate(state, problem, bcfg):
     t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * state.t * state.t))
     state.v = x_next + ((state.t - 1.0) / t_next) * (x_next - state.x)
     state.x = x_next
+    state.Kx = Kx_next
     state.t = t_next
     return state
 
@@ -627,7 +657,7 @@ class _Driver(NamedTuple):
 
     state: object
     step: Callable  # (state, problem, cfg) -> state
-    point: Callable  # state -> the iterate the objective is evaluated at
+    point: Callable  # state -> (the iterate the objective is evaluated at, its K-image)
     report: Callable  # state -> (lambda, beta, corrections) trace columns
     sample: Optional[Callable]  # state -> (weight, z, y) for the ergodic average
     head: float  # the ergodic average's head weight is head * w_1 on x_0
@@ -639,13 +669,13 @@ def _driver(kind, problem, cfg, x0, y0):
     Iterates are looked up as module attributes on every call, so a wrapped
     ``<kind>_iterate`` is the one that runs.
     """
-    dual = problem.objective_var == "y"
+    var = problem.objective_var
     if kind in ("pdac", "apdac"):
         accelerated = kind == "apdac"
         return _Driver(
             init_state(problem, x0, y0, cfg, kind=kind),
             apdac_iterate if accelerated else pdac_iterate,
-            attrgetter("y_cur" if dual else "x_cur"),
+            attrgetter(f"{var}_cur", f"K{var}_cur"),
             lambda st: (st.lam_cur, st.beta_cur, st.correction_backtracks),
             lambda st: (
                 st.beta_cur * st.lam_cur if accelerated else st.lam_cur,
@@ -658,7 +688,7 @@ def _driver(kind, problem, cfg, x0, y0):
         return _Driver(
             init_pda(problem, x0, y0, cfg),
             pda_iterate,
-            attrgetter("y" if dual else "x"),
+            attrgetter(var, "K" + var),
             lambda st: (cfg.tau, cfg.sigma / cfg.tau, 0),
             lambda st: (1.0, st.x, st.y),
             1.0,
@@ -667,7 +697,7 @@ def _driver(kind, problem, cfg, x0, y0):
         return _Driver(
             init_pdal(problem, x0, y0, cfg),
             pdal_iterate,
-            attrgetter("y" if dual else "x"),
+            attrgetter(var, "K" + var),
             lambda st: (st.tau, cfg.beta, st.shrinks),
             lambda st: (st.tau, st.x, st.y),
             1.0,
@@ -678,11 +708,11 @@ def _driver(kind, problem, cfg, x0, y0):
         raise ConfigError(f"{kind} does not support matrix games")
     if kind == "pgm":
         return _Driver(
-            init_pgm(problem, x0, cfg), pgm_iterate, attrgetter("x"),
+            init_pgm(problem, x0, cfg), pgm_iterate, attrgetter("x", "Kx"),
             lambda st: (cfg.step, 0.0, 0), None, 1.0,
         )
     return _Driver(
-        init_fista(problem, x0, cfg), fista_iterate, attrgetter("x"),
+        init_fista(problem, x0, cfg), fista_iterate, attrgetter("x", "Kx"),
         lambda st: (st.lam, 0.0, st.shrinks), None, 1.0,
     )
 
@@ -704,8 +734,10 @@ def run(
     ``solver_kind`` is one of pdac, apdac, pda, pdal, pgm, fista. ``cfg`` is a
     SolverConfig for the first two and a BaselineConfig otherwise. The metric
     column holds the problem objective (minus ``reference_value`` when given)
-    for least-squares families, and the primal-dual gap of the running ergodic
-    average for matrix games. A non-finite start raises ValueError. Runs are
+    for least-squares families, evaluated with the K-image the solver state
+    caches, so an objective row applies no matrix; for matrix games it holds
+    the primal-dual gap of the running ergodic average. A non-finite start
+    raises ValueError. Runs are
     deterministic for a fixed iteration budget. The last row is the last
     iteration run, whether the iteration or the time budget ended the run. A
     DivergenceError or LinesearchStallError carries the trace recorded so far
@@ -729,7 +761,7 @@ def run(
             return pd_gap_game(problem.K, x0, y0)
         if problem.objective is None:
             return float("nan")
-        value = problem.objective(drv.point(state))
+        value = problem.objective(*drv.point(state))
         if reference_value is not None:
             value -= reference_value
         return value

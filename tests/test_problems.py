@@ -103,6 +103,32 @@ def test_nnls_swapped_objective_evaluates_original():
     assert swapped.objective(np.array([-1.0, 0, 0, 0])) == np.inf
 
 
+def test_objective_with_cached_image_is_bitwise_uncached():
+    # run() hands the objective the K-image its solver state caches; the
+    # result must be the very bits of the objective applying K itself
+    rng = np.random.default_rng(17)
+    m, n, count = 40, 15, 150
+    sp = SparseMatrix.from_coo(
+        m, n, rng.integers(0, m, count), rng.integers(0, n, count), rng.standard_normal(count)
+    )
+    b = rng.standard_normal(m)
+    lasso, _ = gen_lasso(ProblemSpec("lasso1", seed=3, m=m, n=n, s=4))
+    nnls = build_nnls(sp, b)
+    swapped = build_nnls(sp, b, swapped=True)
+    for _ in range(20):
+        x = rng.standard_normal(n)
+        v = np.abs(x)  # inside the orthant, so the NNLS objective is finite
+        assert lasso.objective(x, lasso.K.apply(x)) == lasso.objective(x)
+        assert nnls.objective(v, nnls.K.apply(v)) == nnls.objective(v)
+        assert nnls.objective(x, nnls.K.apply(x)) == nnls.objective(x)
+        # the swapped problem's dual iterate is the original primal point,
+        # and its image under the swapped operator is K_sw* y = -K y
+        image = swapped.K.adjoint_apply(v)
+        assert np.isfinite(swapped.objective(v, image))
+        assert swapped.objective(v, image) == swapped.objective(v)
+        assert swapped.objective(v, image) == nnls.objective(v)
+
+
 def test_load_nnls_file(tmp_path):
     text = "%%MatrixMarket matrix coordinate real general\n3 2 3\n1 1 1.0\n2 2 2.0\n3 1 -1.5\n"
     path = tmp_path / "toy.mtx"

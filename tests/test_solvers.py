@@ -5,10 +5,11 @@ import pytest
 
 import saddlesolve.solvers as solvers
 from saddlesolve.diagnostics import ErgodicAverage
-from saddlesolve.linop import LinearOperator
+from saddlesolve.linop import LinearOperator, SparseMatrix
 from saddlesolve.problems import (
     ProblemSpec,
     SaddleProblem,
+    build_nnls,
     gen_lasso,
     gen_matrix_game,
     pd_gap_game,
@@ -253,6 +254,7 @@ def test_correction_shrink_count_matches_fixture(fixtures):
         iter=1,
         correction_backtracks=0,
         Ky_cur=np.array([rec["c"]]),
+        Kx_cur=np.array([0.0]),
     )
     x_cand = st.x_cur - st.lam_cur * st.Ky_cur
     zeta = float(np.linalg.norm(x_cand - st.x_cur))
@@ -278,6 +280,7 @@ def test_correction_stall_error():
         iter=3,
         correction_backtracks=0,
         Ky_cur=np.array([1.0]),
+        Kx_cur=np.array([0.0]),
     )
     with pytest.raises(LinesearchStallError, match="200"):
         correction_pass(st, prob, cfg, st.x_cur - st.Ky_cur, 1.0, 1.0)
@@ -569,6 +572,76 @@ def test_run_rejects_non_finite_start(kind, cfg):
     x0[3] = np.nan
     with pytest.raises(ValueError, match="finite"):
         run(kind, prob, cfg, x0, y0, max_iter=5)
+
+
+@pytest.fixture
+def matvec_count(monkeypatch):
+    """[K, K*] applications made through any LinearOperator in the process,
+    so an operator a problem keeps to itself is counted too."""
+    count = [0, 0]
+    apply, adjoint_apply = LinearOperator.apply, LinearOperator.adjoint_apply
+
+    def counted_apply(op, x):
+        count[0] += 1
+        return apply(op, x)
+
+    def counted_adjoint(op, y):
+        count[1] += 1
+        return adjoint_apply(op, y)
+
+    monkeypatch.setattr(LinearOperator, "apply", counted_apply)
+    monkeypatch.setattr(LinearOperator, "adjoint_apply", counted_adjoint)
+    return count
+
+
+def _budget_problem(family):
+    if family == "lasso":
+        prob, _ = gen_lasso(ProblemSpec("lasso1", seed=2, m=12, n=25, s=3))
+        return prob
+    rng = np.random.default_rng(8)
+    K = rng.standard_normal((30, 12))
+    K[np.abs(K) < 0.5] = 0.0
+    return build_nnls(SparseMatrix.from_dense(K), rng.standard_normal(30), swapped=True)
+
+
+def _budget_config(kind, prob):
+    L = prob.K.operator_norm()
+    beta = 0.01
+    return {
+        "pdac": _cfg(delta=0.62, alpha=1.27, beta0=beta, lambda0=default_lambda0(prob, beta),
+                     nonmonotone=True, n_hat=50, n_zero=100),
+        "apdac": _cfg(delta=1.0, alpha=0.99, gamma=prob.gamma, beta0=beta,
+                      lambda0=default_lambda0(prob, beta)),
+        "pda": BaselineConfig(tau=10.0 / L, sigma=1.0 / (10.0 * L)),
+        "pdal": BaselineConfig(tau=1.0 / L, beta=beta),
+        "pgm": BaselineConfig(step=1.0 / (L * L)),
+        "fista": BaselineConfig(fista_beta=0.7),
+    }[kind]
+
+
+@pytest.mark.parametrize(
+    "kind, family",
+    [("pdac", "lasso"), ("apdac", "lasso"), ("pda", "lasso"), ("pgm", "lasso"),
+     ("apdac", "nnls-swapped"), ("pdal", "lasso"), ("fista", "lasso")],
+)
+def test_run_matvecs_per_iteration_with_metric_rows(kind, family, matvec_count):
+    # at trace_every=1 every iteration also writes an objective row; the row
+    # reads the image the solver state caches and applies no matrix
+    prob = _budget_problem(family)
+    cfg = _budget_config(kind, prob)
+    spent = []
+    for budget in (20, 120):
+        before = list(matvec_count)
+        trace = run(kind, prob, cfg, *prob.start, max_iter=budget, trace_every=1)
+        spent.append((matvec_count[0] - before[0], matvec_count[1] - before[1],
+                      trace.rows[-1][5]))
+    (f20, a20, c20), (f120, a120, c120) = spent
+    iters, shrinks = 100, c120 - c20  # the last column: corrections or shrinks
+    expected = {
+        "pdal": (iters, iters + shrinks),  # each line-search trial applies K* once
+        "fista": (2 * iters + shrinks, iters),  # K v, then K x+ for each trial
+    }.get(kind, (iters, iters))
+    assert (f120 - f20, a120 - a20) == expected
 
 
 def test_trace_csv_round_trip(tmp_path):
