@@ -379,7 +379,8 @@ def solve_reference(problem, *, max_iter=1_000_000):
         cand, cand_quality = _polish(problem, x_bar, quality, tried)
         if cand is not None:
             x_bar, quality = cand, cand_quality
-    y_bar = problem.K.apply(x_bar) - b
+    Kx_bar = problem.K.apply(x_bar)
+    y_bar = Kx_bar - b
     ref = ReferencePoint(x_bar=x_bar, y_bar=y_bar, quality=quality)
-    phi_star = primal_objective(problem, x_bar)
+    phi_star = primal_objective(problem, x_bar, Kx_bar)
     return ref, phi_star, iters_done

@@ -91,8 +91,9 @@ class SaddleProblem:
     consumes, which matters for swapped formulations. ``image`` is the
     point's image under this problem's operator, K x for "x" and K* y for
     "y"; given, it spares the objective its matrix application, and left
-    out, the objective applies K itself. ``start`` is the conventional
-    initial point pair for the family.
+    out, the objective applies K itself. ``run`` always passes the image, so
+    an objective set by hand must accept it as a second argument. ``start``
+    is the conventional initial point pair for the family.
     """
 
     g: object

@@ -205,7 +205,6 @@ class SolverState:
 class PdaState:
     x: np.ndarray
     y: np.ndarray
-    z: np.ndarray
     Kx: np.ndarray
     Kz: np.ndarray
     Ky: np.ndarray
@@ -452,7 +451,7 @@ def init_pda(problem, x0, y0, bcfg, norm_estimate=None):
     y0 = np.asarray(y0, dtype=float)
     Kx0 = problem.K.apply(x0)
     return PdaState(
-        x=x0.copy(), y=y0.copy(), z=x0.copy(), Kx=Kx0, Kz=Kx0, Ky=problem.K.adjoint_apply(y0)
+        x=x0.copy(), y=y0.copy(), Kx=Kx0, Kz=Kx0, Ky=problem.K.adjoint_apply(y0)
     )
 
 
@@ -467,7 +466,6 @@ def pda_iterate(state, problem, bcfg):
     state.Ky = K.adjoint_apply(y_next)
     x_next = problem.g.prox(state.x - bcfg.tau * state.Ky, bcfg.tau)
     Kx_next = K.apply(x_next)
-    state.z = 2.0 * x_next - state.x
     state.Kz = 2.0 * Kx_next - state.Kx
     state.x = x_next
     state.Kx = Kx_next

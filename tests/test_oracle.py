@@ -103,7 +103,7 @@ def test_reference_zero_problem():
         K=LinearOperator(np.zeros((2, 3)) + 1e-30),
         label="degenerate",
     )
-    prob.objective = lambda x: 0.5 * float(
+    prob.objective = lambda x, image=None: 0.5 * float(
         (prob.K.apply(x) - prob.fstar.shift) @ (prob.K.apply(x) - prob.fstar.shift)
     )
     ref, phi_star, _ = solve_reference(prob, max_iter=100)

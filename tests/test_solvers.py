@@ -432,7 +432,7 @@ def test_pda_hand_simulation(fixtures):
     pda_iterate(st, prob, bcfg)
     assert st.y[0] == pytest.approx(rec["y1"], abs=1e-15)
     assert st.x[0] == pytest.approx(rec["x1"], abs=1e-15)
-    assert st.z[0] == pytest.approx(rec["z1"], abs=1e-15)
+    assert st.Kz[0] == pytest.approx(rec["z1"], abs=1e-15)  # K = [[1]], so K z = z
 
 
 def test_pda_step_product_gate():

@@ -1,15 +1,16 @@
 """Hash the traces of a fixed set of ``saddle-solve run`` calls.
 
 Runs the six solvers on lasso1, lasso2, game1, game3, nnls-well and
-nnls-well ``--swapped`` at a fixed budget through ``run_experiment``, with
-OpenBLAS pinned to one thread (traces depend on the BLAS thread count). The
+nnls-well ``--swapped`` at ITERS = 400 iterations through
+``run_experiment``, with OpenBLAS pinned to one thread (traces depend on the
+BLAS thread count). The
 NNLS runs use the synthetic 1033x320 matrix of ``bench/workloads.py``
 (``write_c12_matrix``). Prints one line per run: its exit code, the first 16
 hex digits of the sha256 of its CSV trace without the ``seconds`` column
 ("-" when it wrote none), and its final metric, then the hash of the whole
 listing.
 
-    python3 tools/tracehash.py [--iters 400] [--out RUNS.json] [--compare OTHER.json]
+    python3 tools/tracehash.py [--out RUNS.json] [--compare OTHER.json]
 
 ``--out`` writes every run's rows (``seconds`` dropped) to a JSON file.
 ``--compare`` reads such a file, made by another version of the code, and
@@ -48,10 +49,11 @@ PROBLEMS = (
     ("nnls-well", []),
     ("nnls-well --swapped", ["--swapped"]),
 )
+ITERS = 400  # the recorded hashes are comparable only at this budget
 COLUMNS = ("metric", "lambda", "beta")  # compared as floats; corrections as counts
 
 
-def run_all(iters, tmp):
+def run_all(tmp):
     """{run name: {"exit", "sha256", "final_metric", "rows"}} for every run."""
     matrix = tmp / "c12.mtx"
     write_c12_matrix(matrix)
@@ -63,7 +65,7 @@ def run_all(iters, tmp):
         for solver in SOLVER_NAMES:
             out = tmp / "trace.csv"
             out.unlink(missing_ok=True)
-            argv = ["--problem", family, "--solver", solver, "--max-iters", str(iters),
+            argv = ["--problem", family, "--solver", solver, "--max-iters", str(ITERS),
                     "--output", str(out), *extra]
             with contextlib.redirect_stdout(io.StringIO()), \
                     contextlib.redirect_stderr(io.StringIO()):
@@ -105,12 +107,11 @@ def drift(rows, other):
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--iters", type=int, default=400)
     parser.add_argument("--out", type=Path, default=None)
     parser.add_argument("--compare", type=Path, default=None)
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory() as tmp:
-        runs = run_all(args.iters, Path(tmp))
+        runs = run_all(Path(tmp))
     listing = ""
     for name, rec in runs.items():
         digest = (rec["sha256"] or "-")[:16]
