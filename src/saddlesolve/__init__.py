@@ -17,7 +17,6 @@ from .prox import (
     QuadShift,
     ScaledL1,
     Zero,
-    prox_eval,
     prox_l1,
     prox_quad_shift,
     proj_nonneg,
@@ -57,13 +56,12 @@ from .diagnostics import (
     IterateWindow,
     LyapunovSample,
     ReferencePoint,
-    ergodic_update,
     find_burn_in,
     gap_D,
     gap_P,
     lyapunov_sample,
     lyapunov_series,
 )
-from .oracle import OracleResult, saddle_residual, solve_reference
+from .oracle import saddle_residual, solve_reference
 
 __version__ = "0.1.0"

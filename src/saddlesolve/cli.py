@@ -58,6 +58,10 @@ DATA_ENV = "SADDLE_SOLVE_DATA"
 EXIT_DIVERGED = 2
 EXIT_STALLED = 3
 
+# ``saddle-solve reference`` warns when the reference's saddle residual
+# exceeds this.
+_RESIDUAL_TARGET = 1e-8
+
 
 def _family_kind(name):
     if name in LASSO_FAMILIES:
@@ -263,17 +267,17 @@ def cli_run(
 @click.option("--max-iters", type=int, default=1_000_000)
 @click.option("--output", type=click.Path(), required=True)
 @click.option("--matrix-file", type=click.Path(), default=None)
-@click.option("--residual-target", type=float, default=1e-8)
-def cli_reference(problem_name, seed, max_iters, output, matrix_file, residual_target):
+def cli_reference(problem_name, seed, max_iters, output, matrix_file):
     """Long high-accuracy solve; writes x_bar, y_bar, phi_star, and residual."""
     kind = _family_kind(problem_name)
     if kind == "game":
         raise click.UsageError("matrix games have a reference-free gap; no reference file needed")
     problem = _build_problem(problem_name, seed, False, matrix_file)
     ref, phi_star, iters = solve_reference(problem, max_iter=max_iters)
-    if ref.quality > residual_target:
+    if ref.quality > _RESIDUAL_TARGET:
         click.echo(
-            f"warning: reference residual {ref.quality:.3e} above target {residual_target:.1e}",
+            f"warning: reference residual {ref.quality:.3e} above target "
+            f"{_RESIDUAL_TARGET:.1e}",
             err=True,
         )
     payload = {

@@ -24,7 +24,6 @@ __all__ = [
     "lyapunov_sample",
     "lyapunov_series",
     "find_burn_in",
-    "ergodic_update",
 ]
 
 
@@ -239,8 +238,3 @@ class ErgodicAverage:
         if self.updates == 0:
             raise ValueError("no dual updates accumulated yet")
         return self.y_num / self.s_j
-
-
-def ergodic_update(avg, weight, z, y):
-    """Accumulate one weighted (z, y) pair into the running average."""
-    return avg.update(weight, z, y)

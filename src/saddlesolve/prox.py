@@ -20,7 +20,6 @@ __all__ = [
     "IndNonneg",
     "IndSimplex",
     "Zero",
-    "prox_eval",
 ]
 
 
@@ -155,10 +154,3 @@ class Zero:
 
     def __repr__(self):
         return "Zero()"
-
-
-def prox_eval(fn, v, t):
-    """Dispatch prox evaluation over the catalog. Requires t > 0."""
-    if t <= 0:
-        raise ValueError("prox step must be positive")
-    return fn.prox(np.asarray(v, dtype=float), float(t))

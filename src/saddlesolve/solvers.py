@@ -95,8 +95,7 @@ class SolverConfig:
     Admissible ranges (checked by ``validate``): delta > (sqrt(5)-1)/2,
     0 < alpha < 1/sqrt(delta), 1 < nu_corr <= mu_corr, 0 < rho < 1. The
     accelerated variant additionally needs delta >= 1, gamma >= 0 and the
-    monotone step rule. ``gamma`` is read only by the accelerated variant;
-    ``max_iter`` is the budget ``run`` uses when it is given none.
+    monotone step rule. ``gamma`` is read only by the accelerated variant.
     """
 
     delta: float = 0.62
@@ -110,7 +109,6 @@ class SolverConfig:
     lambda_cap: float = 1e6
     n_hat: int = 5000
     n_zero: int = 10000
-    max_iter: int = 1000
     nonmonotone: bool = False
 
     def validate(self, kind="pdac"):
@@ -352,8 +350,7 @@ def correction_pass(state, problem, cfg, x_candidate, zeta_candidate, phi_n):
                 f"displacement {zeta_candidate:.3e} vs bound {bound:.3e}"
             )
         state.lam_cur *= cfg.rho
-        cap = phi_n * state.lam_cur if cfg.nonmonotone else state.lam_cur
-        state.lam_next = min(cap, state.lam_next)
+        state.lam_next = min(phi_n * state.lam_cur, state.lam_next)
         x_candidate = problem.g.prox(state.x_cur - state.lam_cur * state.Ky_cur, state.lam_cur)
         zeta_candidate = float(np.linalg.norm(x_candidate - state.x_cur))
         shrinks += 1
@@ -439,10 +436,10 @@ def unread_fields(cfg, kind):
     return unread
 
 
-def init_pda(problem, x0, y0, bcfg, norm_estimate=None):
+def init_pda(problem, x0, y0, bcfg):
     """Check the step product tau*sigma*L^2 (power-iteration L) and build state."""
     bcfg.validate()
-    L = norm_estimate if norm_estimate is not None else problem.K.operator_norm()
+    L = problem.K.operator_norm()
     if bcfg.tau * bcfg.sigma * L * L > 1.0 + 1e-12:
         raise ConfigError(
             f"fixed-step PDA needs tau*sigma*L^2 <= 1; got {bcfg.tau * bcfg.sigma * L * L:.6f}"
@@ -607,8 +604,6 @@ class IterationTrace:
     """Per-iteration records of one run plus summary accessors."""
 
     rows: list = field(default_factory=list)  # (iter, seconds, metric, lam, beta, corr)
-    solver: str = ""
-    problem: str = ""
 
     def append(self, it, seconds, metric, lam, beta, corrections):
         self.rows.append((int(it), float(seconds), float(metric), float(lam), float(beta), int(corrections)))
@@ -722,7 +717,7 @@ def run(
     x0,
     y0,
     *,
-    max_iter=None,
+    max_iter,
     max_seconds=None,
     trace_every=1,
     reference_value=None,
@@ -730,7 +725,8 @@ def run(
     """Drive one solver for a budget and collect an IterationTrace.
 
     ``solver_kind`` is one of pdac, apdac, pda, pdal, pgm, fista. ``cfg`` is a
-    SolverConfig for the first two and a BaselineConfig otherwise. The metric
+    SolverConfig for the first two and a BaselineConfig otherwise; the
+    iteration budget ``max_iter`` is required. The metric
     column holds the problem objective (minus ``reference_value`` when given)
     for least-squares families, evaluated with the K-image the solver state
     caches, so an objective row applies no matrix; for matrix games it holds
@@ -741,8 +737,6 @@ def run(
     DivergenceError or LinesearchStallError carries the trace recorded so far
     in its ``trace`` attribute.
     """
-    if max_iter is None:
-        max_iter = cfg.max_iter if isinstance(cfg, SolverConfig) else 0
     if max_iter < 0:
         raise ValueError("max_iter must be nonnegative")
     if trace_every < 1:
@@ -764,7 +758,7 @@ def run(
             value -= reference_value
         return value
 
-    trace = IterationTrace(solver=solver_kind, problem=problem.label)
+    trace = IterationTrace()
     t0 = time.perf_counter()
     trace.append(0, 0.0, metric(), *drv.report(state))
     for n in range(1, max_iter + 1):

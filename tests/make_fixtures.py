@@ -10,13 +10,10 @@ script to rewrite tests/fixtures/derived.csv:
 
 import math
 import os
-import sys
 
 import numpy as np
 
-sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
-
-from saddlesolve.oracle import (  # noqa: E402
+from oracles import (
     gram_norm_oracle,
     naive_adjoint_matvec,
     naive_matvec,

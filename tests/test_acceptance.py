@@ -15,13 +15,13 @@ import pytest
 from saddlesolve.cli import DATA_ENV, reference_solve_cmd, run_experiment
 from saddlesolve.diagnostics import ErgodicAverage, lyapunov_series
 from saddlesolve.linop import SparseMatrix, read_matrix_market
-from saddlesolve.oracle import (
+from oracles import (
     prox_l1_oracle,
     prox_quad_shift_oracle,
     qp_project_nonneg_oracle,
     qp_project_simplex_oracle,
-    solve_reference,
 )
+from saddlesolve.oracle import solve_reference
 from saddlesolve.problems import (
     ProblemSpec,
     build_nnls,

@@ -5,7 +5,6 @@ from saddlesolve.diagnostics import (
     ErgodicAverage,
     IterateWindow,
     ReferencePoint,
-    ergodic_update,
     find_burn_in,
     gap_D,
     gap_P,
@@ -187,7 +186,7 @@ def test_find_burn_in():
 def test_ergodic_single_update(fixtures):
     rec = fixtures["ergodic_single"]
     avg = ErgodicAverage(head_point=np.array([2.0]), delta=0.62)
-    ergodic_update(avg, 0.7, np.array([5.0]), np.array([3.0]))
+    avg.update(0.7, np.array([5.0]), np.array([3.0]))
     assert avg.X[0] == pytest.approx(rec["X"], rel=1e-12)
     assert avg.Y[0] == pytest.approx(rec["Y"], rel=1e-12)
 

@@ -4,21 +4,18 @@ import numpy as np
 import pytest
 
 from saddlesolve.linop import LinearOperator
-from saddlesolve.oracle import (
-    _polish_lasso,
-    _polish_nnls,
+from saddlesolve.oracle import _polish_lasso, _polish_nnls, saddle_residual, solve_reference
+from saddlesolve.problems import ProblemSpec, SaddleProblem, build_nnls, gen_lasso, primal_objective
+from saddlesolve.prox import QuadShift, ScaledL1, Zero, proj_simplex
+from saddlesolve.solvers import BaselineConfig, fista_iterate, init_fista
+from make_fixtures import build_records, FIXTURE_PATH
+from oracles import (
     gram_norm_oracle,
     naive_matvec,
     prox_l1_oracle,
     qp_project_nonneg_oracle,
     qp_project_simplex_oracle,
-    saddle_residual,
-    solve_reference,
 )
-from saddlesolve.problems import ProblemSpec, SaddleProblem, build_nnls, gen_lasso, primal_objective
-from saddlesolve.prox import QuadShift, ScaledL1, Zero, proj_simplex
-from saddlesolve.solvers import BaselineConfig, fista_iterate, init_fista
-from make_fixtures import build_records, FIXTURE_PATH
 
 
 def test_fixtures_file_fresh():
@@ -69,12 +66,11 @@ def test_prox_l1_oracle_boundary():
 
 
 def test_saddle_residual_zero_problem():
-    prob = SaddleProblem(g=Zero(), fstar=Zero(), K=LinearOperator(np.zeros((1, 1)) + 0.0))
+    zero = SaddleProblem(g=Zero(), fstar=Zero(), K=LinearOperator(np.zeros((1, 1)) + 0.0))
     # K = 0: every point is a saddle of the zero problem
+    assert saddle_residual(zero, np.array([3.0]), np.array([-2.0])) == 0.0
     prob = SaddleProblem(g=Zero(), fstar=Zero(), K=LinearOperator(np.array([[1.0]])))
     assert saddle_residual(prob, np.zeros(1), np.zeros(1)) == 0.0
-    with pytest.raises(ValueError, match="positive"):
-        saddle_residual(prob, np.zeros(1), np.zeros(1), probe_lambda=0.0)
 
 
 def test_reference_quality_and_sensitivity():

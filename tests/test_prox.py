@@ -3,18 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from saddlesolve.oracle import (
-    prox_l1_oracle,
-    qp_project_nonneg_oracle,
-    qp_project_simplex_oracle,
-)
+from oracles import prox_l1_oracle, qp_project_nonneg_oracle, qp_project_simplex_oracle
 from saddlesolve.prox import (
     IndNonneg,
     IndSimplex,
     QuadShift,
     ScaledL1,
     Zero,
-    prox_eval,
     prox_l1,
     prox_quad_shift,
     proj_nonneg,
@@ -137,15 +132,13 @@ def test_prox_variational_characterization(fn, rng):
             assert lhs >= rhs - 1e-9
 
 
-def test_prox_eval_dispatch():
+def test_prox_catalog_dispatch():
     v = np.array([2.0])
-    assert prox_eval(Zero(), v, 3.0)[0] == 2.0
+    assert Zero().prox(v, 3.0)[0] == 2.0
     # weight folding: prox of t*(mu |.|) thresholds at t*mu
-    assert prox_eval(ScaledL1(0.1), v, 5.0)[0] == pytest.approx(1.5)
-    out = prox_eval(IndSimplex(), np.array([2.0, 0.0]), 7.0)
+    assert ScaledL1(0.1).prox(v, 5.0)[0] == pytest.approx(1.5)
+    out = IndSimplex().prox(np.array([2.0, 0.0]), 7.0)
     assert np.allclose(out, [1.0, 0.0])
-    with pytest.raises(ValueError, match="positive"):
-        prox_eval(Zero(), v, 0.0)
 
 
 def test_values():

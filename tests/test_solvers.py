@@ -428,7 +428,7 @@ def test_pda_hand_simulation(fixtures):
     rec = fixtures["pda_1d"]
     prob = _bilinear_problem()
     bcfg = BaselineConfig(tau=0.5, sigma=0.5)
-    st = init_pda(prob, [1.0], [1.0], bcfg, norm_estimate=1.0)
+    st = init_pda(prob, [1.0], [1.0], bcfg)
     pda_iterate(st, prob, bcfg)
     assert st.y[0] == pytest.approx(rec["y1"], abs=1e-15)
     assert st.x[0] == pytest.approx(rec["x1"], abs=1e-15)
