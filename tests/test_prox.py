@@ -132,7 +132,7 @@ def test_prox_variational_characterization(fn, rng):
             assert lhs >= rhs - 1e-9
 
 
-def test_prox_catalog_dispatch():
+def test_prox_eval_dispatch():
     v = np.array([2.0])
     assert Zero().prox(v, 3.0)[0] == 2.0
     # weight folding: prox of t*(mu |.|) thresholds at t*mu
