@@ -20,13 +20,14 @@ from .solvers import BaselineConfig, fista_iterate, init_fista
 __all__ = ["saddle_residual", "solve_reference"]
 
 
-def saddle_residual(problem, x, y):
+def saddle_residual(problem, x, y, Kx=None):
     """Max of the two prox fixed-point residuals at (x, y) with unit prox
-    steps; zero exactly at saddle points."""
+    steps; zero exactly at saddle points. ``Kx``, when given, stands in for
+    ``problem.K.apply(x)``, so the residual applies only K*."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     rx = x - problem.g.prox(x - problem.K.adjoint_apply(y), 1.0)
-    ry = y - problem.fstar.prox(y + problem.K.apply(x), 1.0)
+    ry = y - problem.fstar.prox(y + (problem.K.apply(x) if Kx is None else Kx), 1.0)
     return max(float(np.linalg.norm(rx)), float(np.linalg.norm(ry)))
 
 
@@ -120,9 +121,11 @@ def _polish(problem, x, quality, tried):
         key = _signed_support(x, thr)
         if key not in tried:
             cand = polish_support(problem, x, thr)
-            tried[key] = None if cand is None else (
-                cand, saddle_residual(problem, cand, problem.K.apply(cand) - b)
-            )
+            if cand is None:
+                tried[key] = None
+            else:
+                Kc = problem.K.apply(cand)
+                tried[key] = (cand, saddle_residual(problem, cand, Kc - b, Kc))
         if tried[key] is not None and tried[key][1] < quality:
             best, quality = tried[key]
             x = best
@@ -166,7 +169,7 @@ def solve_reference(problem, *, max_iter=1_000_000):
         fista_iterate(state, problem, bcfg)
         iters_done = k + 1
         if (k + 1) % check_every == 0:
-            resid = saddle_residual(problem, state.x, state.Kx - b)
+            resid = saddle_residual(problem, state.x, state.Kx - b, state.Kx)
             if resid <= _RESIDUAL_TARGET:
                 break
             prev_signs, signs = signs, _signed_support(state.x, 0.0)
@@ -183,7 +186,7 @@ def solve_reference(problem, *, max_iter=1_000_000):
                     break
     if x_bar is None:
         x_bar = state.x
-        quality = saddle_residual(problem, x_bar, state.Kx - b)
+        quality = saddle_residual(problem, x_bar, state.Kx - b, state.Kx)
         cand, cand_quality = _polish(problem, x_bar, quality, tried)
         if cand is not None:
             x_bar, quality = cand, cand_quality

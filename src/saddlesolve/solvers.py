@@ -232,6 +232,7 @@ class FistaState:
     t: float
     lam: float
     Kx: np.ndarray
+    Kv: np.ndarray
     shrinks: int = 0
 
 
@@ -554,7 +555,8 @@ def init_fista(problem, x0, bcfg, lam0=1.0):
     bcfg.validate()
     _smooth_shift(problem)
     x0 = np.asarray(x0, dtype=float)
-    return FistaState(x=x0.copy(), v=x0.copy(), t=1.0, lam=lam0, Kx=problem.K.apply(x0))
+    Kx0 = problem.K.apply(x0)
+    return FistaState(x=x0.copy(), v=x0.copy(), t=1.0, lam=lam0, Kx=Kx0, Kv=Kx0)
 
 
 def fista_iterate(state, problem, bcfg):
@@ -564,11 +566,13 @@ def fista_iterate(state, problem, bcfg):
     h(x+) <= h(v) + <grad h(v), x+ - v> + ||x+ - v||^2 / (2 lam),
     shrinking lam by fista_beta. A small relative slack keeps long
     high-accuracy runs stable against roundoff in the comparison. The
-    accepted trial's image K x+ is cached.
+    accepted trial's image K x+ is cached, and the momentum point's image
+    K v is recombined from the cached K x+ and K x, so an iteration applies
+    K once per trial and K* once.
     """
     K = problem.K
     b = _smooth_shift(problem)
-    rv = K.apply(state.v) - b
+    rv = state.Kv - b
     hv = 0.5 * float(rv @ rv)
     grad = K.adjoint_apply(rv)
     slack = 1e-12 * (1.0 + abs(hv))
@@ -589,7 +593,9 @@ def fista_iterate(state, problem, bcfg):
         shrinks += 1
     state.shrinks += shrinks
     t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * state.t * state.t))
-    state.v = x_next + ((state.t - 1.0) / t_next) * (x_next - state.x)
+    c = (state.t - 1.0) / t_next
+    state.v = x_next + c * (x_next - state.x)
+    state.Kv = Kx_next + c * (Kx_next - state.Kx)
     state.x = x_next
     state.Kx = Kx_next
     state.t = t_next

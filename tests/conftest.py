@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from make_fixtures import FIXTURE_PATH, load_fixtures
+from saddlesolve.linop import LinearOperator
 
 _ACCEPTANCE_RESULTS = []
 
@@ -30,3 +31,23 @@ def fixtures():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def matvec_count(monkeypatch):
+    """[K, K*] applications made through any LinearOperator in the process,
+    so an operator a problem keeps to itself is counted too."""
+    count = [0, 0]
+    apply, adjoint_apply = LinearOperator.apply, LinearOperator.adjoint_apply
+
+    def counted_apply(op, x):
+        count[0] += 1
+        return apply(op, x)
+
+    def counted_adjoint(op, y):
+        count[1] += 1
+        return adjoint_apply(op, y)
+
+    monkeypatch.setattr(LinearOperator, "apply", counted_apply)
+    monkeypatch.setattr(LinearOperator, "adjoint_apply", counted_adjoint)
+    return count

@@ -73,6 +73,19 @@ def test_saddle_residual_zero_problem():
     assert saddle_residual(prob, np.zeros(1), np.zeros(1)) == 0.0
 
 
+def test_saddle_residual_with_passed_image(matvec_count):
+    # the caller's K x stands in for the forward product: same bits, K* only
+    prob, _ = gen_lasso(ProblemSpec("lasso1", seed=3, m=12, n=25, s=3))
+    rng = np.random.default_rng(5)
+    x, y = rng.standard_normal(25), rng.standard_normal(12)
+    Kx = prob.K.apply(x)
+    plain = saddle_residual(prob, x, y)
+    before = list(matvec_count)
+    passed = saddle_residual(prob, x, y, Kx=Kx)
+    assert (matvec_count[0] - before[0], matvec_count[1] - before[1]) == (0, 1)
+    assert passed == plain
+
+
 def test_reference_quality_and_sensitivity():
     prob, _ = gen_lasso(ProblemSpec("lasso1", seed=26, m=14, n=30, s=3))
     ref, phi_star, iters = solve_reference(prob, max_iter=100000)
