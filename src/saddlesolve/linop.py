@@ -22,8 +22,12 @@ __all__ = [
 ]
 
 # Fixed seed for the power-iteration start vector: norm estimates must be
-# reproducible across runs.
+# reproducible across runs. The iteration stops when the eigenvalue estimate
+# of K*K changes by at most _POWER_TOL relative, and gives up after
+# _POWER_MAX_ITER products.
 _POWER_SEED = 0x5EED
+_POWER_TOL = 1e-10
+_POWER_MAX_ITER = 10000
 
 
 class MatrixMarketError(ValueError):
@@ -81,9 +85,10 @@ class SparseMatrix:
         cols = int(cols)
         if rows <= 0 or cols <= 0:
             raise ValueError("sparse matrix dimensions must be positive")
-        row_offsets = np.asarray(row_offsets, dtype=np.int64)
-        col_indices = np.asarray(col_indices, dtype=np.int64)
-        values = np.asarray(values, dtype=float)
+        # copies, so the caller cannot change the matrix past the checks
+        row_offsets = np.array(row_offsets, dtype=np.int64)
+        col_indices = np.array(col_indices, dtype=np.int64)
+        values = np.array(values, dtype=float)
         if row_offsets.shape != (rows + 1,):
             raise ValueError("row_offsets must have length rows + 1")
         if row_offsets[0] != 0 or row_offsets[-1] != len(values):
@@ -174,7 +179,6 @@ class LinearOperator:
             raise TypeError("backing must be a DenseMatrix or SparseMatrix")
         self.backing = backing
         self.cached_norm = None
-        self._cached_norm_tol = None
         self.apply_calls = 0
         self.adjoint_calls = 0
 
@@ -217,15 +221,13 @@ class LinearOperator:
             return float(np.linalg.norm(self.backing.entries))
         return float(np.linalg.norm(self.backing.values))
 
-    def operator_norm(self, tol=1e-10, max_iter=10000):
-        """Spectral norm via power iteration on K*K.
+    def operator_norm(self):
+        """Spectral norm via power iteration on K*K, computed once and cached.
 
         Starts from a deterministic seeded vector; converges when the
-        successive eigenvalue estimate changes by at most ``tol`` relative.
+        successive eigenvalue estimate changes by at most 1e-10 relative.
         """
-        if tol <= 0:
-            raise ValueError("operator_norm: tol must be positive")
-        if self.cached_norm is not None and self._cached_norm_tol <= tol:
+        if self.cached_norm is not None:
             return self.cached_norm
         if self.frobenius_norm() == 0.0:
             raise ValueError("operator_norm: zero operator")
@@ -234,7 +236,7 @@ class LinearOperator:
         v /= np.linalg.norm(v)
         prev = None
         eig = 0.0
-        for _ in range(int(max_iter)):
+        for _ in range(_POWER_MAX_ITER):
             u = self.adjoint_apply(self.apply(v))
             eig = float(np.linalg.norm(u))
             if eig == 0.0:
@@ -243,15 +245,13 @@ class LinearOperator:
                 v /= np.linalg.norm(v)
                 prev = None
                 continue
-            if prev is not None and abs(eig - prev) <= tol * eig:
-                value = math.sqrt(eig)
-                self.cached_norm = value
-                self._cached_norm_tol = tol
-                return value
+            if prev is not None and abs(eig - prev) <= _POWER_TOL * eig:
+                self.cached_norm = math.sqrt(eig)
+                return self.cached_norm
             prev = eig
             v = u / eig
         raise PowerIterationError(
-            f"power iteration did not converge within {max_iter} iterations",
+            f"power iteration did not converge within {_POWER_MAX_ITER} iterations",
             math.sqrt(eig) if eig > 0 else 0.0,
         )
 

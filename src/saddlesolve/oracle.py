@@ -14,7 +14,7 @@ import numpy as np
 
 from .diagnostics import ReferencePoint
 from .problems import primal_objective
-from .prox import IndNonneg, QuadShift, ScaledL1
+from .prox import ScaledL1
 from .solvers import BaselineConfig, fista_iterate, init_fista
 
 __all__ = ["saddle_residual", "solve_reference"]
@@ -150,14 +150,12 @@ def solve_reference(problem, *, max_iter=1_000_000):
     y_bar = K x_bar - b and the quality field holds the measured saddle
     residual.
     """
-    if not isinstance(problem.fstar, QuadShift) or not isinstance(
-        problem.g, (ScaledL1, IndNonneg)
-    ):
+    if not problem.is_least_squares:
         raise ValueError("reference solves support LASSO and unswapped NNLS only")
     n = problem.K.cols
     b = problem.fstar.shift
     bcfg = BaselineConfig(fista_beta=0.7)
-    state = init_fista(problem, np.zeros(n), bcfg, lam0=1.0)
+    state = init_fista(problem, np.zeros(n), bcfg)
     best_resid = math.inf
     since_improve = 0
     check_every = 50

@@ -61,15 +61,16 @@ class UnsupportedMetricError(ValueError):
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """Recipe for one problem instance. ``m``/``n``/``s``/``mu`` override the
-    family defaults (used for desk-scale reruns)."""
+    """Recipe for one problem instance. ``m``/``n`` override a generated
+    family's dimensions and ``s`` the LASSO sparsity, for desk-scale reruns;
+    the LASSO weight mu is always the family's. ``data_path`` names the
+    Matrix Market file of an NNLS family."""
 
     family: str
     seed: int = 1
     m: Optional[int] = None
     n: Optional[int] = None
     s: Optional[int] = None
-    mu: Optional[float] = None
     data_path: Optional[str] = None
 
 
@@ -94,6 +95,12 @@ class SaddleProblem:
     out, the objective applies K itself. ``run`` always passes the image, so
     an objective set by hand must accept it as a second argument. ``start``
     is the conventional initial point pair for the family.
+
+    The kind of problem follows from g and fstar alone. It is a matrix game
+    when both are ``IndSimplex``, and ``run`` then measures the primal-dual
+    gap of the ergodic average; it is a least-squares problem, with the
+    objective ``primal_objective``, when fstar is a ``QuadShift`` and g a
+    ``ScaledL1`` or ``IndNonneg``.
     """
 
     g: object
@@ -103,8 +110,19 @@ class SaddleProblem:
     label: str = ""
     objective: Optional[Callable[..., float]] = None
     objective_var: str = "x"
-    metric_kind: Optional[str] = None  # "objective" | "pd_gap"
     start: Optional[tuple] = field(default=None, repr=False)
+
+    @property
+    def is_matrix_game(self):
+        """Both g and fstar are simplex indicators: the only case in which
+        ``pd_gap_game`` is the saddle gap."""
+        return isinstance(self.g, IndSimplex) and isinstance(self.fstar, IndSimplex)
+
+    @property
+    def is_least_squares(self):
+        """min 0.5||Kx - b||^2 + g(x) with g an l1 weight or the orthant
+        indicator: the form of ``primal_objective`` and ``solve_reference``."""
+        return isinstance(self.fstar, QuadShift) and isinstance(self.g, (ScaledL1, IndNonneg))
 
 
 def gen_lasso(spec):
@@ -120,7 +138,6 @@ def gen_lasso(spec):
     m = spec.m if spec.m is not None else fam["m"]
     n = spec.n if spec.n is not None else fam["n"]
     s = spec.s if spec.s is not None else fam["s"]
-    mu = spec.mu if spec.mu is not None else fam["mu"]
     if m <= 0 or n <= 0:
         raise ValueError("dimensions must be positive")
     if not 0 <= s <= n:
@@ -138,12 +155,11 @@ def gen_lasso(spec):
     b = K @ w + noise
     op = LinearOperator(DenseMatrix(K))
     prob = SaddleProblem(
-        g=ScaledL1(mu),
+        g=ScaledL1(fam["mu"]),
         fstar=QuadShift(b),
         K=op,
         gamma=0.0,
         label=spec.family,
-        metric_kind="objective",
         start=(np.zeros(n), -b.copy()),
     )
     prob.objective = lambda x, image=None: primal_objective(prob, x, image)
@@ -171,7 +187,6 @@ def gen_matrix_game(spec):
         K=op,
         gamma=0.0,
         label=spec.family,
-        metric_kind="pd_gap",
         start=(np.full(n, 1.0 / n), np.full(m, 1.0 / m)),
     )
 
@@ -199,7 +214,6 @@ def build_nnls(sparse, b, swapped=False, label="nnls"):
         K=LinearOperator(sparse),
         gamma=0.0,
         label=label,
-        metric_kind="objective",
         start=(np.zeros(n), -b.copy()),
     )
     prob.objective = lambda x, image=None: primal_objective(prob, x, image)
@@ -211,7 +225,6 @@ def build_nnls(sparse, b, swapped=False, label="nnls"):
         K=LinearOperator(sparse.transposed(negate=True)),
         gamma=0.5,
         label=f"{label}-swapped",
-        metric_kind="objective",
         objective=lambda y, image=None: prob.objective(y, None if image is None else -image),
         objective_var="y",
         start=(np.zeros(m), np.zeros(n)),
@@ -239,35 +252,36 @@ def primal_objective(problem, x, Kx=None):
     when given, stands in for ``problem.K.apply(x)``, so the objective
     applies no matrix.
     """
-    g, fstar = problem.g, problem.fstar
-    if not (isinstance(fstar, QuadShift) and isinstance(g, (ScaledL1, IndNonneg))):
+    if not problem.is_least_squares:
         raise UnsupportedMetricError(
             f"problem {problem.label!r} has no primal objective in this form"
         )
     x = np.asarray(x, dtype=float)
-    r = (problem.K.apply(x) if Kx is None else Kx) - fstar.shift
-    return 0.5 * float(r @ r) + g.value(x)
+    r = (problem.K.apply(x) if Kx is None else Kx) - problem.fstar.shift
+    return 0.5 * float(r @ r) + problem.g.value(x)
+
+
+def _check_simplex_point(name, v, n):
+    """``v`` as a float array, checked to be a point of the unit simplex of
+    dimension ``n`` within ``IndSimplex``'s tolerances."""
+    v = np.asarray(v, dtype=float)
+    if v.shape != (n,):
+        raise ValueError(f"{name} must have length {n}, got shape {v.shape}")
+    tol = IndSimplex.entry_tol
+    if v.min() < -tol:
+        raise FeasibilityError(
+            f"{name} infeasible: component {int(np.argmin(v))} is {v.min():.3e} < {-tol:g}"
+        )
+    if abs(v.sum() - 1.0) > IndSimplex.sum_tol:
+        raise FeasibilityError(
+            f"{name} infeasible: sum is {v.sum():.12f}, not 1 within {IndSimplex.sum_tol:g}"
+        )
+    return v
 
 
 def pd_gap_game(K, x, y):
     """Primal-dual gap of a feasible matrix-game pair:
     max_i (Kx)_i - min_j (K*y)_j."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != (K.cols,):
-        raise ValueError(f"x must have length {K.cols}, got shape {x.shape}")
-    if y.shape != (K.rows,):
-        raise ValueError(f"y must have length {K.rows}, got shape {y.shape}")
-    if x.min() < -1e-10:
-        raise FeasibilityError(
-            f"x infeasible: component {int(np.argmin(x))} is {x.min():.3e} < -1e-10"
-        )
-    if y.min() < -1e-10:
-        raise FeasibilityError(
-            f"y infeasible: component {int(np.argmin(y))} is {y.min():.3e} < -1e-10"
-        )
-    if abs(x.sum() - 1.0) > 1e-8:
-        raise FeasibilityError(f"x infeasible: sum is {x.sum():.12f}, not 1 within 1e-8")
-    if abs(y.sum() - 1.0) > 1e-8:
-        raise FeasibilityError(f"y infeasible: sum is {y.sum():.12f}, not 1 within 1e-8")
+    x = _check_simplex_point("x", x, K.cols)
+    y = _check_simplex_point("y", y, K.rows)
     return float(K.apply(x).max() - K.adjoint_apply(y).min())

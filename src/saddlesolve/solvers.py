@@ -79,8 +79,8 @@ class LinesearchStallError(RuntimeError):
 
 
 class DivergenceError(RuntimeError):
-    """Non-finite iterate detected. ``iteration`` records where; ``trace``
-    may carry the partial run trace."""
+    """``run`` found a non-finite iterate or image. ``iteration`` records
+    where; ``trace`` may carry the partial run trace."""
 
     def __init__(self, message, iteration):
         super().__init__(message)
@@ -149,7 +149,8 @@ class SolverConfig:
 @dataclass
 class BaselineConfig:
     """Parameters for the baseline solvers. ``beta`` is the primal-dual step
-    ratio used by the linesearch PDA; ``step`` the fixed gradient step."""
+    ratio used by the linesearch PDA and ``theta`` its first step-growth
+    ratio; ``step`` the fixed gradient step."""
 
     tau: float = 1.0
     sigma: float = 1.0
@@ -164,6 +165,8 @@ class BaselineConfig:
         for name in ("tau", "sigma", "mu_ls", "fista_beta", "step", "beta"):
             if not getattr(self, name) > 0:
                 raise ConfigError(f"{name} must be positive; got {getattr(self, name)}")
+        if not (math.isfinite(self.theta) and self.theta >= 0.0):
+            raise ConfigError(f"theta must be finite and nonnegative; got {self.theta}")
         if not 0.0 < self.alpha_ls < 1.0:
             raise ConfigError(f"alpha_ls must lie in ]0, 1[; got {self.alpha_ls}")
         if not self.mu_ls < 1.0:
@@ -312,19 +315,20 @@ def phi_schedule(n, cfg):
     return 1.0
 
 
-def predict_step(dy_norm, kdy_norm, lam_next, phi, cfg, beta=None):
+def predict_step(dy_norm, kdy_norm, lam_next, phi, cfg, beta):
     """Next step size from the local inverse Lipschitz ratio.
 
-    Monotone mode: min(alpha*||dy|| / (sqrt(beta)*||K* dy||), lam_next).
+    Monotone mode: min(alpha*||dy|| / (sqrt(beta)*||K* dy||), lam_next),
+    with ``beta`` the step ratio of the dual step just taken.
     Nonmonotone mode allows growth up to phi*lam_next, capped at lambda_cap.
     A zero adjoint difference carries lam_next forward (times phi when
-    growth is allowed). ``beta`` defaults to ``cfg.beta0``.
+    growth is allowed).
     """
     if kdy_norm == 0.0:
         if cfg.nonmonotone:
             return min(lam_next * phi, cfg.lambda_cap)
         return lam_next
-    ratio = cfg.alpha * dy_norm / (math.sqrt(cfg.beta0 if beta is None else beta) * kdy_norm)
+    ratio = cfg.alpha * dy_norm / (math.sqrt(beta) * kdy_norm)
     if cfg.nonmonotone:
         return min(ratio, phi * lam_next, cfg.lambda_cap)
     return min(ratio, lam_next)
@@ -357,11 +361,6 @@ def correction_pass(state, problem, cfg, x_candidate, zeta_candidate, phi_n):
         shrinks += 1
     state.correction_backtracks += shrinks
     return x_candidate, zeta_candidate
-
-
-def _check_finite(state, n):
-    if not (np.all(np.isfinite(state.x_cur)) and np.all(np.isfinite(state.y_cur))):
-        raise DivergenceError(f"non-finite iterate at iteration {n}", n)
 
 
 def _pd_iterate(state, problem, cfg, accelerated):
@@ -406,7 +405,6 @@ def _pd_iterate(state, problem, cfg, accelerated):
     state.beta_cur = beta_next
     state.zeta_cur = zeta_next
     state.iter = n + 1
-    _check_finite(state, n + 1)
     return state
 
 
@@ -551,12 +549,13 @@ def pgm_iterate(state, problem, bcfg):
     return state
 
 
-def init_fista(problem, x0, bcfg, lam0=1.0):
+def init_fista(problem, x0, bcfg):
+    """FISTA state at x0; the first trial step is 1 and backtracks from there."""
     bcfg.validate()
     _smooth_shift(problem)
     x0 = np.asarray(x0, dtype=float)
     Kx0 = problem.K.apply(x0)
-    return FistaState(x=x0.copy(), v=x0.copy(), t=1.0, lam=lam0, Kx=Kx0, Kv=Kx0)
+    return FistaState(x=x0.copy(), v=x0.copy(), t=1.0, lam=1.0, Kx=Kx0, Kv=Kx0)
 
 
 def fista_iterate(state, problem, bcfg):
@@ -656,7 +655,7 @@ class _Driver(NamedTuple):
 
     state: object
     step: Callable  # (state, problem, cfg) -> state
-    point: Callable  # state -> (the iterate the objective is evaluated at, its K-image)
+    point: Callable  # state -> (the objective's iterate, its K-image); both checked finite
     report: Callable  # state -> (lambda, beta, corrections) trace columns
     sample: Optional[Callable]  # state -> (weight, z, y) for the ergodic average
     head: float  # the ergodic average's head weight is head * w_1 on x_0
@@ -701,19 +700,17 @@ def _driver(kind, problem, cfg, x0, y0):
             lambda st: (st.tau, st.x, st.y),
             1.0,
         )
-    if kind not in ("pgm", "fista"):
-        raise ConfigError(f"unknown solver kind {kind!r}")
-    if problem.metric_kind == "pd_gap":
-        raise ConfigError(f"{kind} does not support matrix games")
     if kind == "pgm":
         return _Driver(
             init_pgm(problem, x0, cfg), pgm_iterate, attrgetter("x", "Kx"),
             lambda st: (cfg.step, 0.0, 0), None, 1.0,
         )
-    return _Driver(
-        init_fista(problem, x0, cfg), fista_iterate, attrgetter("x", "Kx"),
-        lambda st: (st.lam, 0.0, st.shrinks), None, 1.0,
-    )
+    if kind == "fista":
+        return _Driver(
+            init_fista(problem, x0, cfg), fista_iterate, attrgetter("x", "Kx"),
+            lambda st: (st.lam, 0.0, st.shrinks), None, 1.0,
+        )
+    raise ConfigError(f"unknown solver kind {kind!r}")
 
 
 def run(
@@ -732,16 +729,17 @@ def run(
 
     ``solver_kind`` is one of pdac, apdac, pda, pdal, pgm, fista. ``cfg`` is a
     SolverConfig for the first two and a BaselineConfig otherwise; the
-    iteration budget ``max_iter`` is required. The metric
-    column holds the problem objective (minus ``reference_value`` when given)
-    for least-squares families, evaluated with the K-image the solver state
-    caches, so an objective row applies no matrix; for matrix games it holds
-    the primal-dual gap of the running ergodic average. A non-finite start
-    raises ValueError. Runs are
-    deterministic for a fixed iteration budget. The last row is the last
-    iteration run, whether the iteration or the time budget ended the run. A
-    DivergenceError or LinesearchStallError carries the trace recorded so far
-    in its ``trace`` attribute.
+    iteration budget ``max_iter`` is required. The metric column holds the
+    problem objective (minus ``reference_value`` when given), evaluated with
+    the K-image the solver state caches, so an objective row applies no
+    matrix; for a matrix game (``problem.is_matrix_game``) it holds the
+    primal-dual gap of the running ergodic average. A non-finite start
+    raises ValueError. After every iteration the point the objective reads
+    and its image are checked, and a non-finite entry raises
+    DivergenceError. Runs are deterministic for a fixed iteration budget.
+    The last row is the last iteration run, whether the iteration or the
+    time budget ended the run. A DivergenceError or LinesearchStallError
+    carries the trace recorded so far in its ``trace`` attribute.
     """
     if max_iter < 0:
         raise ValueError("max_iter must be nonnegative")
@@ -750,7 +748,7 @@ def run(
     x0, y0 = _finite_start(x0, y0)
     drv = _driver(solver_kind, problem, cfg, x0, y0)
     state = drv.state
-    ergodic = ErgodicAverage(x0, drv.head) if problem.metric_kind == "pd_gap" else None
+    ergodic = ErgodicAverage(x0, drv.head) if problem.is_matrix_game else None
 
     def metric():
         if ergodic is not None:
@@ -770,6 +768,9 @@ def run(
     for n in range(1, max_iter + 1):
         try:
             drv.step(state, problem, cfg)
+            point, image = drv.point(state)
+            if not (np.isfinite(point).all() and np.isfinite(image).all()):
+                raise DivergenceError(f"non-finite iterate at iteration {n}", n)
         except (DivergenceError, LinesearchStallError) as err:
             err.trace = trace
             raise

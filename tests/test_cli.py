@@ -143,6 +143,14 @@ def test_flags_the_solver_does_not_read_are_rejected(tmp_path, capsys, solver, f
     assert not out.exists()
 
 
+def test_negative_iteration_budget_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "t.csv"
+    argv = ["--problem", "lasso1", "--solver", "pdac", "--max-iters", "-1", "--output", str(out)]
+    assert run_experiment(argv) == 1
+    assert "--max-iters" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_invalid_config_rejected(tmp_path):
     out = tmp_path / "t.csv"
     code = run_experiment(

@@ -214,6 +214,13 @@ def test_ergodic_weights_normalize(rng):
     assert avg.X[0] == pytest.approx(1.0, abs=1e-12)
 
 
+def test_ergodic_dual_average_needs_an_update():
+    avg = ErgodicAverage(np.zeros(2), 1.0)
+    assert avg.X.tolist() == [0.0, 0.0]
+    with pytest.raises(ValueError, match="no dual updates"):
+        avg.Y
+
+
 def test_ergodic_rejects_nonpositive_weight():
     avg = ErgodicAverage(head_point=np.zeros(1), delta=1.0)
     with pytest.raises(ValueError, match="positive"):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import saddlesolve.linop as linop
 from saddlesolve.linop import (
     DenseMatrix,
     LinearOperator,
@@ -80,7 +81,7 @@ def test_operator_norm_diagonal():
 def test_operator_norm_matches_gram_oracle(fixtures):
     rec = fixtures["opnorm_5x4"]
     op = LinearOperator(rec["K"].reshape(5, 4))
-    assert op.operator_norm(tol=1e-14) == pytest.approx(rec["out"], rel=rec["tol"])
+    assert op.operator_norm() == pytest.approx(rec["out"], rel=rec["tol"])
 
 
 def test_operator_norm_dominates_rayleigh(rng):
@@ -100,10 +101,11 @@ def test_operator_norm_zero_matrix_rejected():
         LinearOperator(np.zeros((2, 2))).operator_norm()
 
 
-def test_operator_norm_budget_error():
+def test_operator_norm_budget_error(monkeypatch):
+    monkeypatch.setattr(linop, "_POWER_MAX_ITER", 1)
     op = LinearOperator(np.array([[2.0, 1.0], [1.0, 3.0]]))
     with pytest.raises(PowerIterationError) as exc:
-        op.operator_norm(tol=1e-16, max_iter=1)
+        op.operator_norm()
     assert exc.value.estimate > 0.0
 
 
@@ -132,6 +134,38 @@ def test_sparse_invariants():
     # row 1 holds the columns [2, 1]
     with pytest.raises(ValueError, match="not strictly increasing in row 1$"):
         SparseMatrix(3, 3, [0, 1, 3, 3], [0, 2, 1], [1.0, 2.0, 3.0])
+    with pytest.raises(ValueError, match="dimensions must be positive"):
+        SparseMatrix(0, 2, [0], [], [])
+    with pytest.raises(ValueError, match="length rows \\+ 1"):
+        SparseMatrix(2, 2, [0, 1], [0], [1.0])
+    with pytest.raises(ValueError, match="start at 0 and end at nnz"):
+        SparseMatrix(1, 2, [1, 1], [0], [1.0])
+    with pytest.raises(ValueError, match="start at 0 and end at nnz"):
+        SparseMatrix(1, 2, [0, 2], [0], [1.0])
+    with pytest.raises(ValueError, match="nondecreasing"):
+        SparseMatrix(2, 2, [0, 2, 1], [0], [1.0])
+    with pytest.raises(ValueError, match="equal length"):
+        SparseMatrix(1, 2, [0, 1], [0, 1], [1.0])
+    with pytest.raises(ValueError, match="finite"):
+        SparseMatrix(1, 2, [0, 1], [0], [np.inf])
+
+
+def test_sparse_matrix_copies_its_arrays():
+    # the caller's arrays may change after construction; the matrix may not
+    offsets, cols, values = np.array([0, 1, 2]), np.array([0, 1]), np.array([2.0, 3.0])
+    op = LinearOperator(SparseMatrix(2, 2, offsets, cols, values))
+    values[:] = [np.nan, 0.0]
+    cols[:] = [1, 0]
+    offsets[1] = 0
+    assert op.apply(np.ones(2)).tolist() == [2.0, 3.0]
+    assert op.backing.values.tolist() == [2.0, 3.0]
+    assert op.backing.col_indices.tolist() == [0, 1]
+    assert op.backing.row_offsets.tolist() == [0, 1, 2]
+
+
+def test_linear_operator_rejects_non_matrix_backing():
+    with pytest.raises(TypeError, match="backing"):
+        LinearOperator([[1.0, 2.0]])
 
 
 def test_from_coo_sums_duplicates_in_input_order():
@@ -226,6 +260,15 @@ def test_mm_matches_reference_dense_parse(tmp_path, rng):
         ("%%MatrixMarket matrix coordinate real general\n2 2 1\n1 x 5.0\n", "line 3"),
         ("%%MatrixMarket matrix coordinate real general\n2 2 1\n1 1 abc\n", "line 3"),
         ("%%MatrixMarket matrix coordinate real general\n2 2 3\n1 1 5.0\n", "expected 3"),
+        ("", "empty file"),
+        ("%%MatrixMarket vector coordinate real general\n1 1 1\n1 1 2.0\n", "object"),
+        ("%%MatrixMarket matrix coordinate real general\n2 2\n1 1 5.0\n", "three integers"),
+        ("%%MatrixMarket matrix coordinate real general\n2 x 1\n1 1 5.0\n", "size line"),
+        ("%%MatrixMarket matrix coordinate real general\n0 2 1\n1 1 5.0\n", "dimensions"),
+        ("%%MatrixMarket matrix coordinate real general\n% no size line\n", "missing size"),
+        ("%%MatrixMarket matrix coordinate real general\n2 2 1\n1 1\n", "row col value"),
+        ("%%MatrixMarket matrix coordinate real general\n2 2 1\n1 1 inf\n", "non-finite"),
+        ("%%MatrixMarket matrix coordinate real general\n2 2 1\n1 1 nan\n", "non-finite"),
     ],
 )
 def test_mm_errors(tmp_path, text, match):

@@ -126,7 +126,7 @@ def _reference_to_stall(problem, stall_window=5000):
     active-set polish over the support thresholds of the last iterate."""
     b = problem.fstar.shift
     bcfg = BaselineConfig(fista_beta=0.7)
-    state = init_fista(problem, np.zeros(problem.K.cols), bcfg, lam0=1.0)
+    state = init_fista(problem, np.zeros(problem.K.cols), bcfg)
     best_resid, since_improve, iters = math.inf, 0, 0
     while since_improve < stall_window:
         for _ in range(50):

@@ -51,6 +51,41 @@ def test_lasso_invalid_family():
         gen_lasso(ProblemSpec("lasso1", m=5, n=5, s=9))
 
 
+def _nnls_file(tmp_path):
+    path = tmp_path / "toy.mtx"
+    path.write_text("%%MatrixMarket matrix coordinate real general\n2 2 1\n1 1 1.0\n")
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "build, match",
+    [
+        (lambda tmp: gen_lasso(ProblemSpec("lasso1", m=0)), "dimensions must be positive"),
+        (lambda tmp: gen_lasso(ProblemSpec("lasso1", n=-3, s=0)), "dimensions must be positive"),
+        (lambda tmp: gen_matrix_game(ProblemSpec("lasso1")), "not a matrix-game family"),
+        (lambda tmp: gen_matrix_game(ProblemSpec("game1", n=0)), "dimensions must be positive"),
+        (lambda tmp: build_nnls(np.eye(2), np.ones(3)), "observation must have length 2"),
+        (lambda tmp: load_nnls(ProblemSpec("game1", data_path=_nnls_file(tmp))),
+         "not an NNLS family"),
+        (lambda tmp: load_nnls(ProblemSpec("nnls-well")), "data_path"),
+    ],
+)
+def test_generator_input_checks(tmp_path, build, match):
+    with pytest.raises(ValueError, match=match):
+        build(tmp_path)
+
+
+def test_problem_kind_follows_from_g_and_fstar():
+    game = gen_matrix_game(ProblemSpec("game1", seed=1, m=4, n=3))
+    lasso, _ = gen_lasso(ProblemSpec("lasso1", seed=1, m=4, n=6, s=2))
+    sp, b = _toy_sparse()
+    kinds = [
+        (p.is_matrix_game, p.is_least_squares)
+        for p in (game, lasso, build_nnls(sp, b), build_nnls(sp, b, swapped=True))
+    ]
+    assert kinds == [(True, False), (False, True), (False, True), (False, False)]
+
+
 def test_game_instances():
     g3 = gen_matrix_game(ProblemSpec("game3", seed=100))
     assert g3.K.shape == (500, 100)
@@ -193,6 +228,20 @@ def test_pd_gap_feasibility_errors():
         pd_gap_game(op, [-0.1, 1.1], [0.5, 0.5])
     with pytest.raises(FeasibilityError, match="sum"):
         pd_gap_game(op, [0.7, 0.7], [0.5, 0.5])
+
+
+@pytest.mark.parametrize(
+    "x, y, error, match",
+    [
+        ([0.5, 0.5, 0.0], [0.5, 0.5], ValueError, "x must have length 2"),
+        ([0.5, 0.5], [1.0], ValueError, "y must have length 2"),
+        ([0.5, 0.5], [1.2, -0.2], FeasibilityError, "y infeasible: component 1"),
+        ([0.5, 0.5], [0.5, 0.6], FeasibilityError, "y infeasible: sum"),
+    ],
+)
+def test_pd_gap_input_checks(x, y, error, match):
+    with pytest.raises(error, match=match):
+        pd_gap_game(LinearOperator(np.eye(2)), x, y)
 
 
 def test_pd_gap_nonnegative_on_random_feasible(rng):

@@ -55,6 +55,22 @@ def test_prox_quad_shift_dim_mismatch():
         prox_quad_shift(np.zeros(2), 1.0, np.zeros(3))
 
 
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda: prox_l1(np.ones(2), -0.1), "nonnegative"),
+        (lambda: prox_quad_shift(np.ones(2), 0.0, np.zeros(2)), "positive"),
+        (lambda: prox_quad_shift(np.ones(2), -1.0, np.zeros(2)), "positive"),
+        (lambda: ScaledL1(-0.5), "nonnegative"),
+        (lambda: QuadShift(np.array([1.0, np.nan])), "finite"),
+        (lambda: QuadShift(np.array([np.inf])), "finite"),
+    ],
+)
+def test_prox_input_checks(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
 def test_proj_nonneg_cases(fixtures):
     assert proj_nonneg([1.0, 2.0]).tolist() == [1.0, 2.0]
     assert proj_nonneg([-1.0, 2.0]).tolist() == [0.0, 2.0]

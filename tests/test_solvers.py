@@ -14,7 +14,7 @@ from saddlesolve.problems import (
     gen_matrix_game,
     pd_gap_game,
 )
-from saddlesolve.prox import QuadShift, Zero
+from saddlesolve.prox import IndSimplex, QuadShift, Zero
 from saddlesolve.solvers import (
     BaselineConfig,
     ConfigError,
@@ -40,6 +40,16 @@ from saddlesolve.solvers import (
     predict_step,
     run,
 )
+
+
+class _NanProx:
+    """A prox that returns NaN, so no backtracking test ever accepts."""
+
+    def prox(self, v, step):
+        return np.full_like(v, np.nan)
+
+    def value(self, x):
+        return 0.0
 
 
 def _bilinear_problem(k=1.0):
@@ -93,6 +103,29 @@ def test_config_schedule_ordering():
         _cfg(n_hat=10, n_zero=5).validate()
 
 
+@pytest.mark.parametrize(
+    "field, value, named",
+    [("lambda0", 0.0, "lambda0"), ("lambda0", np.nan, "lambda0"),
+     ("lambda_cap", -1.0, "lambda_cap"), ("beta0", 0.0, "beta"), ("gamma", -0.1, "gamma")],
+)
+def test_config_rejects_each_field(field, value, named):
+    with pytest.raises(ConfigError, match=named):
+        _cfg(**{field: value}).validate()
+
+
+@pytest.mark.parametrize(
+    "field, value, named",
+    [(name, bad, name) for name in ("tau", "sigma", "mu_ls", "fista_beta", "step", "beta")
+     for bad in (0.0, -1.0, np.nan)]
+    + [("alpha_ls", 0.0, "alpha_ls"), ("alpha_ls", 1.0, "alpha_ls"), ("mu_ls", 1.0, "mu_ls"),
+       ("fista_beta", 1.0, "fista_beta"), ("theta", -2.0, "theta"), ("theta", np.nan, "theta"),
+       ("theta", np.inf, "theta")],
+)
+def test_baseline_config_rejects_each_field(field, value, named):
+    with pytest.raises(ConfigError, match=named):
+        BaselineConfig(**{field: value}).validate()
+
+
 # --- schedule and step prediction ------------------------------------------
 
 
@@ -116,18 +149,18 @@ def test_phi_partitions_and_bounds():
 def test_predict_step_branches(fixtures):
     cfg = _cfg(delta=0.62, alpha=1.27, beta0=1.0)
     # zero adjoint difference, monotone: unchanged
-    assert predict_step(1.0, 0.0, 0.8, 1.0, cfg) == 0.8
+    assert predict_step(1.0, 0.0, 0.8, 1.0, cfg, cfg.beta0) == 0.8
     # formula case
-    assert predict_step(1.0, 2.0, 1.0, 1.0, cfg) == pytest.approx(
+    assert predict_step(1.0, 2.0, 1.0, 1.0, cfg, cfg.beta0) == pytest.approx(
         fixtures["predict_basic"]["out"], rel=1e-15
     )
     # previous step clamps
-    assert predict_step(10.0, 1.0, 0.5, 1.0, cfg) == 0.5
+    assert predict_step(10.0, 1.0, 0.5, 1.0, cfg, cfg.beta0) == 0.5
     # nonmonotone growth capped by phi and lambda_cap
     nm = _cfg(delta=0.62, alpha=1.27, nonmonotone=True, lambda_cap=2.0, n_hat=1, n_zero=2)
-    assert predict_step(100.0, 1.0, 1.0, 1.5, nm) == 1.5
-    assert predict_step(100.0, 1.0, 5.0, 1.5, nm) == 2.0
-    assert predict_step(1.0, 0.0, 1.0, 1.5, nm) == 1.5
+    assert predict_step(100.0, 1.0, 1.0, 1.5, nm, nm.beta0) == 1.5
+    assert predict_step(100.0, 1.0, 5.0, 1.5, nm, nm.beta0) == 2.0
+    assert predict_step(1.0, 0.0, 1.0, 1.5, nm, nm.beta0) == 1.5
 
 
 # --- init -------------------------------------------------------------------
@@ -162,6 +195,12 @@ def test_init_state_dim_error():
     prob = _bilinear_problem()
     with pytest.raises(ValueError, match="x0"):
         init_state(prob, [0.0, 1.0], [0.0], _cfg())
+
+
+def test_init_state_dual_dim_error():
+    prob = _bilinear_problem()
+    with pytest.raises(ValueError, match="y0"):
+        init_state(prob, [0.0], [0.0, 1.0], _cfg())
 
 
 def test_init_state_rejects_non_finite_start():
@@ -326,7 +365,7 @@ def test_step_floor_delta_ge_one():
     for _ in range(2000):
         pdac_iterate(st, game, cfg)
         lams.append(st.lam_next)
-    L = game.K.operator_norm(tol=1e-13)
+    L = game.K.operator_norm()
     floor = min(cfg.alpha / (math.sqrt(cfg.beta0) * L), cfg.lambda0)
     assert min(lams) >= floor - 1e-12
 
@@ -581,6 +620,77 @@ def test_run_divergence_error_carries_trace():
     assert exc.value.iteration >= 1
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_run_pgm_divergence_error_carries_trace():
+    # a gradient step of 50/L^2 makes pgm blow up geometrically
+    prob, _ = gen_lasso(ProblemSpec("lasso1", seed=2, m=20, n=40, s=3))
+    L = prob.K.operator_norm()
+    with pytest.raises(DivergenceError) as exc:
+        run("pgm", prob, BaselineConfig(step=50.0 / L**2), *prob.start, max_iter=1000)
+    assert exc.value.trace is not None
+    assert exc.value.trace.rows[-1][0] == exc.value.iteration - 1
+
+
+@pytest.mark.parametrize("kind", ["pdac", "apdac", "pda", "pdal", "pgm", "fista"])
+def test_run_checks_every_kind_for_divergence(kind, monkeypatch):
+    # the iterate itself checks nothing; run() raises at the first step
+    # that leaves a non-finite point
+    prob = _budget_problem("lasso")
+    iterate = getattr(solvers, f"{kind}_iterate")
+    calls = []
+
+    def poisoned(state, problem, cfg):
+        iterate(state, problem, cfg)
+        if len(calls) == 2:
+            for value in vars(state).values():
+                if isinstance(value, np.ndarray):
+                    value[0] = np.nan
+        calls.append(1)
+        return state
+
+    monkeypatch.setattr(solvers, f"{kind}_iterate", poisoned)
+    with pytest.raises(DivergenceError) as exc:
+        run(kind, prob, _budget_config(kind, prob), *prob.start, max_iter=10)
+    assert exc.value.iteration == 3
+    assert [row[0] for row in exc.value.trace.rows] == [0, 1, 2]
+
+
+def test_run_input_checks():
+    prob, _ = gen_lasso(ProblemSpec("lasso1", seed=2, m=8, n=12, s=2))
+    cfg = _cfg(delta=0.62, alpha=1.27, lambda0=0.1)
+    with pytest.raises(ValueError, match="max_iter"):
+        run("pdac", prob, cfg, *prob.start, max_iter=-1)
+    with pytest.raises(ValueError, match="trace_every"):
+        run("pdac", prob, cfg, *prob.start, max_iter=1, trace_every=0)
+    with pytest.raises(ConfigError, match="unknown solver kind"):
+        run("newton", prob, cfg, *prob.start, max_iter=1)
+    with pytest.raises(ConfigError, match="theta"):
+        run("pdal", prob, BaselineConfig(theta=-2.0), *prob.start, max_iter=1)
+
+
+def test_run_hand_built_game_is_measured_by_ergodic_gap():
+    # the problem kind follows from g and fstar: two simplex indicators make
+    # a matrix game, however the problem was built
+    game = gen_matrix_game(ProblemSpec("game1", seed=3, m=30, n=30))
+    hand = SaddleProblem(g=IndSimplex(), fstar=IndSimplex(), K=game.K, start=game.start)
+    assert hand.is_matrix_game and not hand.is_least_squares
+    cfg = _cfg(delta=1.0, alpha=0.99, beta0=1.0, lambda0=default_lambda0(game, 1.0))
+    gaps = run("pdac", hand, cfg, *hand.start, max_iter=300, trace_every=100).column("metric")
+    assert gaps == run("pdac", game, cfg, *game.start, max_iter=300, trace_every=100).column(
+        "metric"
+    )
+    assert gaps == pytest.approx([0.36048, 0.034451, 0.016456, 0.011001], rel=1e-4)
+
+
+def test_run_pdal_linesearch_stall_carries_trace():
+    prob = SaddleProblem(
+        g=_NanProx(), fstar=QuadShift(np.ones(3)), K=LinearOperator(np.eye(3)), label="stall"
+    )
+    with pytest.raises(LinesearchStallError, match="linesearch exceeded") as exc:
+        run("pdal", prob, BaselineConfig(), np.zeros(3), np.zeros(3), max_iter=5)
+    assert [row[0] for row in exc.value.trace.rows] == [0]
+
+
 @pytest.mark.parametrize(
     "kind, cfg",
     [("pdac", _cfg(delta=0.62, alpha=1.27, lambda0=0.1)), ("pdal", BaselineConfig()),
@@ -644,6 +754,13 @@ def test_run_matvecs_per_iteration_with_metric_rows(kind, family, matvec_count):
         "fista": (iters + shrinks, iters),  # K x+ for each trial; K v is recombined
     }.get(kind, (iters, iters))
     assert (f120 - f20, a120 - a20) == expected
+
+
+def test_trace_csv_rejects_wrong_header(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text("iter,seconds,metric\n0,0.0,1.0\n")
+    with pytest.raises(ValueError, match="header"):
+        IterationTrace.from_csv(path)
 
 
 def test_trace_csv_round_trip(tmp_path):
