@@ -1,16 +1,26 @@
 """Linear operators over dense and CSR-sparse matrices.
 
 Provides forward/adjoint application, power-iteration operator-norm
-estimation, Frobenius norms, and a Matrix Market coordinate-file reader.
-Operators are immutable after construction and safe to share.
+estimation, Frobenius norms, the Euclidean norm ``vector_norm`` that the
+solvers use, and a Matrix Market coordinate-file reader. Operators are
+immutable after construction and safe to share.
+
+The products are bound once per operator: a dense backing multiplies with
+its entries and their transposed view, and a CSR backing calls scipy's
+``csr_matvec``/``csc_matvec`` kernels on the arrays of its matrix and of the
+matrix's transposed view, the code ``csr @ x`` runs after its dispatch. The
+input checks and the application counters stay in ``LinearOperator.apply``
+and ``adjoint_apply``, the names that a tracer wraps.
 """
 
 from __future__ import annotations
 
 import math
+from functools import partial
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse import _sparsetools
 
 __all__ = [
     "DenseMatrix",
@@ -19,6 +29,7 @@ __all__ = [
     "MatrixMarketError",
     "PowerIterationError",
     "read_matrix_market",
+    "vector_norm",
 ]
 
 # Fixed seed for the power-iteration start vector: norm estimates must be
@@ -28,6 +39,29 @@ __all__ = [
 _POWER_SEED = 0x5EED
 _POWER_TOL = 1e-10
 _POWER_MAX_ITER = 10000
+
+
+def vector_norm(v):
+    """Euclidean norm of a 1-D float array as a Python float.
+
+    The computation of ``np.linalg.norm`` for such arrays, sqrt(v . v), and
+    bitwise its result, without its argument handling.
+    """
+    return math.sqrt(v.dot(v))
+
+
+def _compressed_matvec(kernel, rows, cols, indptr, indices, data, x):
+    out = np.zeros(rows)
+    kernel(rows, cols, indptr, indices, data, x, out)
+    return out
+
+
+def _compressed_product(mat):
+    """The product x -> mat @ x of a scipy CSR or CSC matrix, through the
+    sparsetools kernel that ``mat @ x`` calls, bound to the matrix's arrays
+    (a partial, so the operator pickles)."""
+    kernel = getattr(_sparsetools, mat.format + "_matvec")
+    return partial(_compressed_matvec, kernel, *mat.shape, mat.indptr, mat.indices, mat.data)
 
 
 class MatrixMarketError(ValueError):
@@ -161,23 +195,31 @@ class LinearOperator:
     """Matrix-backed linear operator with forward and adjoint application.
 
     The adjoint of CSR storage is applied by a transposed traversal of the
-    backing's CSR matrix (no stored transpose). ``apply_calls`` and
-    ``adjoint_calls`` count matrix applications so tests can pin
-    per-iteration budgets.
+    backing's CSR matrix (no stored transpose). Both products are bound at
+    construction (see the module docstring). ``apply`` and
+    ``adjoint_apply`` take the input as a C-contiguous float array, so a
+    list, an integer or a strided vector gives the bits of its contiguous
+    float copy; they check its length against shapes cached at
+    construction and count the call in ``apply_calls`` and
+    ``adjoint_calls``, so tests can pin per-iteration budgets. They stay
+    methods of the class, so a wrapper set on the class sees every product.
     """
 
     def __init__(self, backing):
         if isinstance(backing, np.ndarray):
             backing = DenseMatrix(backing)
         if isinstance(backing, DenseMatrix):
-            self._mat = backing.entries
-            self._mat_t = backing.entries.T
+            self._product = backing.entries.__matmul__
+            self._adjoint_product = backing.entries.T.__matmul__
         elif isinstance(backing, SparseMatrix):
-            self._mat = backing._csr
-            self._mat_t = backing._csr.T  # CSC view over the same values
+            self._product = _compressed_product(backing._csr)
+            # CSC view over the same values
+            self._adjoint_product = _compressed_product(backing._csr.T)
         else:
             raise TypeError("backing must be a DenseMatrix or SparseMatrix")
         self.backing = backing
+        self._x_shape = (backing.cols,)
+        self._y_shape = (backing.rows,)
         self.cached_norm = None
         self.apply_calls = 0
         self.adjoint_calls = 0
@@ -196,21 +238,21 @@ class LinearOperator:
 
     def apply(self, x):
         """Forward product K x."""
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.cols,):
+        x = np.asarray(x, dtype=float, order="C")
+        if x.shape != self._x_shape:
             raise ValueError(f"apply: expected vector of length {self.cols}, got shape {x.shape}")
         self.apply_calls += 1
-        return self._mat @ x
+        return self._product(x)
 
     def adjoint_apply(self, y):
         """Adjoint product K* y."""
-        y = np.asarray(y, dtype=float)
-        if y.shape != (self.rows,):
+        y = np.asarray(y, dtype=float, order="C")
+        if y.shape != self._y_shape:
             raise ValueError(
                 f"adjoint_apply: expected vector of length {self.rows}, got shape {y.shape}"
             )
         self.adjoint_calls += 1
-        return self._mat_t @ y
+        return self._adjoint_product(y)
 
     def reset_counters(self):
         self.apply_calls = 0
@@ -233,16 +275,16 @@ class LinearOperator:
             raise ValueError("operator_norm: zero operator")
         rng = np.random.default_rng(_POWER_SEED)
         v = rng.standard_normal(self.cols)
-        v /= np.linalg.norm(v)
+        v /= vector_norm(v)
         prev = None
         eig = 0.0
         for _ in range(_POWER_MAX_ITER):
             u = self.adjoint_apply(self.apply(v))
-            eig = float(np.linalg.norm(u))
+            eig = vector_norm(u)
             if eig == 0.0:
                 # start vector fell in the null space; re-draw
                 v = rng.standard_normal(self.cols)
-                v /= np.linalg.norm(v)
+                v /= vector_norm(v)
                 prev = None
                 continue
             if prev is not None and abs(eig - prev) <= _POWER_TOL * eig:

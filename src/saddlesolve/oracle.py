@@ -13,6 +13,7 @@ import math
 import numpy as np
 
 from .diagnostics import ReferencePoint
+from .linop import vector_norm
 from .problems import primal_objective
 from .prox import ScaledL1
 from .solvers import BaselineConfig, fista_iterate, init_fista
@@ -28,7 +29,7 @@ def saddle_residual(problem, x, y, Kx=None):
     y = np.asarray(y, dtype=float)
     rx = x - problem.g.prox(x - problem.K.adjoint_apply(y), 1.0)
     ry = y - problem.fstar.prox(y + (problem.K.apply(x) if Kx is None else Kx), 1.0)
-    return max(float(np.linalg.norm(rx)), float(np.linalg.norm(ry)))
+    return max(vector_norm(rx), vector_norm(ry))
 
 
 def _dense_columns(problem):

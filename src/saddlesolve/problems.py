@@ -199,8 +199,9 @@ def build_nnls(sparse, b, swapped=False, label="nnls"):
     solver, exploiting primal/dual symmetry): the roles trade places, the
     coupling operator becomes the negated adjoint, and g picks up strong
     convexity gamma = 1/2. The swapped problem's dual iterate is the original
-    primal variable, so it reuses the unswapped problem's objective, which
-    consumes "y"; its image K_sw* y = -K y maps back to K y by negation.
+    primal variable, so its objective, which consumes "y", is
+    ``primal_objective`` of the unswapped problem; its image K_sw* y = -K y
+    maps back to K y by negation.
     """
     if not isinstance(sparse, SparseMatrix):
         sparse = SparseMatrix.from_dense(np.asarray(sparse, dtype=float))
@@ -225,7 +226,9 @@ def build_nnls(sparse, b, swapped=False, label="nnls"):
         K=LinearOperator(sparse.transposed(negate=True)),
         gamma=0.5,
         label=f"{label}-swapped",
-        objective=lambda y, image=None: prob.objective(y, None if image is None else -image),
+        objective=lambda y, image=None: primal_objective(
+            prob, y, None if image is None else -image
+        ),
         objective_var="y",
         start=(np.zeros(m), np.zeros(n)),
     )

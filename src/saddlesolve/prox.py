@@ -42,7 +42,12 @@ def prox_quad_shift(v, s, b):
     b = np.asarray(b, dtype=float)
     if v.shape != b.shape:
         raise ValueError(f"shape mismatch: v {v.shape} vs shift {b.shape}")
-    return (v - s * b) / (1.0 + s)
+    # the operations of (v - s*b) / (1 + s) in their order, so its bits,
+    # in one buffer
+    out = s * b
+    np.subtract(v, out, out=out)
+    out /= 1.0 + s
+    return out
 
 
 def proj_nonneg(x):

@@ -25,6 +25,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .diagnostics import ErgodicAverage
+from .linop import vector_norm
 from .problems import pd_gap_game
 from .prox import QuadShift
 
@@ -92,10 +93,12 @@ class DivergenceError(RuntimeError):
 class SolverConfig:
     """Parameters for the corrected primal-dual solver and its acceleration.
 
-    Admissible ranges (checked by ``validate``): delta > (sqrt(5)-1)/2,
-    0 < alpha < 1/sqrt(delta), 1 < nu_corr <= mu_corr, 0 < rho < 1. The
-    accelerated variant additionally needs delta >= 1, gamma >= 0 and the
-    monotone step rule. ``gamma`` is read only by the accelerated variant.
+    Admissible ranges (checked by ``validate``): finite delta >
+    (sqrt(5)-1)/2, 0 < alpha < 1/sqrt(delta), 1 < nu_corr <= mu_corr < inf,
+    0 < rho < 1, lambda0 and beta0 positive and finite, gamma finite and
+    nonnegative, lambda_cap positive, where lambda_cap = inf means no cap.
+    The accelerated variant additionally needs delta >= 1 and the monotone
+    step rule. ``gamma`` is read only by the accelerated variant.
     """
 
     delta: float = 0.62
@@ -112,9 +115,10 @@ class SolverConfig:
     nonmonotone: bool = False
 
     def validate(self, kind="pdac"):
-        if not self.delta > DELTA_LOWER:
+        if not (self.delta > DELTA_LOWER and math.isfinite(self.delta)):
             raise ConfigError(
-                f"delta must exceed (sqrt(5)-1)/2 = {DELTA_LOWER:.12f}; got {self.delta}"
+                f"delta must be finite and exceed (sqrt(5)-1)/2 = {DELTA_LOWER:.12f}; "
+                f"got {self.delta}"
             )
         if kind == "apdac" and not self.delta >= 1.0:
             raise ConfigError(f"accelerated solver needs delta >= 1; got {self.delta}")
@@ -125,20 +129,21 @@ class SolverConfig:
             raise ConfigError(
                 f"alpha must lie in ]0, 1/sqrt(delta)[ = ]0, {alpha_bound:.12f}[; got {self.alpha}"
             )
-        if not 1.0 < self.nu_corr <= self.mu_corr:
+        if not (1.0 < self.nu_corr <= self.mu_corr and math.isfinite(self.mu_corr)):
             raise ConfigError(
-                f"correction bounds need 1 < nu <= mu; got nu={self.nu_corr}, mu={self.mu_corr}"
+                "correction bounds need 1 < nu <= mu < inf; "
+                f"got nu={self.nu_corr}, mu={self.mu_corr}"
             )
         if not 0.0 < self.rho < 1.0:
             raise ConfigError(f"backtrack factor rho must lie in ]0, 1[; got {self.rho}")
-        if not self.lambda0 > 0:
-            raise ConfigError(f"lambda0 must be positive; got {self.lambda0}")
+        if not (self.lambda0 > 0 and math.isfinite(self.lambda0)):
+            raise ConfigError(f"lambda0 must be positive and finite; got {self.lambda0}")
         if not self.lambda_cap > 0:
             raise ConfigError(f"lambda_cap must be positive; got {self.lambda_cap}")
-        if not self.beta0 > 0:
-            raise ConfigError(f"beta must be positive; got {self.beta0}")
-        if self.gamma < 0:
-            raise ConfigError(f"gamma must be nonnegative; got {self.gamma}")
+        if not (self.beta0 > 0 and math.isfinite(self.beta0)):
+            raise ConfigError(f"beta must be positive and finite; got {self.beta0}")
+        if not (self.gamma >= 0 and math.isfinite(self.gamma)):
+            raise ConfigError(f"gamma must be finite and nonnegative; got {self.gamma}")
         if self.n_hat > self.n_zero:
             raise ConfigError(
                 f"schedule needs n_hat <= n_zero; got n_hat={self.n_hat}, n_zero={self.n_zero}"
@@ -150,7 +155,9 @@ class SolverConfig:
 class BaselineConfig:
     """Parameters for the baseline solvers. ``beta`` is the primal-dual step
     ratio used by the linesearch PDA and ``theta`` its first step-growth
-    ratio; ``step`` the fixed gradient step."""
+    ratio; ``step`` the fixed gradient step. ``validate`` requires tau,
+    sigma, step and beta positive and finite, alpha_ls, mu_ls and
+    fista_beta in ]0, 1[, and theta finite and nonnegative."""
 
     tau: float = 1.0
     sigma: float = 1.0
@@ -163,8 +170,9 @@ class BaselineConfig:
 
     def validate(self):
         for name in ("tau", "sigma", "mu_ls", "fista_beta", "step", "beta"):
-            if not getattr(self, name) > 0:
-                raise ConfigError(f"{name} must be positive; got {getattr(self, name)}")
+            value = getattr(self, name)
+            if not (value > 0 and math.isfinite(value)):
+                raise ConfigError(f"{name} must be positive and finite; got {value}")
         if not (math.isfinite(self.theta) and self.theta >= 0.0):
             raise ConfigError(f"theta must be finite and nonnegative; got {self.theta}")
         if not 0.0 < self.alpha_ls < 1.0:
@@ -251,10 +259,15 @@ def default_lambda0(problem, beta):
     return 1.0 / (math.sqrt(beta) * fro)
 
 
-def _finite_start(x0, y0):
-    """(x0, y0) as float arrays; a non-finite entry raises ValueError."""
+def _checked_start(problem, x0, y0):
+    """(x0, y0) as float arrays; a length other than the operator's column
+    (x0) or row (y0) count, or a non-finite entry, raises ValueError."""
     x0 = np.asarray(x0, dtype=float)
     y0 = np.asarray(y0, dtype=float)
+    if x0.shape != (problem.K.cols,):
+        raise ValueError(f"x0 must have length {problem.K.cols}, got shape {x0.shape}")
+    if y0.shape != (problem.K.rows,):
+        raise ValueError(f"y0 must have length {problem.K.rows}, got shape {y0.shape}")
     if not (np.all(np.isfinite(x0)) and np.all(np.isfinite(y0))):
         raise ValueError("the start (x0, y0) must be finite")
     return x0, y0
@@ -264,15 +277,11 @@ def init_state(problem, x0, y0, cfg, kind="pdac"):
     """Validate the configuration and build the initial solver state.
 
     zeta_0 is the larger of the two prox fixed-point residuals at (x0, y0);
-    it vanishes exactly at saddle points. A non-finite start raises
-    ValueError.
+    it vanishes exactly at saddle points. A start of the wrong length or
+    with a non-finite entry raises ValueError.
     """
     cfg.validate(kind)
-    x0, y0 = _finite_start(x0, y0)
-    if x0.shape != (problem.K.cols,):
-        raise ValueError(f"x0 must have length {problem.K.cols}, got shape {x0.shape}")
-    if y0.shape != (problem.K.rows,):
-        raise ValueError(f"y0 must have length {problem.K.rows}, got shape {y0.shape}")
+    x0, y0 = _checked_start(problem, x0, y0)
     lam = cfg.lambda0
     beta = cfg.beta0
     Ky0 = problem.K.adjoint_apply(y0)
@@ -280,7 +289,7 @@ def init_state(problem, x0, y0, cfg, kind="pdac"):
     px = problem.g.prox(x0 - lam * Ky0, lam)
     s = beta * lam
     py = problem.fstar.prox(y0 + s * Kx0, s)
-    zeta0 = max(float(np.linalg.norm(x0 - px)), float(np.linalg.norm(y0 - py)))
+    zeta0 = max(vector_norm(x0 - px), vector_norm(y0 - py))
     return SolverState(
         x_prev=x0.copy(),
         x_cur=x0.copy(),
@@ -357,7 +366,7 @@ def correction_pass(state, problem, cfg, x_candidate, zeta_candidate, phi_n):
         state.lam_cur *= cfg.rho
         state.lam_next = min(phi_n * state.lam_cur, state.lam_next)
         x_candidate = problem.g.prox(state.x_cur - state.lam_cur * state.Ky_cur, state.lam_cur)
-        zeta_candidate = float(np.linalg.norm(x_candidate - state.x_cur))
+        zeta_candidate = vector_norm(x_candidate - state.x_cur)
         shrinks += 1
     state.correction_backtracks += shrinks
     return x_candidate, zeta_candidate
@@ -381,7 +390,7 @@ def _pd_iterate(state, problem, cfg, accelerated):
     gamma = cfg.gamma if accelerated else 0.0
     phi_n = phi_schedule(n, cfg)
     x_next = problem.g.prox(state.x_cur - state.lam_cur * state.Ky_cur, state.lam_cur)
-    zeta_next = float(np.linalg.norm(x_next - state.x_cur))
+    zeta_next = vector_norm(x_next - state.x_cur)
     if cfg.delta < 1.0:
         x_next, zeta_next = correction_pass(state, problem, cfg, x_next, zeta_next, phi_n)
     Kx_next = K.apply(x_next)
@@ -390,8 +399,8 @@ def _pd_iterate(state, problem, cfg, accelerated):
     s = beta_next * state.lam_next
     y_next = problem.fstar.prox(state.y_cur + s * Kz_next, s)
     Ky_next = K.adjoint_apply(y_next)
-    dy = float(np.linalg.norm(y_next - state.y_cur))
-    kdy = float(np.linalg.norm(Ky_next - state.Ky_cur))
+    dy = vector_norm(y_next - state.y_cur)
+    kdy = vector_norm(Ky_next - state.Ky_cur)
     cap = math.sqrt(state.beta_cur / beta_next) * state.lam_next
     lam_after = predict_step(dy, kdy, cap, phi_n, cfg, beta_next)
 
@@ -503,8 +512,8 @@ def pdal_iterate(state, problem, bcfg):
         s = bcfg.beta * trial
         y_next = problem.fstar.prox(state.y + s * Kz, s)
         Ky_next = K.adjoint_apply(y_next)
-        lhs = sqrt_beta * trial * float(np.linalg.norm(Ky_next - state.Ky))
-        rhs = bcfg.alpha_ls * float(np.linalg.norm(y_next - state.y))
+        lhs = sqrt_beta * trial * vector_norm(Ky_next - state.Ky)
+        rhs = bcfg.alpha_ls * vector_norm(y_next - state.y)
         if lhs <= rhs:
             break
         if shrinks >= _MAX_SHRINKS:
@@ -733,38 +742,41 @@ def run(
     problem objective (minus ``reference_value`` when given), evaluated with
     the K-image the solver state caches, so an objective row applies no
     matrix; for a matrix game (``problem.is_matrix_game``) it holds the
-    primal-dual gap of the running ergodic average. A non-finite start
-    raises ValueError. After every iteration the point the objective reads
-    and its image are checked, and a non-finite entry raises
-    DivergenceError. Runs are deterministic for a fixed iteration budget.
-    The last row is the last iteration run, whether the iteration or the
-    time budget ended the run. A DivergenceError or LinesearchStallError
-    carries the trace recorded so far in its ``trace`` attribute.
+    primal-dual gap of the running ergodic average. A start whose lengths
+    do not match ``problem.K``, or with a non-finite entry, raises
+    ValueError, whatever the kind. After every iteration the point the
+    objective reads and its image are checked, and a non-finite entry
+    raises DivergenceError. The metric row of an iteration reuses the point
+    and image that check fetched. Runs are deterministic for a fixed
+    iteration budget. The last row is the last iteration run, whether the
+    iteration or the time budget ended the run. A DivergenceError or
+    LinesearchStallError carries the trace recorded so far in its ``trace``
+    attribute.
     """
     if max_iter < 0:
         raise ValueError("max_iter must be nonnegative")
     if trace_every < 1:
         raise ValueError("trace_every must be at least 1")
-    x0, y0 = _finite_start(x0, y0)
+    x0, y0 = _checked_start(problem, x0, y0)
     drv = _driver(solver_kind, problem, cfg, x0, y0)
     state = drv.state
     ergodic = ErgodicAverage(x0, drv.head) if problem.is_matrix_game else None
 
-    def metric():
+    def metric(point, image):
         if ergodic is not None:
             if ergodic.updates:
                 return pd_gap_game(problem.K, ergodic.X, ergodic.Y)
             return pd_gap_game(problem.K, x0, y0)
         if problem.objective is None:
             return float("nan")
-        value = problem.objective(*drv.point(state))
+        value = problem.objective(point, image)
         if reference_value is not None:
             value -= reference_value
         return value
 
     trace = IterationTrace()
     t0 = time.perf_counter()
-    trace.append(0, 0.0, metric(), *drv.report(state))
+    trace.append(0, 0.0, metric(*drv.point(state)), *drv.report(state))
     for n in range(1, max_iter + 1):
         try:
             drv.step(state, problem, cfg)
@@ -778,7 +790,7 @@ def run(
             ergodic.update(*drv.sample(state))
         out_of_time = max_seconds is not None and time.perf_counter() - t0 > max_seconds
         if n % trace_every == 0 or n == max_iter or out_of_time:
-            trace.append(n, time.perf_counter() - t0, metric(), *drv.report(state))
+            trace.append(n, time.perf_counter() - t0, metric(point, image), *drv.report(state))
         if out_of_time:
             break
     return trace

@@ -171,6 +171,17 @@ def test_invalid_config_rejected(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_non_finite_step_is_usage_error(tmp_path, value):
+    out = tmp_path / "t.csv"
+    code = run_experiment(
+        ["--problem", "lasso1", "--solver", "pdac", "--lambda0", value, "--max-iters", "3",
+         "--output", str(out)]
+    )
+    assert code == 1
+    assert not out.exists()
+
+
 def test_divergence_exit_code_flushes_trace(tmp_path, monkeypatch):
     out = tmp_path / "t.csv"
 

@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,9 @@ from saddlesolve.linop import (
     PowerIterationError,
     SparseMatrix,
     read_matrix_market,
+    vector_norm,
 )
+from saddlesolve.problems import ProblemSpec, gen_lasso
 
 
 def _identity_op(n):
@@ -40,6 +44,76 @@ def test_apply_dimension_mismatch():
         op.apply([1.0, 2.0, 3.0])
     with pytest.raises(ValueError, match="length 2"):
         op.adjoint_apply([1.0])
+
+
+def _c12_operator():
+    """The synthetic 1033x320 CSR matrix of acceptance criterion C12, built
+    in memory from the draws its Matrix Market file holds."""
+    rng = np.random.default_rng(1033)
+    ii = rng.integers(0, 1033, size=4500)
+    jj = rng.integers(0, 320, size=4500)
+    vv = rng.standard_normal(4500)
+    return LinearOperator(SparseMatrix.from_coo(1033, 320, ii, jj, vv))
+
+
+def _lasso1_operator():
+    return gen_lasso(ProblemSpec("lasso1"))[0].K
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_products_have_the_bits_of_scipy_and_numpy(rng):
+    # apply/adjoint_apply call the kernels that csr @ x and entries @ x run
+    sparse, dense = _c12_operator(), _lasso1_operator()
+    csr, entries = sparse.backing._csr, dense.backing.entries
+    for _ in range(3):
+        x, y = rng.standard_normal(320), rng.standard_normal(1033)
+        assert _same_bits(sparse.apply(x), csr @ x)
+        assert _same_bits(sparse.adjoint_apply(y), csr.T @ y)
+        x, y = rng.standard_normal(1000), rng.standard_normal(200)
+        assert _same_bits(dense.apply(x), entries @ x)
+        assert _same_bits(dense.adjoint_apply(y), entries.T @ y)
+
+
+@pytest.mark.parametrize("sparse", [False, True])
+def test_products_convert_inputs_to_contiguous_floats(rng, sparse):
+    K = rng.standard_normal((6, 9))
+    K[np.abs(K) < 0.6] = 0.0
+    op = LinearOperator(SparseMatrix.from_dense(K) if sparse else K)
+    for product, n in ((op.apply, 9), (op.adjoint_apply, 6)):
+        wide = rng.standard_normal(2 * n)
+        ints = rng.integers(-5, 6, size=n)
+        for given, plain in (
+            (wide[::2], np.ascontiguousarray(wide[::2])),
+            (list(wide[:n]), wide[:n].copy()),
+            (ints, ints.astype(float)),
+            (ints.tolist(), ints.astype(float)),
+        ):
+            assert _same_bits(product(given), product(plain))
+
+
+@pytest.mark.parametrize("sparse", [False, True])
+def test_operator_pickles_with_its_products(rng, sparse):
+    K = rng.standard_normal((6, 9))
+    K[np.abs(K) < 0.6] = 0.0
+    op = LinearOperator(SparseMatrix.from_dense(K) if sparse else K)
+    copy = pickle.loads(pickle.dumps(op))
+    x, y = rng.standard_normal(9), rng.standard_normal(6)
+    assert _same_bits(copy.apply(x), op.apply(x))
+    assert _same_bits(copy.adjoint_apply(y), op.adjoint_apply(y))
+
+
+def test_vector_norm_is_numpy_norm_bitwise(rng):
+    cases = [rng.standard_normal(n) * scale for n in (1, 2, 7, 320, 1033, 4096)
+             for scale in (1e-200, 1.0, 1e150)]
+    cases += [np.zeros(0), np.zeros(5), np.array([np.inf, 1.0]), np.array([-np.inf, 0.0]),
+              np.array([np.nan, 1.0]), np.array([np.inf, np.nan])]
+    for v in cases:
+        got, want = vector_norm(v), float(np.linalg.norm(v))
+        assert type(got) is float
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
 def test_adjoint_identity_case():

@@ -50,6 +50,13 @@ def test_prox_quad_shift_matches_grid_oracle(fixtures):
     assert got == pytest.approx(1.0 / 3.0, rel=1e-12)
 
 
+def test_prox_quad_shift_bits_of_the_closed_form(rng):
+    for n in (1, 7, 1000):
+        v, b = rng.standard_normal(n), rng.standard_normal(n)
+        for s in (1e-3, 0.37, 1.0, 250.0):
+            assert prox_quad_shift(v, s, b).tobytes() == ((v - s * b) / (1.0 + s)).tobytes()
+
+
 def test_prox_quad_shift_dim_mismatch():
     with pytest.raises(ValueError, match="mismatch"):
         prox_quad_shift(np.zeros(2), 1.0, np.zeros(3))

@@ -106,17 +106,26 @@ def test_config_schedule_ordering():
 @pytest.mark.parametrize(
     "field, value, named",
     [("lambda0", 0.0, "lambda0"), ("lambda0", np.nan, "lambda0"),
-     ("lambda_cap", -1.0, "lambda_cap"), ("beta0", 0.0, "beta"), ("gamma", -0.1, "gamma")],
+     ("lambda_cap", -1.0, "lambda_cap"), ("beta0", 0.0, "beta"), ("gamma", -0.1, "gamma"),
+     ("lambda0", np.inf, "lambda0"), ("beta0", np.inf, "beta"), ("gamma", np.inf, "gamma"),
+     ("gamma", np.nan, "gamma"), ("delta", np.inf, "delta must"), ("mu_corr", np.inf, "mu")],
 )
 def test_config_rejects_each_field(field, value, named):
     with pytest.raises(ConfigError, match=named):
         _cfg(**{field: value}).validate()
+    with pytest.raises(ConfigError, match=named):
+        _cfg(**{field: value}).validate("apdac")
+
+
+def test_config_accepts_uncapped_step():
+    # lambda_cap = inf means no cap on the nonmonotone step
+    _cfg(lambda_cap=np.inf, nonmonotone=True).validate()
 
 
 @pytest.mark.parametrize(
     "field, value, named",
     [(name, bad, name) for name in ("tau", "sigma", "mu_ls", "fista_beta", "step", "beta")
-     for bad in (0.0, -1.0, np.nan)]
+     for bad in (0.0, -1.0, np.nan, np.inf)]
     + [("alpha_ls", 0.0, "alpha_ls"), ("alpha_ls", 1.0, "alpha_ls"), ("mu_ls", 1.0, "mu_ls"),
        ("fista_beta", 1.0, "fista_beta"), ("theta", -2.0, "theta"), ("theta", np.nan, "theta"),
        ("theta", np.inf, "theta")],
@@ -704,6 +713,26 @@ def test_run_rejects_non_finite_start(kind, cfg):
     x0[3] = np.nan
     with pytest.raises(ValueError, match="finite"):
         run(kind, prob, cfg, x0, y0, max_iter=5)
+
+
+_KIND_CONFIGS = {
+    "pdac": _cfg(delta=0.62, alpha=1.27, lambda0=0.1),
+    "apdac": _cfg(lambda0=0.1),
+    "pda": BaselineConfig(tau=0.01, sigma=0.01),
+    "pdal": BaselineConfig(),
+    "pgm": BaselineConfig(step=0.01),
+    "fista": BaselineConfig(),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_KIND_CONFIGS))
+def test_run_checks_start_lengths_for_every_kind(kind):
+    prob, _ = gen_lasso(ProblemSpec("lasso1", seed=2, m=20, n=40, s=2))
+    x0, y0 = prob.start
+    with pytest.raises(ValueError, match="y0 must have length 20"):
+        run(kind, prob, _KIND_CONFIGS[kind], x0, np.zeros(7), max_iter=1)
+    with pytest.raises(ValueError, match="x0 must have length 40"):
+        run(kind, prob, _KIND_CONFIGS[kind], np.zeros(39), y0, max_iter=1)
 
 
 def _budget_problem(family):

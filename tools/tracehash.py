@@ -15,8 +15,12 @@ listing.
 ``--out`` writes every run's rows (``seconds`` dropped) to a JSON file.
 ``--compare`` reads such a file, made by another version of the code, and
 prints for each run the largest relative difference of the metric, lambda
-and beta columns over all rows, and how many rows differ at all. The package
-and the bench helpers are imported from the tree this script sits in.
+and beta columns over all rows, and how many rows differ at all, then the
+count of runs that differ. A run differs when a row differs, its iterations
+or its exit code changed, or it is missing from either side; with
+``--compare`` the script exits 1 when any run differs and 0 otherwise. The
+package and the bench helpers are imported from the tree this script sits
+in.
 """
 
 from __future__ import annotations
@@ -121,25 +125,36 @@ def main(argv=None):
     print(f"listing {hashlib.sha256(listing.encode()).hexdigest()[:16]}")
     if args.out is not None:
         args.out.write_text(json.dumps(runs))
-    if args.compare is not None:
-        other = json.loads(args.compare.read_text())
-        print(f"\ndrift against {args.compare}: max relative difference per column "
-              f"({', '.join(COLUMNS)}), rows that differ")
-        for name, rec in runs.items():
-            if name not in other:
-                print(f"{name:28s} missing in {args.compare}")
-                continue
-            if not rec["rows"] and not other[name]["rows"]:
-                print(f"{name:28s} no trace at either")
-                continue
-            result = drift(rec["rows"], other[name]["rows"])
-            if result is None:
-                print(f"{name:28s} iterations differ")
-                continue
-            worst, differ = result
-            cols = "  ".join(f"{w:.2e}" for w in worst)
-            print(f"{name:28s} {cols}  {differ}/{len(rec['rows'])} rows")
+    if args.compare is None:
+        return 0
+    other = json.loads(args.compare.read_text())
+    print(f"\ndrift against {args.compare}: max relative difference per column "
+          f"({', '.join(COLUMNS)}), rows that differ")
+    names = [*runs, *(name for name in other if name not in runs)]
+    differing = 0
+    for name in names:
+        if name not in runs or name not in other:
+            print(f"{name:28s} missing in {'this tree' if name not in runs else args.compare}")
+            differing += 1
+            continue
+        rec, old = runs[name], other[name]
+        differs = rec["exit"] != old["exit"]
+        note = f"  exit {old['exit']} -> {rec['exit']}" if differs else ""
+        if not rec["rows"] and not old["rows"]:
+            status = "no trace at either"
+        elif (result := drift(rec["rows"], old["rows"])) is None:
+            status = "iterations differ"
+            differs = True
+        else:
+            worst, rows_differ = result
+            differs = differs or rows_differ > 0
+            status = "  ".join(f"{w:.2e}" for w in worst)
+            status += f"  {rows_differ}/{len(rec['rows'])} rows"
+        print(f"{name:28s} {status}{note}")
+        differing += differs
+    print(f"{differing}/{len(names)} runs differ")
+    return 1 if differing else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
