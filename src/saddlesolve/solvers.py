@@ -259,18 +259,22 @@ def default_lambda0(problem, beta):
     return 1.0 / (math.sqrt(beta) * fro)
 
 
+def _checked_vector(v, length, name):
+    """The start vector ``v`` as a float array; a length other than
+    ``length``, or a non-finite entry, raises ValueError."""
+    v = np.asarray(v, dtype=float)
+    if v.shape != (length,):
+        raise ValueError(f"{name} must have length {length}, got shape {v.shape}")
+    if not np.all(np.isfinite(v)):
+        raise ValueError(f"the start {name} must be finite")
+    return v
+
+
 def _checked_start(problem, x0, y0):
-    """(x0, y0) as float arrays; a length other than the operator's column
-    (x0) or row (y0) count, or a non-finite entry, raises ValueError."""
-    x0 = np.asarray(x0, dtype=float)
-    y0 = np.asarray(y0, dtype=float)
-    if x0.shape != (problem.K.cols,):
-        raise ValueError(f"x0 must have length {problem.K.cols}, got shape {x0.shape}")
-    if y0.shape != (problem.K.rows,):
-        raise ValueError(f"y0 must have length {problem.K.rows}, got shape {y0.shape}")
-    if not (np.all(np.isfinite(x0)) and np.all(np.isfinite(y0))):
-        raise ValueError("the start (x0, y0) must be finite")
-    return x0, y0
+    """(x0, y0) checked against the operator's column (x0) and row (y0)
+    counts by ``_checked_vector``."""
+    return (_checked_vector(x0, problem.K.cols, "x0"),
+            _checked_vector(y0, problem.K.rows, "y0"))
 
 
 def init_state(problem, x0, y0, cfg, kind="pdac"):
@@ -447,13 +451,12 @@ def unread_fields(cfg, kind):
 def init_pda(problem, x0, y0, bcfg):
     """Check the step product tau*sigma*L^2 (power-iteration L) and build state."""
     bcfg.validate()
+    x0, y0 = _checked_start(problem, x0, y0)
     L = problem.K.operator_norm()
     if bcfg.tau * bcfg.sigma * L * L > 1.0 + 1e-12:
         raise ConfigError(
             f"fixed-step PDA needs tau*sigma*L^2 <= 1; got {bcfg.tau * bcfg.sigma * L * L:.6f}"
         )
-    x0 = np.asarray(x0, dtype=float)
-    y0 = np.asarray(y0, dtype=float)
     Kx0 = problem.K.apply(x0)
     return PdaState(
         x=x0.copy(), y=y0.copy(), Kx=Kx0, Kz=Kx0, Ky=problem.K.adjoint_apply(y0)
@@ -480,8 +483,7 @@ def pda_iterate(state, problem, bcfg):
 
 def init_pdal(problem, x0, y0, bcfg):
     bcfg.validate()
-    x0 = np.asarray(x0, dtype=float)
-    y0 = np.asarray(y0, dtype=float)
+    x0, y0 = _checked_start(problem, x0, y0)
     return PdalState(
         x=x0.copy(),
         y=y0.copy(),
@@ -544,7 +546,7 @@ def _smooth_shift(problem):
 def init_pgm(problem, x0, bcfg):
     bcfg.validate()
     _smooth_shift(problem)
-    x0 = np.asarray(x0, dtype=float)
+    x0 = _checked_vector(x0, problem.K.cols, "x0")
     return PgmState(x=x0.copy(), Kx=problem.K.apply(x0))
 
 
@@ -562,7 +564,7 @@ def init_fista(problem, x0, bcfg):
     """FISTA state at x0; the first trial step is 1 and backtracks from there."""
     bcfg.validate()
     _smooth_shift(problem)
-    x0 = np.asarray(x0, dtype=float)
+    x0 = _checked_vector(x0, problem.K.cols, "x0")
     Kx0 = problem.K.apply(x0)
     return FistaState(x=x0.copy(), v=x0.copy(), t=1.0, lam=1.0, Kx=Kx0, Kv=Kx0)
 

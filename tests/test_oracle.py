@@ -1,13 +1,21 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from saddlesolve.linop import LinearOperator
-from saddlesolve.oracle import _polish_lasso, _polish_nnls, saddle_residual, solve_reference
+from saddlesolve.linop import LinearOperator, SparseMatrix
+from saddlesolve.oracle import (
+    _polish_lasso,
+    _polish_nnls,
+    _restarted_step,
+    saddle_residual,
+    solve_reference,
+)
 from saddlesolve.problems import ProblemSpec, SaddleProblem, build_nnls, gen_lasso, primal_objective
 from saddlesolve.prox import QuadShift, ScaledL1, Zero, proj_simplex
-from saddlesolve.solvers import BaselineConfig, fista_iterate, init_fista
+from saddlesolve.solvers import BaselineConfig, init_fista
 from make_fixtures import build_records, FIXTURE_PATH
 from oracles import (
     gram_norm_oracle,
@@ -16,6 +24,8 @@ from oracles import (
     qp_project_nonneg_oracle,
     qp_project_simplex_oracle,
 )
+
+BENCH_REFS = Path(__file__).resolve().parent.parent / "bench" / "refs"
 
 
 def test_fixtures_file_fresh():
@@ -121,16 +131,17 @@ def test_reference_zero_problem():
 
 
 def _reference_to_stall(problem, stall_window=5000):
-    """solve_reference without the certified stop: FISTA with a residual check
-    every 50 iterations until the residual target or the stall, then the
-    active-set polish over the support thresholds of the last iterate."""
+    """solve_reference without the certified stop: restarted FISTA with a
+    residual check every 50 iterations until the residual target or the
+    stall, then the active-set polish over the support thresholds of the last
+    iterate."""
     b = problem.fstar.shift
     bcfg = BaselineConfig(fista_beta=0.7)
     state = init_fista(problem, np.zeros(problem.K.cols), bcfg)
     best_resid, since_improve, iters = math.inf, 0, 0
     while since_improve < stall_window:
         for _ in range(50):
-            fista_iterate(state, problem, bcfg)
+            _restarted_step(state, problem, bcfg)
         iters += 50
         resid = saddle_residual(problem, state.x, problem.K.apply(state.x) - b)
         if resid <= 1e-12:
@@ -159,17 +170,35 @@ def _small_nnls():
     return build_nnls(K, rng.standard_normal(30))
 
 
+def _c12_nnls():
+    """The benchmark's nnls-sparse instance: the synthetic 1033x320 matrix of
+    acceptance criterion C12, built in memory from the draws its Matrix
+    Market file holds, with b from seed 1."""
+    rng = np.random.default_rng(1033)
+    ii = rng.integers(0, 1033, size=4500)
+    jj = rng.integers(0, 320, size=4500)
+    vv = rng.standard_normal(4500)
+    b = np.random.default_rng(1).standard_normal(1033)
+    return build_nnls(SparseMatrix.from_coo(1033, 320, ii, jj, vv), b)
+
+
 @pytest.mark.parametrize(
-    "make",
+    "make, sooner",
     [
-        lambda: gen_lasso(ProblemSpec("lasso1", seed=26, m=14, n=30, s=3))[0],
-        lambda: gen_lasso(ProblemSpec("lasso1", seed=6, m=15, n=40, s=4))[0],
-        lambda: gen_lasso(ProblemSpec("lasso1", seed=28, m=12, n=28, s=3))[0],
-        _small_nnls,
+        (lambda: gen_lasso(ProblemSpec("lasso1", seed=26, m=14, n=30, s=3))[0], True),
+        (lambda: gen_lasso(ProblemSpec("lasso1", seed=6, m=15, n=40, s=4))[0], True),
+        (lambda: gen_lasso(ProblemSpec("lasso1", seed=28, m=12, n=28, s=3))[0], True),
+        # singular K_S^T K_S on a support wider than m: needs the stationarity
+        # check on the support
+        (lambda: gen_lasso(ProblemSpec("lasso1", seed=47, m=8, n=50, s=2))[0], True),
+        # the iterate meets the residual target at the second check, before
+        # two checks can agree on a support, so both solves stop there
+        (_small_nnls, False),
+        (_c12_nnls, True),
     ],
-    ids=["lasso-14x30", "lasso-15x40", "lasso-12x28", "nnls-30x12"],
+    ids=["lasso-14x30", "lasso-15x40", "lasso-12x28", "lasso-8x50", "nnls-30x12", "nnls-c12"],
 )
-def test_reference_certified_stop_matches_stalled_polish(make):
+def test_reference_certified_stop_matches_stalled_polish(make, sooner):
     # stopping at the first KKT-certified polish returns bitwise the point
     # that running FISTA to its stall and polishing then gives, sooner
     problem = make()
@@ -179,4 +208,24 @@ def test_reference_certified_stop_matches_stalled_polish(make):
     assert ref.y_bar.tobytes() == (problem.K.apply(x_stall) - problem.fstar.shift).tobytes()
     assert ref.quality == quality_stall
     assert phi_star == primal_objective(problem, x_stall)
-    assert iters < iters_stall
+    if sooner:
+        assert iters < iters_stall
+    else:
+        assert iters == iters_stall and ref.quality <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "name, make",
+    [
+        ("lasso-dense-seed1.json", lambda: gen_lasso(ProblemSpec("lasso1", seed=1))[0]),
+        ("nnls-sparse-seed1.json", _c12_nnls),
+    ],
+    ids=["lasso-dense", "nnls-sparse"],
+)
+def test_reference_matches_the_committed_benchmark_refs(name, make):
+    # the stored refs the benchmark verifies are what solve_reference returns;
+    # the tolerances cover the last-bit drift of another BLAS thread count
+    stored = json.loads((BENCH_REFS / name).read_text())
+    ref, phi_star, _ = solve_reference(make())
+    assert phi_star == pytest.approx(stored["phi_star"], rel=1e-12, abs=0.0)
+    assert np.abs(ref.x_bar - np.array(stored["x_bar"])).max() <= 1e-12

@@ -735,6 +735,35 @@ def test_run_checks_start_lengths_for_every_kind(kind):
         run(kind, prob, _KIND_CONFIGS[kind], np.zeros(39), y0, max_iter=1)
 
 
+def _init_problem():
+    return gen_lasso(ProblemSpec("lasso1", seed=2, m=20, n=40, s=2))[0]
+
+
+def test_init_pdal_rejects_non_finite_start():
+    # used to be accepted, and the first iteration stalled its line search
+    prob = _init_problem()
+    with pytest.raises(ValueError, match="y0 must be finite"):
+        init_pdal(prob, np.zeros(40), np.full(20, np.nan), BaselineConfig())
+
+
+def test_init_pda_rejects_start_of_wrong_length():
+    # used to fail in the operator, naming no start
+    prob = _init_problem()
+    with pytest.raises(ValueError, match="y0 must have length 20"):
+        init_pda(prob, np.zeros(40), np.zeros(7), BaselineConfig(tau=0.01, sigma=0.01))
+
+
+def test_init_fista_and_pgm_reject_non_finite_start():
+    # fista used to raise a RuntimeWarning on an inf start
+    prob = _init_problem()
+    x0 = np.zeros(40)
+    x0[5] = np.inf
+    with pytest.raises(ValueError, match="x0 must be finite"):
+        init_fista(prob, x0, BaselineConfig())
+    with pytest.raises(ValueError, match="x0 must be finite"):
+        init_pgm(prob, x0, BaselineConfig(step=0.01))
+
+
 def _budget_problem(family):
     if family == "lasso":
         prob, _ = gen_lasso(ProblemSpec("lasso1", seed=2, m=12, n=25, s=3))

@@ -1,26 +1,34 @@
-"""Hash the traces of a fixed set of ``saddle-solve run`` calls.
+"""Hash the traces of a fixed set of ``saddle-solve run`` calls and the
+results of a fixed set of ``saddle-solve reference`` solves.
 
 Runs the six solvers on lasso1, lasso2, game1, game3, nnls-well and
 nnls-well ``--swapped`` at ITERS = 400 iterations through
-``run_experiment``, with OpenBLAS pinned to one thread (traces depend on the
-BLAS thread count). The
-NNLS runs use the synthetic 1033x320 matrix of ``bench/workloads.py``
-(``write_c12_matrix``). Prints one line per run: its exit code, the first 16
-hex digits of the sha256 of its CSV trace without the ``seconds`` column
-("-" when it wrote none), and its final metric, then the hash of the whole
-listing.
+``run_experiment``, and the reference solve on lasso1 seeds 1-4 and
+nnls-well seed 1 through ``reference_solve_cmd``, with OpenBLAS pinned to
+one thread (results depend on the BLAS thread count). The NNLS problems use
+the synthetic 1033x320 matrix of ``bench/workloads.py``
+(``write_c12_matrix``). Prints one line per solver run: its exit code, the
+first 16 hex digits of the sha256 of its CSV trace without the ``seconds``
+column ("-" when it wrote none), and its final metric; one line per
+reference solve: its exit code, the first 16 hex digits of the sha256 of
+the bits of x_bar, y_bar and phi_star, and its iteration count; then the
+hash of the whole listing.
 
     python3 tools/tracehash.py [--out RUNS.json] [--compare OTHER.json]
 
-``--out`` writes every run's rows (``seconds`` dropped) to a JSON file.
-``--compare`` reads such a file, made by another version of the code, and
-prints for each run the largest relative difference of the metric, lambda
-and beta columns over all rows, and how many rows differ at all, then the
-count of runs that differ. A run differs when a row differs, its iterations
-or its exit code changed, or it is missing from either side; with
-``--compare`` the script exits 1 when any run differs and 0 otherwise. The
-package and the bench helpers are imported from the tree this script sits
-in.
+``--out`` writes every run's rows (``seconds`` dropped) and every reference
+result to a JSON file. ``--compare`` reads such a file, made by another
+version of the code, and prints for each solver run the largest relative
+difference of the metric, lambda and beta columns over all rows, and how
+many rows differ at all; for each reference solve the largest absolute
+difference in x_bar and the relative difference in phi_star; then the count
+of entries that differ. A solver run differs when a row differs, its
+iterations or its exit code changed, or it is missing from either side. A
+reference solve differs when the bits of x_bar, y_bar or phi_star or its
+exit code changed, or it is missing from either side; a changed iteration
+count alone is reported but is no difference. With ``--compare`` the script
+exits 1 when any entry differs and 0 otherwise. The package and the bench
+helpers are imported from the tree this script sits in.
 """
 
 from __future__ import annotations
@@ -39,10 +47,12 @@ import sys  # noqa: E402
 import tempfile  # noqa: E402
 from pathlib import Path  # noqa: E402
 
+import numpy as np  # noqa: E402
+
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
-from saddlesolve.cli import SOLVER_NAMES, run_experiment  # noqa: E402
+from saddlesolve.cli import SOLVER_NAMES, reference_solve_cmd, run_experiment  # noqa: E402
 from workloads import write_c12_matrix  # noqa: E402
 
 PROBLEMS = (
@@ -54,13 +64,12 @@ PROBLEMS = (
     ("nnls-well --swapped", ["--swapped"]),
 )
 ITERS = 400  # the recorded hashes are comparable only at this budget
+REFERENCES = (("lasso1", 1), ("lasso1", 2), ("lasso1", 3), ("lasso1", 4), ("nnls-well", 1))
 COLUMNS = ("metric", "lambda", "beta")  # compared as floats; corrections as counts
 
 
-def run_all(tmp):
+def run_all(tmp, matrix):
     """{run name: {"exit", "sha256", "final_metric", "rows"}} for every run."""
-    matrix = tmp / "c12.mtx"
-    write_c12_matrix(matrix)
     runs = {}
     for problem, extra in PROBLEMS:
         family = problem.split()[0]
@@ -86,6 +95,47 @@ def run_all(tmp):
                 "rows": rows,
             }
     return runs
+
+
+def reference_all(tmp, matrix):
+    """{entry name: {"exit", "sha256", "iterations", "phi_star", "x_bar",
+    "y_bar"}} for every reference solve; all but the exit code are None when
+    the solve wrote no file."""
+    refs = {}
+    for problem, seed in REFERENCES:
+        out = tmp / "reference.json"
+        out.unlink(missing_ok=True)
+        argv = ["--problem", problem, "--seed", str(seed), "--output", str(out)]
+        if problem.startswith("nnls"):
+            argv += ["--matrix-file", str(matrix)]
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = reference_solve_cmd(argv)
+        rec = {"exit": code, "sha256": None, "iterations": None, "phi_star": None,
+               "x_bar": None, "y_bar": None}
+        if out.exists():
+            data = json.loads(out.read_text())
+            bits = b"".join(np.asarray(data[k], dtype=float).tobytes()
+                            for k in ("x_bar", "y_bar", "phi_star"))
+            rec.update(sha256=hashlib.sha256(bits).hexdigest(),
+                       **{k: data[k] for k in ("iterations", "phi_star", "x_bar", "y_bar")})
+        refs[f"reference {problem} seed {seed}"] = rec
+    return refs
+
+
+def reference_drift(rec, old):
+    """(status text, differs) of a reference solve against another version's."""
+    differs = rec["sha256"] != old["sha256"]
+    if rec["sha256"] is None or old["sha256"] is None:
+        status = "no result at either" if not differs else "no result at one side"
+    elif not differs:
+        status = "same bits"
+    else:
+        dx = np.abs(np.subtract(rec["x_bar"], old["x_bar"])).max()
+        status = f"x_bar {dx:.2e} abs, phi_star {_rel(rec['phi_star'], old['phi_star']):.2e} rel"
+    if rec["iterations"] != old["iterations"]:
+        status += f"  iterations {old['iterations']} -> {rec['iterations']}"
+    return status, differs
 
 
 def _rel(a, b):
@@ -115,11 +165,15 @@ def main(argv=None):
     parser.add_argument("--compare", type=Path, default=None)
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory() as tmp:
-        runs = run_all(Path(tmp))
+        matrix = Path(tmp) / "c12.mtx"
+        write_c12_matrix(matrix)
+        runs = run_all(Path(tmp), matrix)
+        runs.update(reference_all(Path(tmp), matrix))
     listing = ""
     for name, rec in runs.items():
         digest = (rec["sha256"] or "-")[:16]
-        line = f"{name:28s} exit {rec['exit']}  {digest:16s}  {rec['final_metric']!r}"
+        last = f"{rec['iterations']} iterations" if "x_bar" in rec else repr(rec["final_metric"])
+        line = f"{name:28s} exit {rec['exit']}  {digest:16s}  {last}"
         listing += line + "\n"
         print(line)
     print(f"listing {hashlib.sha256(listing.encode()).hexdigest()[:16]}")
@@ -140,7 +194,10 @@ def main(argv=None):
         rec, old = runs[name], other[name]
         differs = rec["exit"] != old["exit"]
         note = f"  exit {old['exit']} -> {rec['exit']}" if differs else ""
-        if not rec["rows"] and not old["rows"]:
+        if "x_bar" in rec:
+            status, bits_differ = reference_drift(rec, old)
+            differs = differs or bits_differ
+        elif not rec["rows"] and not old["rows"]:
             status = "no trace at either"
         elif (result := drift(rec["rows"], old["rows"])) is None:
             status = "iterations differ"
