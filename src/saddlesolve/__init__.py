@@ -44,6 +44,7 @@ from .solvers import (
     SolverConfig,
     SolverState,
     apdac_iterate,
+    default_config,
     default_lambda0,
     init_state,
     pdac_iterate,

@@ -3,25 +3,27 @@
 ``saddle-solve run`` executes one solver on one problem family and writes a
 CSV trace (header ``iter,seconds,metric,lambda,beta,corrections``);
 ``saddle-solve reference`` produces a high-accuracy reference file with the
-optimal objective value for gap plots. Flags default to the benchmark
-settings of each problem family. The environment variable SADDLE_SOLVE_DATA
-names the directory holding the Matrix Market files for the NNLS families.
-A ``--reference`` file is a JSON object with the key ``phi_star`` (the
-optimal objective value), as ``saddle-solve reference`` writes it.
+optimal objective value for gap plots. The solver flags are overrides
+passed to ``solvers.default_config``, which resolves the benchmark settings
+of the problem's family and names the overrides the run does not read. The
+environment variable SADDLE_SOLVE_DATA names the directory holding the
+Matrix Market files for the NNLS families. A ``--reference`` file is a JSON
+object whose key ``phi_star`` holds the optimal objective value as a finite
+number, as ``saddle-solve reference`` writes it.
 
 Exit codes of the installed ``saddle-solve`` command (``console_main``), of
 ``run_experiment`` and of ``reference_solve_cmd``: 0 ok; 1 usage,
 configuration or bad input (unknown flag, a solver flag the run does not read
-at the chosen solver and settings, inadmissible parameter, missing data, a
-reference file without ``phi_star``); 2 diverged (non-finite iterate); 3
-stalled (a backtracking loop hit its shrink cap). On 2 and 3 the trace
-recorded so far is still written to the output file.
+at the chosen solver and settings, inadmissible parameter, a negative or NaN
+budget, missing data, a reference file without a finite ``phi_star``); 2
+diverged (non-finite iterate); 3 stalled (a backtracking loop hit its shrink
+cap). On 2 and 3 the trace recorded so far is still written to the output
+file.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import os
 import sys
 
@@ -38,14 +40,11 @@ from .problems import (
 )
 from .oracle import solve_reference
 from .solvers import (
-    BaselineConfig,
     ConfigError,
     DivergenceError,
     LinesearchStallError,
-    SolverConfig,
-    default_lambda0,
+    default_config,
     run,
-    unread_fields,
 )
 
 __all__ = ["main", "console_main", "run_experiment", "reference_solve_cmd"]
@@ -75,14 +74,6 @@ def _default_seed(kind):
     return 100 if kind == "game" else 1
 
 
-def _default_beta(kind):
-    return 1.0 / 400.0 if kind == "lasso" else 1.0
-
-
-def _default_n_hat(kind):
-    return 40000 if kind == "game" else 5000
-
-
 def _resolve_matrix_path(problem_name, matrix_file):
     if matrix_file:
         return matrix_file
@@ -95,12 +86,17 @@ def _resolve_matrix_path(problem_name, matrix_file):
 
 
 def _read_phi_star(path):
-    """The optimal value ``phi_star`` from a reference JSON file."""
+    """The optimal value ``phi_star`` from a reference JSON file; a missing
+    key, or anything but a real number within the float range (a bool is
+    none), raises BadParameter."""
     with open(path) as fh:
         data = json.load(fh)
-    if not isinstance(data, dict) or "phi_star" not in data:
-        raise click.BadParameter(f"{path} has no 'phi_star' key", param_hint="--reference")
-    return data["phi_star"]
+    value = data.get("phi_star") if isinstance(data, dict) else None
+    if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
+        raise click.BadParameter(
+            f"{path} has no finite number under 'phi_star'", param_hint="--reference"
+        )
+    return float(value)
 
 
 def _build_problem(problem_name, seed, swapped, matrix_file):
@@ -115,68 +111,6 @@ def _build_problem(problem_name, seed, swapped, matrix_file):
     path = _resolve_matrix_path(problem_name, matrix_file)
     spec = ProblemSpec(family=problem_name, seed=seed, data_path=path)
     return load_nnls(spec, swapped=swapped)
-
-
-# The solver flags each baseline reads. pdac and apdac read the ones their
-# resolved SolverConfig uses (solvers.unread_fields names the others).
-_BASELINE_FLAGS = {"pda": set(), "pdal": {"beta"}, "pgm": set(), "fista": set()}
-
-
-def _reject_unread_flags(solver, flags, unread):
-    given = sorted(k for k, v in flags.items() if v is not None and k in unread)
-    if given:
-        names = ", ".join("--" + name.replace("_", "-") for name in given)
-        raise click.UsageError(f"--solver {solver} does not read {names}")
-
-
-def _solver_config(problem, kind, solver, flags):
-    """SolverConfig from the given flags over the family's benchmark settings;
-    every other field keeps its SolverConfig default."""
-
-    def given(name, default):
-        return default if flags[name] is None else flags[name]
-
-    beta = given("beta", _default_beta(kind))
-    if solver == "apdac":
-        delta, alpha = given("delta", 1.0), given("alpha", 0.99)
-        nonmonotone = given("nonmonotone", False)
-    else:
-        delta = given("delta", 1.0 if kind == "game" else 0.62)
-        # the headline alpha = 1.27 is only admissible for delta < 1/1.27^2
-        alpha = given("alpha", 1.27 if 1.27 < 1.0 / math.sqrt(delta) else 0.99)
-        nonmonotone = given("nonmonotone", True)
-    n_hat = given("n_hat", _default_n_hat(kind))
-    optional = ("rho", "mu_corr", "nu_corr", "lambda_cap")
-    return SolverConfig(
-        delta=delta,
-        alpha=alpha,
-        beta0=beta,
-        gamma=given("gamma", problem.gamma),
-        lambda0=given("lambda0", default_lambda0(problem, beta)),
-        n_hat=n_hat,
-        n_zero=given("n_zero", 2 * n_hat),
-        nonmonotone=nonmonotone,
-        **{name: flags[name] for name in optional if flags[name] is not None},
-    )
-
-
-def _baseline_config(problem, kind, solver, flags):
-    beta = flags["beta"] if flags["beta"] is not None else _default_beta(kind)
-    if solver == "pda":
-        L = problem.K.operator_norm()
-        if kind == "lasso":
-            tau, sigma = 20.0 / L, 1.0 / (20.0 * L)
-        else:
-            tau = sigma = 1.0 / L
-        return BaselineConfig(tau=tau, sigma=sigma, beta=beta)
-    if solver == "pdal":
-        m, n = problem.K.shape
-        tau0 = math.sqrt(min(m, n)) / problem.K.frobenius_norm()
-        return BaselineConfig(tau=tau0, beta=beta, alpha_ls=0.99, mu_ls=0.7, theta=1.0)
-    if solver == "pgm":
-        L = problem.K.operator_norm()
-        return BaselineConfig(step=1.0 / (L * L))
-    return BaselineConfig(fista_beta=0.7)
 
 
 @click.group()
@@ -223,15 +157,11 @@ def cli_run(
     """Run one solver on one problem and write a CSV trace."""
     if max_iters < 0:
         raise click.UsageError("--max-iters must be nonnegative")
-    kind = _family_kind(problem_name)
     problem = _build_problem(problem_name, seed, swapped, matrix_file)
-    if solver in _BASELINE_FLAGS:
-        cfg = _baseline_config(problem, kind, solver, flags)
-        unread = flags.keys() - _BASELINE_FLAGS[solver]
-    else:
-        cfg = _solver_config(problem, kind, solver, flags)
-        unread = unread_fields(cfg, solver)
-    _reject_unread_flags(solver, flags, unread)
+    cfg, unread = default_config(problem, solver, **flags)
+    if unread:
+        names = ", ".join("--" + name.replace("_", "-") for name in sorted(unread))
+        raise click.UsageError(f"--solver {solver} does not read {names}")
     reference_value = _read_phi_star(reference_path) if reference_path else None
     x0, y0 = problem.start
     if output is None:

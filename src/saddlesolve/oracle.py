@@ -170,10 +170,12 @@ def solve_reference(problem, *, max_iter=1_000_000):
     runs on the last iterate and the best point is kept. Returns
     (ReferencePoint, phi_star, iterations); the reference dual point is
     y_bar = K x_bar - b and the quality field holds the measured saddle
-    residual.
+    residual. A negative ``max_iter`` raises ValueError.
     """
     if not problem.is_least_squares:
         raise ValueError("reference solves support LASSO and unswapped NNLS only")
+    if max_iter < 0:
+        raise ValueError("max_iter must be nonnegative")
     n = problem.K.cols
     b = problem.fstar.shift
     bcfg = BaselineConfig(fista_beta=0.7)

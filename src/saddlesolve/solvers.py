@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from operator import attrgetter
 from typing import Callable, NamedTuple, Optional
 
@@ -27,7 +27,7 @@ import numpy as np
 from .diagnostics import ErgodicAverage
 from .linop import vector_norm
 from .problems import pd_gap_game
-from .prox import QuadShift
+from .prox import QuadShift, ScaledL1
 
 __all__ = [
     "DELTA_LOWER",
@@ -44,13 +44,13 @@ __all__ = [
     "IterationTrace",
     "TRACE_HEADER",
     "default_lambda0",
+    "default_config",
     "init_state",
     "phi_schedule",
     "predict_step",
     "correction_pass",
     "pdac_iterate",
     "apdac_iterate",
-    "unread_fields",
     "init_pda",
     "pda_iterate",
     "init_pdal",
@@ -136,12 +136,12 @@ class SolverConfig:
             )
         if not 0.0 < self.rho < 1.0:
             raise ConfigError(f"backtrack factor rho must lie in ]0, 1[; got {self.rho}")
+        if not (self.beta0 > 0 and math.isfinite(self.beta0)):
+            raise ConfigError(f"beta must be positive and finite; got {self.beta0}")
         if not (self.lambda0 > 0 and math.isfinite(self.lambda0)):
             raise ConfigError(f"lambda0 must be positive and finite; got {self.lambda0}")
         if not self.lambda_cap > 0:
             raise ConfigError(f"lambda_cap must be positive; got {self.lambda_cap}")
-        if not (self.beta0 > 0 and math.isfinite(self.beta0)):
-            raise ConfigError(f"beta must be positive and finite; got {self.beta0}")
         if not (self.gamma >= 0 and math.isfinite(self.gamma)):
             raise ConfigError(f"gamma must be finite and nonnegative; got {self.gamma}")
         if self.n_hat > self.n_zero:
@@ -257,6 +257,83 @@ def default_lambda0(problem, beta):
     if fro == 0.0:
         return 1.0
     return 1.0 / (math.sqrt(beta) * fro)
+
+
+def default_config(problem, solver, **overrides):
+    """The configuration of a ``solver`` run on ``problem`` at the benchmark
+    settings of the problem's family, with the non-None ``overrides``
+    applied; returns (config, unread).
+
+    The family follows from the problem: a matrix game when
+    ``problem.is_matrix_game``, LASSO when g is ``ScaledL1``, NNLS (swapped
+    or not) otherwise. Overrides take the CLI's flag names, which are the
+    ``SolverConfig`` field names except that ``beta`` sets ``beta0`` (and
+    pdal's ``beta``). ``unread`` is the set of given override names the run
+    never reads, any name it does not know included; a ``solver`` other than
+    the six raises ConfigError.
+
+    pdac and apdac get a ``SolverConfig``. Both take beta0 = 1/400 on LASSO
+    and 1 otherwise, lambda0 = ``default_lambda0(problem, beta0)``, gamma =
+    ``problem.gamma``, n_hat = 40000 on games and 5000 otherwise, and n_zero
+    = 2 n_hat; rho, mu_corr, nu_corr and lambda_cap keep their
+    ``SolverConfig`` defaults. pdac runs nonmonotone with delta = 1 on games
+    and 0.62 otherwise, and alpha = 1.27 where that is admissible (delta <
+    1/1.27^2) and 0.99 elsewhere; apdac runs monotone with delta = 1 and
+    alpha = 0.99. Both read delta, alpha, beta, lambda0 and nonmonotone.
+    Only apdac reads gamma. rho, mu_corr and nu_corr drive the correction,
+    which runs only for delta < 1, and n_hat, n_zero and lambda_cap shape the
+    step growth, which applies only in nonmonotone mode.
+
+    The baselines get a ``BaselineConfig``: pda steps tau = 20/L and sigma =
+    1/(20 L) on LASSO and tau = sigma = 1/L otherwise, with L the operator
+    norm; pdal starts at tau = sqrt(min(m, n)) / ||K||_F with the beta above;
+    pgm steps 1/L^2; fista backtracks by 0.7. pdal reads beta, and pda, pgm
+    and fista read no override.
+    """
+    given = {name: value for name, value in overrides.items() if value is not None}
+    lasso = isinstance(problem.g, ScaledL1)
+    game = problem.is_matrix_game
+    beta = given.get("beta", 1.0 / 400.0 if lasso else 1.0)
+    if solver in ("pda", "pgm"):
+        L = problem.K.operator_norm()
+        if solver == "pgm":
+            return BaselineConfig(step=1.0 / (L * L)), set(given)
+        scale = 20.0 if lasso else 1.0
+        return BaselineConfig(tau=scale / L, sigma=1.0 / (scale * L)), set(given)
+    if solver == "pdal":
+        tau0 = math.sqrt(min(problem.K.shape)) / problem.K.frobenius_norm()
+        return BaselineConfig(tau=tau0, beta=beta), set(given) - {"beta"}
+    if solver == "fista":
+        return BaselineConfig(fista_beta=0.7), set(given)
+    if solver not in ("pdac", "apdac"):
+        raise ConfigError(f"unknown solver kind {solver!r}")
+    delta = given.get("delta", 1.0 if game or solver == "apdac" else 0.62)
+    # the headline alpha = 1.27 is admissible only for delta < 1/1.27^2; a
+    # delta that is not positive is left for validate to name
+    headline = solver == "pdac" and delta > 0 and 1.27 < 1.0 / math.sqrt(delta)
+    n_hat = given.get("n_hat", 40000 if game else 5000)
+    settings = dict(
+        delta=delta,
+        alpha=1.27 if headline else 0.99,
+        beta0=beta,
+        gamma=problem.gamma,
+        # likewise a beta that is not positive, which has no default lambda0
+        lambda0=default_lambda0(problem, beta) if beta > 0 else math.nan,
+        n_hat=n_hat,
+        n_zero=2 * n_hat,
+        nonmonotone=solver == "pdac",
+    )
+    names = {f.name for f in fields(SolverConfig)}
+    settings.update((name, value) for name, value in given.items() if name in names)
+    cfg = SolverConfig(**settings)
+    read = {"delta", "alpha", "beta", "lambda0", "nonmonotone"}
+    if solver == "apdac":
+        read.add("gamma")
+    if cfg.delta < 1.0:
+        read |= {"rho", "mu_corr", "nu_corr"}
+    if cfg.nonmonotone:
+        read |= {"n_hat", "n_zero", "lambda_cap"}
+    return cfg, set(given) - read
 
 
 def _checked_vector(v, length, name):
@@ -429,23 +506,6 @@ def pdac_iterate(state, problem, cfg):
 def apdac_iterate(state, problem, cfg):
     """One iteration of the accelerated variant (delta >= 1, g strongly convex)."""
     return _pd_iterate(state, problem, cfg, accelerated=True)
-
-
-def unread_fields(cfg, kind):
-    """The SolverConfig fields that a ``kind`` ("pdac" or "apdac") run under
-    ``cfg`` never reads.
-
-    Only the accelerated variant reads gamma; the correction, and with it
-    rho, mu_corr and nu_corr, runs only for delta < 1; the phi_n schedule's
-    n_hat and n_zero and the step cap lambda_cap apply only in nonmonotone
-    mode.
-    """
-    unread = set() if kind == "apdac" else {"gamma"}
-    if not cfg.delta < 1.0:
-        unread |= {"rho", "mu_corr", "nu_corr"}
-    if not cfg.nonmonotone:
-        unread |= {"n_hat", "n_zero", "lambda_cap"}
-    return unread
 
 
 def init_pda(problem, x0, y0, bcfg):
@@ -753,10 +813,13 @@ def run(
     iteration budget. The last row is the last iteration run, whether the
     iteration or the time budget ended the run. A DivergenceError or
     LinesearchStallError carries the trace recorded so far in its ``trace``
-    attribute.
+    attribute. A negative ``max_iter``, a NaN or negative ``max_seconds`` and
+    a ``trace_every`` below 1 raise ValueError.
     """
     if max_iter < 0:
         raise ValueError("max_iter must be nonnegative")
+    if max_seconds is not None and not max_seconds >= 0:
+        raise ValueError(f"max_seconds must be nonnegative; got {max_seconds}")
     if trace_every < 1:
         raise ValueError("trace_every must be at least 1")
     x0, y0 = _checked_start(problem, x0, y0)

@@ -45,6 +45,7 @@ from saddlesolve.solvers import (
     ConfigError,
     SolverConfig,
     apdac_iterate,
+    default_config,
     default_lambda0,
     fista_iterate,
     init_fista,
@@ -73,16 +74,7 @@ def lasso_40x100():
 def lasso_40x100_run(lasso_40x100):
     """One 30k-iteration corrected run; history recorded for the first 10k."""
     prob, ref, _ = lasso_40x100
-    cfg = SolverConfig(
-        delta=0.62,
-        alpha=1.27,
-        rho=0.7,
-        beta0=LASSO_BETA,
-        lambda0=default_lambda0(prob, LASSO_BETA),
-        nonmonotone=True,
-        n_hat=5000,
-        n_zero=10000,
-    )
+    cfg, _ = default_config(prob, "pdac")
     st = init_state(prob, *prob.start, cfg)
     xs, ys, lams = [st.x_cur.copy()], [st.y_cur.copy()], [st.lam_cur, st.lam_next]
     for n in range(30000):
@@ -146,10 +138,7 @@ def test_c02_fixed_point_sanity():
         worst = max(worst, float(np.linalg.norm(st.x_cur - xp) + np.linalg.norm(st.y_cur - yp)))
     moves["pdac"] = worst
 
-    acfg = SolverConfig(
-        delta=1.0, alpha=0.99, beta0=LASSO_BETA, gamma=0.0,
-        lambda0=default_lambda0(prob, LASSO_BETA),
-    )
+    acfg, _ = default_config(prob, "apdac")
     st = init_state(prob, xb, yb, acfg, kind="apdac")
     worst = 0.0
     for _ in range(100):
@@ -158,8 +147,7 @@ def test_c02_fixed_point_sanity():
         worst = max(worst, float(np.linalg.norm(st.x_cur - xp) + np.linalg.norm(st.y_cur - yp)))
     moves["apdac"] = worst
 
-    L = prob.K.operator_norm()
-    bcfg = BaselineConfig(tau=20.0 / L, sigma=1.0 / (20.0 * L))
+    bcfg, _ = default_config(prob, "pda")
     stp = init_pda(prob, xb, yb, bcfg)
     worst = 0.0
     for _ in range(100):
@@ -168,11 +156,7 @@ def test_c02_fixed_point_sanity():
         worst = max(worst, float(np.linalg.norm(stp.x - xp) + np.linalg.norm(stp.y - yp)))
     moves["pda"] = worst
 
-    m, n = prob.K.shape
-    lcfg = BaselineConfig(
-        tau=math.sqrt(min(m, n)) / prob.K.frobenius_norm(),
-        beta=LASSO_BETA, alpha_ls=0.99, mu_ls=0.7,
-    )
+    lcfg, _ = default_config(prob, "pdal")
     stl = init_pdal(prob, xb, yb, lcfg)
     worst = 0.0
     for _ in range(100):
@@ -289,10 +273,7 @@ def test_c08_accelerated_growth():
     b = rng.standard_normal(60)
     prob = build_nnls(sp, b, swapped=True)
     assert prob.gamma == 0.5
-    cfg = SolverConfig(
-        delta=1.0, alpha=0.99, beta0=1.0, gamma=prob.gamma,
-        lambda0=default_lambda0(prob, 1.0),
-    )
+    cfg, _ = default_config(prob, "apdac")
     st = init_state(prob, *prob.start, cfg, kind="apdac")
     betas = [st.beta_cur]
     sigmas = [math.sqrt(st.beta_cur) * st.lam_next]
@@ -335,7 +316,7 @@ def test_c10_baseline_parity(lasso_40x100):
     L = prob.K.operator_norm()
     n = prob.K.cols
 
-    bg = BaselineConfig(step=1.0 / L**2)
+    bg, _ = default_config(prob, "pgm")
     st = init_pgm(prob, np.zeros(n), bg)
     pgm_iters = None
     for k in range(500000):
@@ -343,7 +324,7 @@ def test_c10_baseline_parity(lasso_40x100):
         if prob.objective(st.x) - phi_star <= 1e-6:
             pgm_iters = k + 1
             break
-    bf = BaselineConfig(fista_beta=0.7)
+    bf, _ = default_config(prob, "fista")
     stf = init_fista(prob, np.zeros(n), bf)
     fista_iters = None
     for k in range(500000):

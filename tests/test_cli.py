@@ -8,10 +8,22 @@ import pytest
 
 import saddlesolve.cli as cli
 from saddlesolve.cli import reference_solve_cmd, run_experiment
-from saddlesolve.linop import LinearOperator
-from saddlesolve.problems import SaddleProblem
+from saddlesolve.linop import LinearOperator, SparseMatrix
+from saddlesolve.problems import (
+    ProblemSpec,
+    SaddleProblem,
+    build_nnls,
+    gen_lasso,
+    gen_matrix_game,
+)
 from saddlesolve.prox import QuadShift
-from saddlesolve.solvers import DivergenceError, IterationTrace, TRACE_HEADER
+from saddlesolve.solvers import (
+    DivergenceError,
+    IterationTrace,
+    TRACE_HEADER,
+    default_config,
+    default_lambda0,
+)
 
 
 def _read_lines(path):
@@ -151,6 +163,35 @@ def test_negative_iteration_budget_is_usage_error(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags", [["--max-seconds", "nan"], ["--max-seconds", "-1"]])
+def test_time_budget_that_is_nan_or_negative_is_rejected(tmp_path, capsys, flags):
+    out = tmp_path / "t.csv"
+    argv = ["--problem", "lasso1", "--solver", "pdac", "--max-iters", "3", "--output", str(out)]
+    assert run_experiment(argv + flags) == 1
+    assert "max_seconds" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_reference_negative_iteration_budget_is_rejected(tmp_path, capsys):
+    out = tmp_path / "r.json"
+    argv = ["--problem", "lasso1", "--max-iters", "-5", "--output", str(out)]
+    assert reference_solve_cmd(argv) == 1
+    assert "max_iter" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "solver, flag, named",
+    [("pdac", "--delta", "delta"), ("pdac", "--beta", "beta"), ("apdac", "--beta", "beta")],
+)
+def test_zero_delta_or_beta_names_the_field(tmp_path, capsys, solver, flag, named):
+    out = tmp_path / "t.csv"
+    argv = ["--problem", "lasso1", "--solver", solver, "--max-iters", "3", "--output", str(out)]
+    assert run_experiment(argv + [flag, "0"]) == 1
+    assert f"error: {named} must" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_invalid_config_rejected(tmp_path):
     out = tmp_path / "t.csv"
     code = run_experiment(
@@ -241,6 +282,26 @@ def test_reference_without_phi_star_is_usage_error(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "value",
+    ["null", '"abc"', "[1]", "NaN", "true", "1" + "0" * 400],
+    ids=["null", "string", "list", "nan", "bool", "beyond-float-range"],
+)
+def test_reference_value_must_be_a_finite_number(tmp_path, capsys, value):
+    ref_path = tmp_path / "ref.json"
+    ref_path.write_text('{"phi_star": %s}' % value)
+    out = tmp_path / "t.csv"
+    code = run_experiment(
+        [
+            "--problem", "lasso1", "--solver", "pdac", "--max-iters", "3",
+            "--reference", str(ref_path), "--output", str(out),
+        ]
+    )
+    assert code == 1
+    assert "no finite number under 'phi_star'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_reference_cmd_and_gap_metric(tmp_path):
     ref_path = tmp_path / "ref.json"
     code = reference_solve_cmd(
@@ -322,38 +383,44 @@ def test_max_seconds_budget(tmp_path):
 
 def test_family_defaults_match_benchmark_settings():
     # paper-stated settings are the flag defaults for each family
-    from saddlesolve.problems import ProblemSpec, gen_lasso, gen_matrix_game
-
-    none_flags = dict.fromkeys(
-        [
-            "delta", "alpha", "rho", "beta", "gamma", "lambda0", "lambda_cap",
-            "mu_corr", "nu_corr", "n_hat", "n_zero", "nonmonotone", "seed",
-        ]
-    )
     lasso, _ = gen_lasso(ProblemSpec("lasso1", seed=1, m=10, n=20, s=2))
-    cfg = cli._solver_config(lasso, "lasso", "pdac", dict(none_flags))
+    cfg, unread = default_config(lasso, "pdac")
+    assert unread == set()
     assert (cfg.delta, cfg.alpha, cfg.rho) == (0.62, 1.27, 0.7)
     assert cfg.beta0 == 1.0 / 400.0
-    assert cfg.n_hat == 5000 and cfg.nonmonotone
+    assert cfg.lambda0 == default_lambda0(lasso, 1.0 / 400.0)
+    assert cfg.n_hat == 5000 and cfg.n_zero == 10000 and cfg.nonmonotone
     assert (cfg.mu_corr, cfg.nu_corr, cfg.lambda_cap) == (10.0, 1.5, 1e6)
 
     game = gen_matrix_game(ProblemSpec("game1", seed=100, m=10, n=10))
-    gcfg = cli._solver_config(game, "game", "pdac", dict(none_flags))
+    gcfg, _ = default_config(game, "pdac")
     assert gcfg.delta == 1.0 and gcfg.beta0 == 1.0 and gcfg.n_hat == 40000
     assert gcfg.alpha == 0.99  # 1.27 is inadmissible at delta = 1
 
-    acfg = cli._solver_config(lasso, "lasso", "apdac", dict(none_flags))
+    acfg, _ = default_config(lasso, "apdac")
     assert acfg.delta == 1.0 and acfg.alpha == 0.99 and not acfg.nonmonotone
 
-    bl = cli._baseline_config(lasso, "lasso", "pda", dict(none_flags))
+    sparse = SparseMatrix.from_dense(np.random.default_rng(5).standard_normal((12, 6)))
+    b = np.random.default_rng(6).standard_normal(12)
+    nnls = build_nnls(sparse, b)
+    ncfg, _ = default_config(nnls, "pdac")
+    assert (ncfg.beta0, ncfg.delta, ncfg.alpha, ncfg.n_hat) == (1.0, 0.62, 1.27, 5000)
+    swapped = build_nnls(sparse, b, swapped=True)
+    scfg, _ = default_config(swapped, "apdac")
+    assert scfg.gamma == 0.5 and not scfg.nonmonotone
+    assert (scfg.delta, scfg.alpha, scfg.beta0) == (1.0, 0.99, 1.0)
+
+    bl, _ = default_config(lasso, "pda")
     L = lasso.K.operator_norm()
     assert bl.tau == pytest.approx(20.0 / L) and bl.sigma == pytest.approx(1.0 / (20.0 * L))
-    bl = cli._baseline_config(lasso, "lasso", "pdal", dict(none_flags))
-    assert bl.alpha_ls == 0.99 and bl.mu_ls == 0.7
+    bl, _ = default_config(game, "pda")
+    assert bl.tau == bl.sigma == pytest.approx(1.0 / game.K.operator_norm())
+    bl, _ = default_config(lasso, "pdal")
+    assert bl.alpha_ls == 0.99 and bl.mu_ls == 0.7 and bl.beta == 1.0 / 400.0
     assert bl.tau == pytest.approx(np.sqrt(10) / lasso.K.frobenius_norm())
-    bl = cli._baseline_config(lasso, "lasso", "pgm", dict(none_flags))
+    bl, _ = default_config(lasso, "pgm")
     assert bl.step == pytest.approx(1.0 / L**2)
-    bl = cli._baseline_config(lasso, "lasso", "fista", dict(none_flags))
+    bl, _ = default_config(lasso, "fista")
     assert bl.fista_beta == 0.7
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -25,6 +26,7 @@ from saddlesolve.solvers import (
     SolverState,
     apdac_iterate,
     correction_pass,
+    default_config,
     default_lambda0,
     fista_iterate,
     init_fista,
@@ -671,6 +673,9 @@ def test_run_input_checks():
         run("pdac", prob, cfg, *prob.start, max_iter=-1)
     with pytest.raises(ValueError, match="trace_every"):
         run("pdac", prob, cfg, *prob.start, max_iter=1, trace_every=0)
+    for max_seconds in (math.nan, -1.0):
+        with pytest.raises(ValueError, match="max_seconds"):
+            run("pdac", prob, cfg, *prob.start, max_iter=1, max_seconds=max_seconds)
     with pytest.raises(ConfigError, match="unknown solver kind"):
         run("newton", prob, cfg, *prob.start, max_iter=1)
     with pytest.raises(ConfigError, match="theta"):
@@ -768,10 +773,13 @@ def _budget_problem(family):
     if family == "lasso":
         prob, _ = gen_lasso(ProblemSpec("lasso1", seed=2, m=12, n=25, s=3))
         return prob
+    if family == "game":
+        return gen_matrix_game(ProblemSpec("game1", seed=3, m=6, n=5))
     rng = np.random.default_rng(8)
     K = rng.standard_normal((30, 12))
     K[np.abs(K) < 0.5] = 0.0
-    return build_nnls(SparseMatrix.from_dense(K), rng.standard_normal(30), swapped=True)
+    return build_nnls(SparseMatrix.from_dense(K), rng.standard_normal(30),
+                      swapped=family == "nnls-swapped")
 
 
 def _budget_config(kind, prob):
@@ -812,6 +820,47 @@ def test_run_matvecs_per_iteration_with_metric_rows(kind, family, matvec_count):
         "fista": (iters + shrinks, iters),  # K x+ for each trial; K v is recombined
     }.get(kind, (iters, iters))
     assert (f120 - f20, a120 - a20) == expected
+
+
+_SOLVER_FLAGS = ("delta", "alpha", "rho", "beta", "gamma", "lambda0", "lambda_cap",
+                 "mu_corr", "nu_corr", "n_hat", "n_zero", "nonmonotone")
+# a valid value other than the default for each field a run may leave unread
+_UNREAD_CHANGES = {"rho": 0.5, "mu_corr": 20.0, "nu_corr": 2.0, "gamma": 0.3,
+                   "n_hat": 1, "n_zero": 10**6, "lambda_cap": 1e-3}
+
+
+@pytest.mark.parametrize("settings", [{}, {"nonmonotone": False}, {"delta": 1.0}],
+                         ids=["default", "monotone", "delta1"])
+@pytest.mark.parametrize("kind", ["pdac", "apdac"])
+@pytest.mark.parametrize("family", ["lasso", "game", "nnls", "nnls-swapped"])
+def test_default_config_unread_fields_are_unread(family, kind, settings):
+    prob = _budget_problem(family)
+    cfg, unread = default_config(prob, kind, **settings)
+    assert unread == set()
+    # every flag given at its resolved value names all the fields left unread
+    flags = {name: getattr(cfg, "beta0" if name == "beta" else name) for name in _SOLVER_FLAGS}
+    again, unread = default_config(prob, kind, **flags)
+    assert again == cfg
+    assert unread <= _UNREAD_CHANGES.keys()
+
+    def rows(config):
+        trace = run(kind, prob, config, *prob.start, max_iter=30)
+        return [row[:1] + row[2:] for row in trace.rows]
+
+    expected = rows(cfg)
+    for name in unread:
+        changed = dataclasses.replace(cfg, **{name: _UNREAD_CHANGES[name]})
+        assert changed != cfg and rows(changed) == expected, name
+
+
+def test_default_config_reports_unknown_and_unread_overrides():
+    prob = _budget_problem("lasso")
+    cfg, unread = default_config(prob, "pdac", gamma=0.5, tau=2.0, rho=None)
+    assert unread == {"gamma", "tau"} and cfg.gamma == 0.5
+    assert default_config(prob, "pdal", beta=0.5, delta=0.7)[1] == {"delta"}
+    assert default_config(prob, "pda", beta=0.5)[1] == {"beta"}
+    with pytest.raises(ConfigError, match="unknown solver kind"):
+        default_config(prob, "newton")
 
 
 def test_trace_csv_rejects_wrong_header(tmp_path):

@@ -2,10 +2,13 @@
 results of a fixed set of ``saddle-solve reference`` solves.
 
 Runs the six solvers on lasso1, lasso2, game1, game3, nnls-well and
-nnls-well ``--swapped`` at ITERS = 400 iterations through
-``run_experiment``, and the reference solve on lasso1 seeds 1-4 and
-nnls-well seed 1 through ``reference_solve_cmd``, with OpenBLAS pinned to
-one thread (results depend on the BLAS thread count). The NNLS problems use
+nnls-well ``--swapped`` at the default settings, and on lasso1
+``--monotone``, game1 ``--delta 0.8`` and lasso1 ``--beta 0.01``, at
+ITERS = 400 iterations through ``run_experiment`` (a solver that does not
+read a given flag exits 1 and writes no trace, which is hashed too), and
+the reference solve on lasso1 seeds 1-4 and nnls-well seed 1 through
+``reference_solve_cmd``, with OpenBLAS pinned to one thread (results depend
+on the BLAS thread count). The NNLS problems use
 the synthetic 1033x320 matrix of ``bench/workloads.py``
 (``write_c12_matrix``). Prints one line per solver run: its exit code, the
 first 16 hex digits of the sha256 of its CSV trace without the ``seconds``
@@ -62,6 +65,10 @@ PROBLEMS = (
     ("game3", []),
     ("nnls-well", []),
     ("nnls-well --swapped", ["--swapped"]),
+    # the override paths: each flag is read by some solvers and rejected by the others
+    ("lasso1 --monotone", ["--monotone"]),
+    ("game1 --delta 0.8", ["--delta", "0.8"]),
+    ("lasso1 --beta 0.01", ["--beta", "0.01"]),
 )
 ITERS = 400  # the recorded hashes are comparable only at this budget
 REFERENCES = (("lasso1", 1), ("lasso1", 2), ("lasso1", 3), ("lasso1", 4), ("nnls-well", 1))
