@@ -1,7 +1,7 @@
 """Linear operators over dense and CSR-sparse matrices.
 
-Provides forward/adjoint application, power-iteration operator-norm
-estimation, Frobenius norms, the Euclidean norm ``vector_norm`` that the
+Provides forward/adjoint application, the Lanczos operator norm,
+Frobenius norms, the Euclidean norm ``vector_norm`` that the
 solvers use, and a Matrix Market coordinate-file reader. Operators are
 immutable after construction and safe to share.
 
@@ -32,13 +32,14 @@ __all__ = [
     "vector_norm",
 ]
 
-# Fixed seed for the power-iteration start vector: norm estimates must be
-# reproducible across runs. The iteration stops when the eigenvalue estimate
-# of K*K changes by at most _POWER_TOL relative, and gives up after
-# _POWER_MAX_ITER products.
-_POWER_SEED = 0x5EED
-_POWER_TOL = 1e-10
-_POWER_MAX_ITER = 10000
+# Fixed seed for the Lanczos start vector: norm estimates must be
+# reproducible across runs. The iteration checks its Ritz residual against
+# _LANCZOS_TOL every _LANCZOS_CHECK steps at first, and gives up after
+# _LANCZOS_MAX_ITER Gram products.
+_LANCZOS_SEED = 0x5EED
+_LANCZOS_TOL = 1e-13
+_LANCZOS_CHECK = 4
+_LANCZOS_MAX_ITER = 1000
 
 
 def vector_norm(v):
@@ -75,7 +76,8 @@ class MatrixMarketError(ValueError):
 
 
 class PowerIterationError(RuntimeError):
-    """Power iteration exhausted its budget; ``estimate`` holds the last value."""
+    """The operator-norm iteration exhausted its budget; ``estimate`` holds
+    its last value."""
 
     def __init__(self, message, estimate):
         super().__init__(message)
@@ -264,38 +266,72 @@ class LinearOperator:
         return float(np.linalg.norm(self.backing.values))
 
     def operator_norm(self):
-        """Spectral norm via power iteration on K*K, computed once and cached.
+        """Spectral norm by the Lanczos iteration on the smaller Gram
+        operator (K*K when cols <= rows, K K* otherwise), computed once and
+        cached.
 
-        Starts from a deterministic seeded vector; converges when the
-        successive eigenvalue estimate changes by at most 1e-10 relative.
+        Starts from a seeded Gaussian vector and keeps only the last two
+        Lanczos vectors and the entries of the tridiagonal T_k. Every few
+        steps theta, the largest eigenvalue of T_k, is taken; the iteration
+        stops when its Ritz residual beta_k |s_k| is at most 1e-13 theta,
+        when beta_k = 0 (an invariant subspace), or after as many steps as
+        the Gram operator has rows, and returns sqrt(theta). The products
+        are taken with K divided by its largest entry, so the Gram operator
+        neither overflows nor underflows. A start vector in the null space
+        is drawn again.
         """
         if self.cached_norm is not None:
             return self.cached_norm
-        if self.frobenius_norm() == 0.0:
+        dense = isinstance(self.backing, DenseMatrix)
+        entries = self.backing.entries if dense else self.backing.values
+        scale = float(max(entries.max(initial=0.0), -entries.min(initial=0.0)))
+        if scale == 0.0:
             raise ValueError("operator_norm: zero operator")
-        rng = np.random.default_rng(_POWER_SEED)
-        v = rng.standard_normal(self.cols)
-        v /= vector_norm(v)
-        prev = None
-        eig = 0.0
-        for _ in range(_POWER_MAX_ITER):
-            u = self.adjoint_apply(self.apply(v))
-            eig = vector_norm(u)
-            if eig == 0.0:
-                # start vector fell in the null space; re-draw
-                v = rng.standard_normal(self.cols)
-                v /= vector_norm(v)
-                prev = None
-                continue
-            if prev is not None and abs(eig - prev) <= _POWER_TOL * eig:
-                self.cached_norm = math.sqrt(eig)
-                return self.cached_norm
-            prev = eig
-            v = u / eig
+        if self.cols <= self.rows:
+            dim, first, second = self.cols, self.apply, self.adjoint_apply
+        else:
+            dim, first, second = self.rows, self.adjoint_apply, self.apply
+        rng = np.random.default_rng(_LANCZOS_SEED)
+        k = 0
+        for _ in range(_LANCZOS_MAX_ITER):
+            if k == 0:
+                q = rng.standard_normal(dim)
+                q /= vector_norm(q)
+                q_prev, beta, alphas, betas, check = 0.0, 0.0, [], [], _LANCZOS_CHECK
+            w = second(first(q) / scale) / scale
+            alpha = q.dot(w)
+            w -= alpha * q
+            w -= beta * q_prev
+            alphas.append(alpha)
+            beta = vector_norm(w)
+            k += 1
+            if beta == 0.0 or k == check or k == dim:
+                theta, s_k = _top_ritz_pair(alphas, betas)
+                if theta <= 0.0:
+                    # the start vector fell in the null space; draw again
+                    k = 0
+                    continue
+                if beta * abs(s_k) <= _LANCZOS_TOL * theta or k == dim:
+                    self.cached_norm = scale * math.sqrt(theta)
+                    return self.cached_norm
+                # eigh costs O(k^3): look less often as T_k grows
+                check = k + max(_LANCZOS_CHECK, k // 16)
+            betas.append(beta)
+            q_prev, q = q, w / beta
+        theta = _top_ritz_pair(alphas, betas[: len(alphas) - 1])[0] if k else 0.0
         raise PowerIterationError(
-            f"power iteration did not converge within {_POWER_MAX_ITER} iterations",
-            math.sqrt(eig) if eig > 0 else 0.0,
+            f"Lanczos iteration did not converge within {_LANCZOS_MAX_ITER} steps",
+            scale * math.sqrt(theta) if theta > 0 else 0.0,
         )
+
+
+def _top_ritz_pair(alphas, betas):
+    """Largest eigenvalue of the symmetric tridiagonal matrix with diagonal
+    ``alphas`` and off-diagonal ``betas``, and the last entry of its unit
+    eigenvector."""
+    T = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
+    evals, evecs = np.linalg.eigh(T)
+    return float(evals[-1]), float(evecs[-1, -1])
 
 
 def read_matrix_market(path):

@@ -251,8 +251,11 @@ def default_lambda0(problem, beta):
     """Norm-free-ish default start step: 1 / (sqrt(beta) * ||K||_F).
 
     The Frobenius norm upper-bounds the operator norm, so the implied first
-    step stays on the safe side without a spectral estimate.
+    step stays on the safe side without a spectral estimate. A ``beta`` that
+    is not positive and finite raises ConfigError.
     """
+    if not (beta > 0 and math.isfinite(beta)):
+        raise ConfigError(f"beta must be positive and finite; got {beta}")
     fro = problem.K.frobenius_norm()
     if fro == 0.0:
         return 1.0
@@ -317,8 +320,7 @@ def default_config(problem, solver, **overrides):
         alpha=1.27 if headline else 0.99,
         beta0=beta,
         gamma=problem.gamma,
-        # likewise a beta that is not positive, which has no default lambda0
-        lambda0=default_lambda0(problem, beta) if beta > 0 else math.nan,
+        lambda0=default_lambda0(problem, beta),
         n_hat=n_hat,
         n_zero=2 * n_hat,
         nonmonotone=solver == "pdac",
@@ -509,7 +511,7 @@ def apdac_iterate(state, problem, cfg):
 
 
 def init_pda(problem, x0, y0, bcfg):
-    """Check the step product tau*sigma*L^2 (power-iteration L) and build state."""
+    """Check the step product tau*sigma*L^2 (L the operator norm) and build state."""
     bcfg.validate()
     x0, y0 = _checked_start(problem, x0, y0)
     L = problem.K.operator_norm()

@@ -64,7 +64,7 @@ def gram_norm_oracle(entries):
 
     Builds K^T K, extracts its characteristic polynomial by the
     Faddeev-LeVerrier recursion, root-finds, and returns the square root of
-    the largest real root. Dimension-capped; independent of power iteration.
+    the largest real root. Dimension-capped; independent of the Lanczos iteration.
     """
     K = np.asarray(entries, dtype=float)
     if min(K.shape) > _ENUM_DIM_CAP:

@@ -1,7 +1,14 @@
+import os
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import saddlesolve.linop as linop
 from saddlesolve.linop import (
@@ -13,7 +20,8 @@ from saddlesolve.linop import (
     read_matrix_market,
     vector_norm,
 )
-from saddlesolve.problems import ProblemSpec, gen_lasso
+from saddlesolve.problems import ProblemSpec, build_nnls, gen_lasso, gen_matrix_game
+from saddlesolve.solvers import default_config
 
 
 def _identity_op(n):
@@ -176,11 +184,148 @@ def test_operator_norm_zero_matrix_rejected():
 
 
 def test_operator_norm_budget_error(monkeypatch):
-    monkeypatch.setattr(linop, "_POWER_MAX_ITER", 1)
+    monkeypatch.setattr(linop, "_LANCZOS_MAX_ITER", 1)
     op = LinearOperator(np.array([[2.0, 1.0], [1.0, 3.0]]))
     with pytest.raises(PowerIterationError) as exc:
         op.operator_norm()
     assert exc.value.estimate > 0.0
+
+
+def _svd_norm(entries):
+    return np.linalg.svd(entries, compute_uv=False)[0]
+
+
+def _assert_norm_is_svd(op):
+    L, top = op.operator_norm(), _svd_norm(op.backing.to_dense())
+    assert type(L) is float
+    assert abs(L - top) <= 1e-12 * top, (L, top)
+
+
+def _rank_one():
+    u, v = np.random.default_rng(5).standard_normal((2, 30))
+    return np.outer(u, v[:20])
+
+
+def _repeated_top():
+    # two equal top singular values (7, 7) above 3, 1, 0.5
+    Q1, _ = np.linalg.qr(np.random.default_rng(6).standard_normal((12, 12)))
+    Q2, _ = np.linalg.qr(np.random.default_rng(7).standard_normal((9, 9)))
+    return Q1[:, :5] @ np.diag([7.0, 7.0, 3.0, 1.0, 0.5]) @ Q2[:5, :]
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        _lasso1_operator,
+        lambda: gen_matrix_game(ProblemSpec("game1", seed=100)).K,
+        lambda: gen_matrix_game(ProblemSpec("game3", seed=100)).K,
+        _c12_operator,
+        lambda: LinearOperator(_c12_operator().backing.transposed(negate=True)),
+        lambda: LinearOperator(np.arange(1.0, 8.0).reshape(1, 7)),
+        lambda: LinearOperator(np.arange(1.0, 8.0).reshape(7, 1)),
+        lambda: LinearOperator(np.eye(4)),
+        lambda: LinearOperator(SparseMatrix.from_dense(np.eye(4))),
+        lambda: LinearOperator(np.diag([3.0, 1.0])),
+        lambda: LinearOperator(_rank_one()),
+        lambda: LinearOperator(_repeated_top()),
+    ],
+    ids=["lasso1", "game1", "game3", "c12", "c12-swapped", "1xn", "nx1", "eye4",
+         "eye4-sparse", "diag31", "rank1", "repeated-top"],
+)
+def test_operator_norm_matches_svd(build):
+    _assert_norm_is_svd(build())
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    hnp.arrays(
+        float,
+        st.tuples(st.integers(1, 9), st.integers(1, 9)),
+        elements=st.floats(-100.0, 100.0, allow_subnormal=False),
+    ),
+    st.booleans(),
+)
+def test_operator_norm_matches_svd_on_random_shapes(K, sparse):
+    assume(np.any(K != 0.0))
+    _assert_norm_is_svd(LinearOperator(SparseMatrix.from_dense(K) if sparse else K))
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1e-160, 1e160, 1e200])
+def test_operator_norm_holds_at_extreme_scales(rng, scale):
+    # K*K of these matrices under- or overflows; the iteration runs on K
+    # divided by its largest entry
+    K = rng.standard_normal((5, 4)) * scale
+    _assert_norm_is_svd(LinearOperator(K))
+    _assert_norm_is_svd(LinearOperator(SparseMatrix.from_dense(K.T)))
+
+
+def test_operator_norm_is_deterministic():
+    a, b = _lasso1_operator().operator_norm(), _lasso1_operator().operator_norm()
+    assert np.float64(a).tobytes() == np.float64(b).tobytes()
+    a, b = _c12_operator().operator_norm(), _c12_operator().operator_norm()
+    assert np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: gen_lasso(ProblemSpec("lasso1"))[0],
+        lambda: gen_matrix_game(ProblemSpec("game1", seed=100)),
+        lambda: build_nnls(_c12_operator().backing, np.ones(1033)),
+    ],
+    ids=["lasso1", "game1", "c12"],
+)
+def test_default_pda_steps_hold_against_the_svd_norm(build):
+    # Chambolle-Pock needs tau*sigma*||K||^2 <= 1; the power iteration this
+    # replaced stopped 9.3e-10 below ||K|| on lasso1, which gave 1 + 1.9e-9
+    prob = build()
+    cfg, _ = default_config(prob, "pda")
+    top = _svd_norm(prob.K.backing.to_dense())
+    assert cfg.tau * cfg.sigma * top * top <= 1.0 + 1e-12
+
+
+def test_operator_norm_product_budget_on_lasso1():
+    # the power iteration this replaced took 330 of each on this operator
+    op = _lasso1_operator()
+    op.reset_counters()
+    op.operator_norm()
+    assert op.apply_calls <= 80 and op.adjoint_calls <= 80
+    op.operator_norm()  # cached: no further products
+    assert op.apply_calls <= 80 and op.adjoint_calls <= 80
+
+
+def test_operator_norm_redraws_a_start_in_the_null_space(monkeypatch):
+    class Draws:
+        def __init__(self, seed):
+            self.left = [np.array([0.0, 1.0]), np.array([1.0, 1.0])]
+
+        def standard_normal(self, n):
+            return self.left.pop(0)
+
+    monkeypatch.setattr(np.random, "default_rng", Draws)
+    op = LinearOperator(np.diag([2.0, 0.0]))
+    assert op.operator_norm() == pytest.approx(2.0, rel=1e-15)
+    # one product on the first start, then the two steps the second needs
+    assert op.apply_calls == 3
+
+
+def test_operator_norm_loads_no_scipy_linear_algebra():
+    code = (
+        "import sys, numpy as np\n"
+        "from saddlesolve.linop import LinearOperator, SparseMatrix\n"
+        "from saddlesolve.problems import ProblemSpec, gen_lasso\n"
+        "gen_lasso(ProblemSpec('lasso1'))[0].K.operator_norm()\n"
+        "LinearOperator(SparseMatrix.from_dense(np.eye(3))).operator_norm()\n"
+        "print(sorted(m for m in sys.modules\n"
+        "             if m.split('.')[:2] == ['scipy', 'linalg']\n"
+        "             or m.split('.')[:3] == ['scipy', 'sparse', 'linalg']))\n"
+    )
+    src = str(Path(linop.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_frobenius(fixtures):

@@ -256,6 +256,13 @@ def test_pdac_no_correction_when_delta_ge_one():
     assert st.correction_backtracks == 0
 
 
+@pytest.mark.parametrize("beta", [0, -1.0, math.nan, math.inf])
+def test_default_lambda0_rejects_a_bad_beta(beta):
+    prob, _ = gen_lasso(ProblemSpec("lasso1", seed=7, m=10, n=20, s=3))
+    with pytest.raises(ConfigError, match=rf"^beta must be positive and finite; got {beta}$"):
+        default_lambda0(prob, beta)
+
+
 def test_pdac_one_fresh_apply_per_iteration():
     prob, _ = gen_lasso(ProblemSpec("lasso1", seed=7, m=10, n=20, s=3))
     x0, y0 = prob.start

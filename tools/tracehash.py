@@ -1,5 +1,6 @@
-"""Hash the traces of a fixed set of ``saddle-solve run`` calls and the
-results of a fixed set of ``saddle-solve reference`` solves.
+"""Hash the traces of a fixed set of ``saddle-solve run`` calls, the
+operator norms of their problems and the results of a fixed set of
+``saddle-solve reference`` solves.
 
 Runs the six solvers on lasso1, lasso2, game1, game3, nnls-well and
 nnls-well ``--swapped`` at the default settings, and on lasso1
@@ -10,7 +11,10 @@ the reference solve on lasso1 seeds 1-4 and nnls-well seed 1 through
 ``reference_solve_cmd``, with OpenBLAS pinned to one thread (results depend
 on the BLAS thread count). The NNLS problems use
 the synthetic 1033x320 matrix of ``bench/workloads.py``
-(``write_c12_matrix``). Prints one line per solver run: its exit code, the
+(``write_c12_matrix``). Prints, for each of the six problems, one line with
+the bits of ``operator_norm()`` (the L that pda and pgm step by) as 16 hex
+digits and its relative distance to ``np.linalg.svd``'s top singular value;
+one line per solver run: its exit code, the
 first 16 hex digits of the sha256 of its CSV trace without the ``seconds``
 column ("-" when it wrote none), and its final metric; one line per
 reference solve: its exit code, the first 16 hex digits of the sha256 of
@@ -19,13 +23,16 @@ hash of the whole listing.
 
     python3 tools/tracehash.py [--out RUNS.json] [--compare OTHER.json]
 
-``--out`` writes every run's rows (``seconds`` dropped) and every reference
-result to a JSON file. ``--compare`` reads such a file, made by another
-version of the code, and prints for each solver run the largest relative
+``--out`` writes every run's rows (``seconds`` dropped), every operator
+norm and every reference result to a JSON file. ``--compare`` reads such a
+file, made by another version of the code, and prints for each operator norm
+the relative change of L and its distance to the SVD on either side; for
+each solver run the largest relative
 difference of the metric, lambda and beta columns over all rows, and how
 many rows differ at all; for each reference solve the largest absolute
 difference in x_bar and the relative difference in phi_star; then the count
-of entries that differ. A solver run differs when a row differs, its
+of entries that differ. An operator norm differs when its bits changed or
+it is missing from either side. A solver run differs when a row differs, its
 iterations or its exit code changed, or it is missing from either side. A
 reference solve differs when the bits of x_bar, y_bar or phi_star or its
 exit code changed, or it is missing from either side; a changed iteration
@@ -46,6 +53,7 @@ import hashlib  # noqa: E402
 import io  # noqa: E402
 import json  # noqa: E402
 import math  # noqa: E402
+import struct  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
 from pathlib import Path  # noqa: E402
@@ -55,7 +63,12 @@ import numpy as np  # noqa: E402
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
-from saddlesolve.cli import SOLVER_NAMES, reference_solve_cmd, run_experiment  # noqa: E402
+from saddlesolve.cli import (  # noqa: E402
+    SOLVER_NAMES,
+    _build_problem,
+    reference_solve_cmd,
+    run_experiment,
+)
 from workloads import write_c12_matrix  # noqa: E402
 
 PROBLEMS = (
@@ -75,11 +88,24 @@ REFERENCES = (("lasso1", 1), ("lasso1", 2), ("lasso1", 3), ("lasso1", 4), ("nnls
 COLUMNS = ("metric", "lambda", "beta")  # compared as floats; corrections as counts
 
 
+def operator_norm_entry(family, swapped, matrix):
+    """{"L", "svd"}: ``operator_norm()`` of the problem a run builds and the
+    top singular value of its matrix."""
+    K = _build_problem(family, None, swapped, str(matrix)).K
+    svd = np.linalg.svd(K.backing.to_dense(), compute_uv=False)[0]
+    return {"L": K.operator_norm(), "svd": float(svd)}
+
+
 def run_all(tmp, matrix):
-    """{run name: {"exit", "sha256", "final_metric", "rows"}} for every run."""
-    runs = {}
+    """{run name: {"exit", "sha256", "final_metric", "rows"}} for every run,
+    each problem's operator norm entry before its first run."""
+    runs, normed = {}, set()
     for problem, extra in PROBLEMS:
         family = problem.split()[0]
+        swapped = "--swapped" in extra
+        if (family, swapped) not in normed:
+            normed.add((family, swapped))
+            runs[f"{problem} L"] = operator_norm_entry(family, swapped, matrix)
         if family.startswith("nnls"):
             extra = extra + ["--matrix-file", str(matrix)]
         for solver in SOLVER_NAMES:
@@ -145,6 +171,10 @@ def reference_drift(rec, old):
     return status, differs
 
 
+def _svd_distance(rec):
+    return (rec["L"] - rec["svd"]) / rec["svd"]
+
+
 def _rel(a, b):
     if a == b or (math.isnan(a) and math.isnan(b)):
         return 0.0
@@ -178,6 +208,12 @@ def main(argv=None):
         runs.update(reference_all(Path(tmp), matrix))
     listing = ""
     for name, rec in runs.items():
+        if "L" in rec:
+            bits = struct.pack(">d", rec["L"]).hex()
+            line = f"{name:28s} L {bits}  {_svd_distance(rec):+.2e} vs svd"
+            listing += line + "\n"
+            print(line)
+            continue
         digest = (rec["sha256"] or "-")[:16]
         last = f"{rec['iterations']} iterations" if "x_bar" in rec else repr(rec["final_metric"])
         line = f"{name:28s} exit {rec['exit']}  {digest:16s}  {last}"
@@ -199,6 +235,14 @@ def main(argv=None):
             differing += 1
             continue
         rec, old = runs[name], other[name]
+        if "L" in rec:
+            differs = rec["L"] != old["L"]
+            status = "same bits" if not differs else (
+                f"L {_rel(rec['L'], old['L']):.2e} rel  svd distance "
+                f"{_svd_distance(old):+.2e} -> {_svd_distance(rec):+.2e}")
+            print(f"{name:28s} {status}")
+            differing += differs
+            continue
         differs = rec["exit"] != old["exit"]
         note = f"  exit {old['exit']} -> {rec['exit']}" if differs else ""
         if "x_bar" in rec:
@@ -216,7 +260,7 @@ def main(argv=None):
             status += f"  {rows_differ}/{len(rec['rows'])} rows"
         print(f"{name:28s} {status}{note}")
         differing += differs
-    print(f"{differing}/{len(names)} runs differ")
+    print(f"{differing}/{len(names)} entries differ")
     return 1 if differing else 0
 
 
