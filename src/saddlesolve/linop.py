@@ -260,10 +260,22 @@ class LinearOperator:
         self.apply_calls = 0
         self.adjoint_calls = 0
 
+    def _entries(self):
+        """The stored entries: the dense array or the CSR values."""
+        backing = self.backing
+        return backing.entries if isinstance(backing, DenseMatrix) else backing.values
+
     def frobenius_norm(self):
-        if isinstance(self.backing, DenseMatrix):
-            return float(np.linalg.norm(self.backing.entries))
-        return float(np.linalg.norm(self.backing.values))
+        """The root of the sum of the squared entries. When that sum under-
+        or overflows on a nonzero K, the norm is taken of K divided by its
+        largest |entry| and scaled back."""
+        entries = self._entries()
+        with np.errstate(over="ignore"):
+            fro = float(np.linalg.norm(entries))
+        scale = _largest_abs(entries) if fro == 0.0 or fro == math.inf else 0.0
+        if scale > 0.0:
+            return scale * float(np.linalg.norm(entries / scale))
+        return fro
 
     def operator_norm(self):
         """Spectral norm by the Lanczos iteration on the smaller Gram
@@ -282,9 +294,7 @@ class LinearOperator:
         """
         if self.cached_norm is not None:
             return self.cached_norm
-        dense = isinstance(self.backing, DenseMatrix)
-        entries = self.backing.entries if dense else self.backing.values
-        scale = float(max(entries.max(initial=0.0), -entries.min(initial=0.0)))
+        scale = _largest_abs(self._entries())
         if scale == 0.0:
             raise ValueError("operator_norm: zero operator")
         if self.cols <= self.rows:
@@ -323,6 +333,11 @@ class LinearOperator:
             f"Lanczos iteration did not converge within {_LANCZOS_MAX_ITER} steps",
             scale * math.sqrt(theta) if theta > 0 else 0.0,
         )
+
+
+def _largest_abs(entries):
+    """The largest absolute value in ``entries``, 0 when there are none."""
+    return float(max(entries.max(initial=0.0), -entries.min(initial=0.0)))
 
 
 def _top_ritz_pair(alphas, betas):

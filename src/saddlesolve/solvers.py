@@ -20,7 +20,6 @@ import math
 import time
 from dataclasses import dataclass, field, fields
 from operator import attrgetter
-from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -188,63 +187,89 @@ class BaselineConfig:
 class SolverState:
     """Evolving iterates of the corrected solver and its accelerated variant.
 
-    ``x_prev``/``x_cur`` hold x_{n-1} and x_n (the driver rebuilds the
-    extrapolated point z_n from them); ``lam_cur``/``lam_next`` hold
-    lambda_n and lambda_{n+1}; ``beta_cur`` is beta_n, constant unless the
-    run is accelerated. ``Kx_cur`` and ``Ky_cur`` cache the images K x_n and
-    K*y_n, so each outer iteration spends exactly one forward and one adjoint
-    application and the objective none.
+    Every state class names the same things alike: ``x``/``Kx`` are the
+    primal iterate and its image K x, ``y``/``Ky`` the dual iterate and its
+    image K*y where there is a dual, and ``lam``, ``beta`` and
+    ``corrections`` are exactly the trace's ``lambda``, ``beta`` and
+    ``corrections`` columns. Here ``x_prev``/``x`` hold x_{n-1} and x_n (the
+    driver rebuilds the extrapolated point z_n from them); ``lam``/
+    ``lam_next`` hold lambda_n and lambda_{n+1}; ``beta`` is beta_n,
+    constant unless the run is accelerated; ``corrections`` counts the
+    correction loop's shrinks. The cached images make each outer iteration
+    spend exactly one forward and one adjoint application and the objective
+    none.
     """
 
     x_prev: np.ndarray
-    x_cur: np.ndarray
-    y_cur: np.ndarray
-    lam_cur: float
+    x: np.ndarray
+    y: np.ndarray
+    lam: float
     lam_next: float
-    beta_cur: float
+    beta: float
     zeta0: float
     zeta_cur: float
     iter: int
-    correction_backtracks: int
-    Ky_cur: np.ndarray
-    Kx_cur: np.ndarray
+    corrections: int
+    Ky: np.ndarray
+    Kx: np.ndarray
 
 
 @dataclass
 class PdaState:
+    """Fixed-step PDA state; ``lam`` = tau and ``beta`` = sigma / tau are
+    set once from the config, and ``corrections`` stays 0."""
+
     x: np.ndarray
     y: np.ndarray
     Kx: np.ndarray
     Kz: np.ndarray
     Ky: np.ndarray
+    lam: float
+    beta: float
+    corrections: int = 0
 
 
 @dataclass
 class PdalState:
+    """Linesearch PDA state; ``lam`` is the accepted primal step tau,
+    ``beta`` the config's step ratio and ``corrections`` the line-search
+    shrinks."""
+
     x: np.ndarray
     y: np.ndarray
-    tau: float
+    lam: float
+    beta: float
     theta: float
     Kx: np.ndarray
     Ky: np.ndarray
-    shrinks: int = 0
+    corrections: int = 0
 
 
 @dataclass
 class PgmState:
+    """Proximal gradient state; ``lam`` is the fixed step, ``beta`` 0 and
+    ``corrections`` 0."""
+
     x: np.ndarray
     Kx: np.ndarray
+    lam: float
+    beta: float = 0.0
+    corrections: int = 0
 
 
 @dataclass
 class FistaState:
+    """FISTA state; ``lam`` is the backtracked step, ``beta`` 0 and
+    ``corrections`` the backtracking shrinks."""
+
     x: np.ndarray
     v: np.ndarray
     t: float
     lam: float
     Kx: np.ndarray
     Kv: np.ndarray
-    shrinks: int = 0
+    beta: float = 0.0
+    corrections: int = 0
 
 
 def default_lambda0(problem, beta):
@@ -291,7 +316,9 @@ def default_config(problem, solver, **overrides):
     1/(20 L) on LASSO and tau = sigma = 1/L otherwise, with L the operator
     norm; pdal starts at tau = sqrt(min(m, n)) / ||K||_F with the beta above;
     pgm steps 1/L^2; fista backtracks by 0.7. pdal reads beta, and pda, pgm
-    and fista read no override.
+    and fista read no override. A zero K raises ValueError for pda, pdal and
+    pgm, and a pgm step 1/L^2 that is not positive and finite raises
+    ConfigError.
     """
     given = {name: value for name, value in overrides.items() if value is not None}
     lasso = isinstance(problem.g, ScaledL1)
@@ -300,11 +327,16 @@ def default_config(problem, solver, **overrides):
     if solver in ("pda", "pgm"):
         L = problem.K.operator_norm()
         if solver == "pgm":
-            return BaselineConfig(step=1.0 / (L * L)), set(given)
+            # 1/L^2 leaves the float range when L*L under- or overflows
+            step = 1.0 / (L * L) if L * L > 0.0 else math.inf
+            return BaselineConfig(step=step).validate(), set(given)
         scale = 20.0 if lasso else 1.0
         return BaselineConfig(tau=scale / L, sigma=1.0 / (scale * L)), set(given)
     if solver == "pdal":
-        tau0 = math.sqrt(min(problem.K.shape)) / problem.K.frobenius_norm()
+        fro = problem.K.frobenius_norm()
+        if fro == 0.0:
+            raise ValueError("operator_norm: zero operator")
+        tau0 = math.sqrt(min(problem.K.shape)) / fro
         return BaselineConfig(tau=tau0, beta=beta), set(given) - {"beta"}
     if solver == "fista":
         return BaselineConfig(fista_beta=0.7), set(given)
@@ -375,17 +407,17 @@ def init_state(problem, x0, y0, cfg, kind="pdac"):
     zeta0 = max(vector_norm(x0 - px), vector_norm(y0 - py))
     return SolverState(
         x_prev=x0.copy(),
-        x_cur=x0.copy(),
-        y_cur=y0.copy(),
-        lam_cur=lam,
+        x=x0.copy(),
+        y=y0.copy(),
+        lam=lam,
         lam_next=lam,
-        beta_cur=beta,
+        beta=beta,
         zeta0=zeta0,
         zeta_cur=zeta0,
         iter=0,
-        correction_backtracks=0,
-        Ky_cur=Ky0,
-        Kx_cur=Kx0,
+        corrections=0,
+        Ky=Ky0,
+        Kx=Kx0,
     )
 
 
@@ -446,12 +478,12 @@ def correction_pass(state, problem, cfg, x_candidate, zeta_candidate, phi_n):
                 f"correction exceeded {_MAX_SHRINKS} shrinks at iteration {state.iter}; "
                 f"displacement {zeta_candidate:.3e} vs bound {bound:.3e}"
             )
-        state.lam_cur *= cfg.rho
-        state.lam_next = min(phi_n * state.lam_cur, state.lam_next)
-        x_candidate = problem.g.prox(state.x_cur - state.lam_cur * state.Ky_cur, state.lam_cur)
-        zeta_candidate = vector_norm(x_candidate - state.x_cur)
+        state.lam *= cfg.rho
+        state.lam_next = min(phi_n * state.lam, state.lam_next)
+        x_candidate = problem.g.prox(state.x - state.lam * state.Ky, state.lam)
+        zeta_candidate = vector_norm(x_candidate - state.x)
         shrinks += 1
-    state.correction_backtracks += shrinks
+    state.corrections += shrinks
     return x_candidate, zeta_candidate
 
 
@@ -472,29 +504,29 @@ def _pd_iterate(state, problem, cfg, accelerated):
     K = problem.K
     gamma = cfg.gamma if accelerated else 0.0
     phi_n = phi_schedule(n, cfg)
-    x_next = problem.g.prox(state.x_cur - state.lam_cur * state.Ky_cur, state.lam_cur)
-    zeta_next = vector_norm(x_next - state.x_cur)
+    x_next = problem.g.prox(state.x - state.lam * state.Ky, state.lam)
+    zeta_next = vector_norm(x_next - state.x)
     if cfg.delta < 1.0:
         x_next, zeta_next = correction_pass(state, problem, cfg, x_next, zeta_next, phi_n)
     Kx_next = K.apply(x_next)
-    Kz_next = Kx_next + cfg.delta * (Kx_next - state.Kx_cur)
-    beta_next = state.beta_cur * (1.0 + gamma * state.lam_next)
+    Kz_next = Kx_next + cfg.delta * (Kx_next - state.Kx)
+    beta_next = state.beta * (1.0 + gamma * state.lam_next)
     s = beta_next * state.lam_next
-    y_next = problem.fstar.prox(state.y_cur + s * Kz_next, s)
+    y_next = problem.fstar.prox(state.y + s * Kz_next, s)
     Ky_next = K.adjoint_apply(y_next)
-    dy = vector_norm(y_next - state.y_cur)
-    kdy = vector_norm(Ky_next - state.Ky_cur)
-    cap = math.sqrt(state.beta_cur / beta_next) * state.lam_next
+    dy = vector_norm(y_next - state.y)
+    kdy = vector_norm(Ky_next - state.Ky)
+    cap = math.sqrt(state.beta / beta_next) * state.lam_next
     lam_after = predict_step(dy, kdy, cap, phi_n, cfg, beta_next)
 
-    state.x_prev = state.x_cur
-    state.x_cur = x_next
-    state.Kx_cur = Kx_next
-    state.y_cur = y_next
-    state.Ky_cur = Ky_next
-    state.lam_cur = state.lam_next
+    state.x_prev = state.x
+    state.x = x_next
+    state.Kx = Kx_next
+    state.y = y_next
+    state.Ky = Ky_next
+    state.lam = state.lam_next
     state.lam_next = lam_after
-    state.beta_cur = beta_next
+    state.beta = beta_next
     state.zeta_cur = zeta_next
     state.iter = n + 1
     return state
@@ -515,13 +547,13 @@ def init_pda(problem, x0, y0, bcfg):
     bcfg.validate()
     x0, y0 = _checked_start(problem, x0, y0)
     L = problem.K.operator_norm()
-    if bcfg.tau * bcfg.sigma * L * L > 1.0 + 1e-12:
-        raise ConfigError(
-            f"fixed-step PDA needs tau*sigma*L^2 <= 1; got {bcfg.tau * bcfg.sigma * L * L:.6f}"
-        )
+    product = (bcfg.tau * L) * (bcfg.sigma * L)  # tau*sigma*L*L would under- or overflow
+    if product > 1.0 + 1e-12:
+        raise ConfigError(f"fixed-step PDA needs tau*sigma*L^2 <= 1; got {product:.6f}")
     Kx0 = problem.K.apply(x0)
     return PdaState(
-        x=x0.copy(), y=y0.copy(), Kx=Kx0, Kz=Kx0, Ky=problem.K.adjoint_apply(y0)
+        x=x0.copy(), y=y0.copy(), Kx=Kx0, Kz=Kx0, Ky=problem.K.adjoint_apply(y0),
+        lam=bcfg.tau, beta=bcfg.sigma / bcfg.tau,
     )
 
 
@@ -549,7 +581,8 @@ def init_pdal(problem, x0, y0, bcfg):
     return PdalState(
         x=x0.copy(),
         y=y0.copy(),
-        tau=bcfg.tau,
+        lam=bcfg.tau,
+        beta=bcfg.beta,
         theta=bcfg.theta,
         Kx=problem.K.apply(x0),
         Ky=problem.K.adjoint_apply(y0),
@@ -565,13 +598,13 @@ def pdal_iterate(state, problem, bcfg):
     one adjoint application only.
     """
     K = problem.K
-    x_next = problem.g.prox(state.x - state.tau * state.Ky, state.tau)
+    x_next = problem.g.prox(state.x - state.lam * state.Ky, state.lam)
     Kx_next = K.apply(x_next)
-    trial = state.tau * math.sqrt(1.0 + state.theta)
+    trial = state.lam * math.sqrt(1.0 + state.theta)
     sqrt_beta = math.sqrt(bcfg.beta)
     shrinks = 0
     while True:
-        theta = trial / state.tau
+        theta = trial / state.lam
         Kz = (1.0 + theta) * Kx_next - theta * state.Kx
         s = bcfg.beta * trial
         y_next = problem.fstar.prox(state.y + s * Kz, s)
@@ -586,13 +619,13 @@ def pdal_iterate(state, problem, bcfg):
             )
         trial *= bcfg.mu_ls
         shrinks += 1
-    state.shrinks += shrinks
+    state.corrections += shrinks
     state.x = x_next
     state.Kx = Kx_next
     state.y = y_next
     state.Ky = Ky_next
     state.theta = theta
-    state.tau = trial
+    state.lam = trial
     return state
 
 
@@ -609,7 +642,7 @@ def init_pgm(problem, x0, bcfg):
     bcfg.validate()
     _smooth_shift(problem)
     x0 = _checked_vector(x0, problem.K.cols, "x0")
-    return PgmState(x=x0.copy(), Kx=problem.K.apply(x0))
+    return PgmState(x=x0.copy(), Kx=problem.K.apply(x0), lam=bcfg.step)
 
 
 def pgm_iterate(state, problem, bcfg):
@@ -663,7 +696,7 @@ def fista_iterate(state, problem, bcfg):
             )
         state.lam *= bcfg.fista_beta
         shrinks += 1
-    state.shrinks += shrinks
+    state.corrections += shrinks
     t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * state.t * state.t))
     c = (state.t - 1.0) / t_next
     state.v = x_next + c * (x_next - state.x)
@@ -723,66 +756,35 @@ class IterationTrace:
         return trace
 
 
-class _Driver(NamedTuple):
-    """The per-solver pieces ``run`` drives."""
-
-    state: object
-    step: Callable  # (state, problem, cfg) -> state
-    point: Callable  # state -> (the objective's iterate, its K-image); both checked finite
-    report: Callable  # state -> (lambda, beta, corrections) trace columns
-    sample: Optional[Callable]  # state -> (weight, z, y) for the ergodic average
-    head: float  # the ergodic average's head weight is head * w_1 on x_0
-
-
 def _driver(kind, problem, cfg, x0, y0):
-    """Build the driver of one solver kind: the only dispatch on the kind.
+    """The only dispatch on the solver kind: (state, iterate, sample, head).
 
-    Iterates are looked up as module attributes on every call, so a wrapped
-    ``<kind>_iterate`` is the one that runs.
+    ``sample`` maps a primal-dual state to the (weight, z, y) the ergodic
+    average takes, and the average's head weight is ``head`` * w_1 on x_0;
+    it is None for pgm and fista. Iterates are looked up as module
+    attributes here, when a run starts, so a wrapped ``<kind>_iterate`` is
+    the one that runs.
     """
-    var = problem.objective_var
     if kind in ("pdac", "apdac"):
         accelerated = kind == "apdac"
-        return _Driver(
+        return (
             init_state(problem, x0, y0, cfg, kind=kind),
             apdac_iterate if accelerated else pdac_iterate,
-            attrgetter(f"{var}_cur", f"K{var}_cur"),
-            lambda st: (st.lam_cur, st.beta_cur, st.correction_backtracks),
             lambda st: (
-                st.beta_cur * st.lam_cur if accelerated else st.lam_cur,
-                st.x_cur + cfg.delta * (st.x_cur - st.x_prev),
-                st.y_cur,
+                st.beta * st.lam if accelerated else st.lam,
+                st.x + cfg.delta * (st.x - st.x_prev),
+                st.y,
             ),
             cfg.delta,
         )
     if kind == "pda":
-        return _Driver(
-            init_pda(problem, x0, y0, cfg),
-            pda_iterate,
-            attrgetter(var, "K" + var),
-            lambda st: (cfg.tau, cfg.sigma / cfg.tau, 0),
-            lambda st: (1.0, st.x, st.y),
-            1.0,
-        )
+        return init_pda(problem, x0, y0, cfg), pda_iterate, lambda st: (1.0, st.x, st.y), 1.0
     if kind == "pdal":
-        return _Driver(
-            init_pdal(problem, x0, y0, cfg),
-            pdal_iterate,
-            attrgetter(var, "K" + var),
-            lambda st: (st.tau, cfg.beta, st.shrinks),
-            lambda st: (st.tau, st.x, st.y),
-            1.0,
-        )
+        return init_pdal(problem, x0, y0, cfg), pdal_iterate, attrgetter("lam", "x", "y"), 1.0
     if kind == "pgm":
-        return _Driver(
-            init_pgm(problem, x0, cfg), pgm_iterate, attrgetter("x", "Kx"),
-            lambda st: (cfg.step, 0.0, 0), None, 1.0,
-        )
+        return init_pgm(problem, x0, cfg), pgm_iterate, None, 1.0
     if kind == "fista":
-        return _Driver(
-            init_fista(problem, x0, cfg), fista_iterate, attrgetter("x", "Kx"),
-            lambda st: (st.lam, 0.0, st.shrinks), None, 1.0,
-        )
+        return init_fista(problem, x0, cfg), fista_iterate, None, 1.0
     raise ConfigError(f"unknown solver kind {kind!r}")
 
 
@@ -802,7 +804,11 @@ def run(
 
     ``solver_kind`` is one of pdac, apdac, pda, pdal, pgm, fista. ``cfg`` is a
     SolverConfig for the first two and a BaselineConfig otherwise; the
-    iteration budget ``max_iter`` is required. The metric column holds the
+    iteration budget ``max_iter`` is required. Every state is read by the
+    same names: the ``lambda, beta, corrections`` columns are its ``lam``,
+    ``beta`` and ``corrections``, and the objective reads its
+    ``problem.objective_var`` (``x`` or ``y``) and that point's image (``Kx``
+    or ``Ky``). The metric column holds the
     problem objective (minus ``reference_value`` when given), evaluated with
     the K-image the solver state caches, so an objective row applies no
     matrix; for a matrix game (``problem.is_matrix_game``) it holds the
@@ -825,9 +831,11 @@ def run(
     if trace_every < 1:
         raise ValueError("trace_every must be at least 1")
     x0, y0 = _checked_start(problem, x0, y0)
-    drv = _driver(solver_kind, problem, cfg, x0, y0)
-    state = drv.state
-    ergodic = ErgodicAverage(x0, drv.head) if problem.is_matrix_game else None
+    state, step, sample, head = _driver(solver_kind, problem, cfg, x0, y0)
+    var = problem.objective_var
+    point_of = attrgetter(var, "K" + var)
+    columns = attrgetter("lam", "beta", "corrections")
+    ergodic = ErgodicAverage(x0, head) if problem.is_matrix_game else None
 
     def metric(point, image):
         if ergodic is not None:
@@ -843,21 +851,21 @@ def run(
 
     trace = IterationTrace()
     t0 = time.perf_counter()
-    trace.append(0, 0.0, metric(*drv.point(state)), *drv.report(state))
+    trace.append(0, 0.0, metric(*point_of(state)), *columns(state))
     for n in range(1, max_iter + 1):
         try:
-            drv.step(state, problem, cfg)
-            point, image = drv.point(state)
+            step(state, problem, cfg)
+            point, image = point_of(state)
             if not (np.isfinite(point).all() and np.isfinite(image).all()):
                 raise DivergenceError(f"non-finite iterate at iteration {n}", n)
         except (DivergenceError, LinesearchStallError) as err:
             err.trace = trace
             raise
         if ergodic is not None:
-            ergodic.update(*drv.sample(state))
+            ergodic.update(*sample(state))
         out_of_time = max_seconds is not None and time.perf_counter() - t0 > max_seconds
         if n % trace_every == 0 or n == max_iter or out_of_time:
-            trace.append(n, time.perf_counter() - t0, metric(point, image), *drv.report(state))
+            trace.append(n, time.perf_counter() - t0, metric(point, image), *columns(state))
         if out_of_time:
             break
     return trace

@@ -76,14 +76,14 @@ def lasso_40x100_run(lasso_40x100):
     prob, ref, _ = lasso_40x100
     cfg, _ = default_config(prob, "pdac")
     st = init_state(prob, *prob.start, cfg)
-    xs, ys, lams = [st.x_cur.copy()], [st.y_cur.copy()], [st.lam_cur, st.lam_next]
+    xs, ys, lams = [st.x.copy()], [st.y.copy()], [st.lam, st.lam_next]
     for n in range(30000):
         pdac_iterate(st, prob, cfg)
         if n < 10000:
-            xs.append(st.x_cur.copy())
-            ys.append(st.y_cur.copy())
+            xs.append(st.x.copy())
+            ys.append(st.y.copy())
             lams.append(st.lam_next)
-    return cfg, xs, ys, lams, st.correction_backtracks
+    return cfg, xs, ys, lams, st.corrections
 
 
 def test_c01_prox_matches_oracles(rng):
@@ -133,18 +133,18 @@ def test_c02_fixed_point_sanity():
     st = init_state(prob, xb, yb, cfg)
     worst = 0.0
     for _ in range(100):
-        xp, yp = st.x_cur.copy(), st.y_cur.copy()
+        xp, yp = st.x.copy(), st.y.copy()
         pdac_iterate(st, prob, cfg)
-        worst = max(worst, float(np.linalg.norm(st.x_cur - xp) + np.linalg.norm(st.y_cur - yp)))
+        worst = max(worst, float(np.linalg.norm(st.x - xp) + np.linalg.norm(st.y - yp)))
     moves["pdac"] = worst
 
     acfg, _ = default_config(prob, "apdac")
     st = init_state(prob, xb, yb, acfg, kind="apdac")
     worst = 0.0
     for _ in range(100):
-        xp, yp = st.x_cur.copy(), st.y_cur.copy()
+        xp, yp = st.x.copy(), st.y.copy()
         apdac_iterate(st, prob, acfg)
-        worst = max(worst, float(np.linalg.norm(st.x_cur - xp) + np.linalg.norm(st.y_cur - yp)))
+        worst = max(worst, float(np.linalg.norm(st.x - xp) + np.linalg.norm(st.y - yp)))
     moves["apdac"] = worst
 
     bcfg, _ = default_config(prob, "pda")
@@ -196,11 +196,11 @@ def test_c04_step_size_floor():
     game = gen_matrix_game(ProblemSpec("game1", seed=100, m=50, n=50))
     cfg = SolverConfig(delta=1.0, alpha=0.99, beta0=1.0, lambda0=1.0)
     st = init_state(game, *game.start, cfg)
-    lams = [st.lam_cur, st.lam_next]
+    lams = [st.lam, st.lam_next]
     for _ in range(20000):
         pdac_iterate(st, game, cfg)
         lams.append(st.lam_next)
-    assert st.correction_backtracks == 0
+    assert st.corrections == 0
     L = game.K.operator_norm()
     floor = min(cfg.alpha / (math.sqrt(cfg.beta0) * L), lams[1])
     assert min(lams) >= floor - 1e-12
@@ -248,8 +248,8 @@ def test_c07_ergodic_rate_trend():
     gaps = {}
     for n in range(50000):
         pdac_iterate(st, game, cfg)
-        z = st.x_cur + cfg.delta * (st.x_cur - st.x_prev)
-        avg.update(st.lam_cur, z, st.y_cur)
+        z = st.x + cfg.delta * (st.x - st.x_prev)
+        avg.update(st.lam, z, st.y)
         if n + 1 in checkpoints:
             gaps[n + 1] = pd_gap_game(game.K, avg.X, avg.Y)
     for j in (2000, 4000, 8000):
@@ -275,12 +275,12 @@ def test_c08_accelerated_growth():
     assert prob.gamma == 0.5
     cfg, _ = default_config(prob, "apdac")
     st = init_state(prob, *prob.start, cfg, kind="apdac")
-    betas = [st.beta_cur]
-    sigmas = [math.sqrt(st.beta_cur) * st.lam_next]
+    betas = [st.beta]
+    sigmas = [math.sqrt(st.beta) * st.lam_next]
     for _ in range(10000):
         apdac_iterate(st, prob, cfg)
-        betas.append(st.beta_cur)
-        sigmas.append(math.sqrt(st.beta_cur) * st.lam_next)
+        betas.append(st.beta)
+        sigmas.append(math.sqrt(st.beta) * st.lam_next)
     betas = np.array(betas)
     sigmas = np.array(sigmas)
     assert np.all(np.diff(betas) > 0.0)
@@ -305,8 +305,8 @@ def test_c09_gamma_zero_reduction():
     for _ in range(500):
         apdac_iterate(s_acc, prob, cfg)
         pdac_iterate(s_base, prob, cfg)
-        assert np.array_equal(s_acc.x_cur, s_base.x_cur)
-        assert np.array_equal(s_acc.y_cur, s_base.y_cur)
+        assert np.array_equal(s_acc.x, s_base.x)
+        assert np.array_equal(s_acc.y, s_base.y)
         assert s_acc.lam_next == s_base.lam_next
     print("C9 gamma = 0 reduction: 500 iterations bit-identical to the base solver: PASS")
 

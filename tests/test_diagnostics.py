@@ -128,11 +128,11 @@ def test_lyapunov_a_dominates_distance():
         delta=0.62, alpha=1.27, beta0=1.0, lambda0=default_lambda0(prob, 1.0)
     )
     st = init_state(prob, *prob.start, cfg)
-    xs, ys, lams = [st.x_cur.copy()], [st.y_cur.copy()], [st.lam_cur, st.lam_next]
+    xs, ys, lams = [st.x.copy()], [st.y.copy()], [st.lam, st.lam_next]
     for _ in range(60):
         pdac_iterate(st, prob, cfg)
-        xs.append(st.x_cur.copy())
-        ys.append(st.y_cur.copy())
+        xs.append(st.x.copy())
+        ys.append(st.y.copy())
         lams.append(st.lam_next)
     for s in lyapunov_series(xs, ys, lams, ref, prob, cfg, every=1):
         d = xs[s.n] - ref.x_bar
@@ -146,11 +146,11 @@ def test_lyapunov_b_nonnegative_after_burn_in_delta_ge_one():
         delta=1.0, alpha=0.99, beta0=1.0, lambda0=default_lambda0(prob, 1.0)
     )
     st = init_state(prob, *prob.start, cfg)
-    xs, ys, lams = [st.x_cur.copy()], [st.y_cur.copy()], [st.lam_cur, st.lam_next]
+    xs, ys, lams = [st.x.copy()], [st.y.copy()], [st.lam, st.lam_next]
     for _ in range(2000):
         pdac_iterate(st, prob, cfg)
-        xs.append(st.x_cur.copy())
-        ys.append(st.y_cur.copy())
+        xs.append(st.x.copy())
+        ys.append(st.y.copy())
         lams.append(st.lam_next)
     n_star = find_burn_in(lams, cfg, consecutive=50)
     assert n_star is not None

@@ -1,0 +1,106 @@
+"""The paper's invariants on random small instances (m, n <= 12): the bitwise
+reduction of the accelerated solver at gamma = 0, deterministic traces and
+the correction bound on zeta_n."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from saddlesolve.problems import ProblemSpec, build_nnls, gen_lasso, gen_matrix_game
+from saddlesolve.solvers import (
+    DELTA_LOWER,
+    LinesearchStallError,
+    SolverConfig,
+    default_config,
+    default_lambda0,
+    init_state,
+    pdac_iterate,
+    run,
+)
+
+_FAMILIES = ("lasso", "nnls", "nnls-swapped", "game")
+_SIZE = st.integers(1, 12)
+_SEED = st.integers(0, 2**32 - 1)
+
+
+def _instance(family, seed, m, n):
+    if family == "lasso":
+        return gen_lasso(ProblemSpec("lasso1", seed=seed, m=m, n=n, s=min(n, 3)))[0]
+    if family == "game":
+        return gen_matrix_game(ProblemSpec("game1", seed=seed, m=m, n=n))
+    rng = np.random.default_rng(seed)
+    K, b = rng.standard_normal((m, n)), rng.standard_normal(m)
+    return build_nnls(K, b, swapped=family == "nnls-swapped")
+
+
+def _rows(trace):
+    """The trace's rows without the ``seconds`` column."""
+    return [row[:1] + row[2:] for row in trace.rows]
+
+
+def _ending(kind, prob, cfg):
+    """The rows of a 25-iteration run without ``seconds``, and the message of
+    the LinesearchStallError that ended it early (None when none did)."""
+    try:
+        return _rows(run(kind, prob, cfg, *prob.start, max_iter=25)), None
+    except LinesearchStallError as err:
+        return _rows(err.trace), str(err)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(_FAMILIES), _SEED, _SIZE, _SIZE, st.floats(1.0, 3.0),
+       st.floats(0.05, 0.99), st.floats(1e-3, 10.0))
+def test_apdac_at_gamma_zero_is_monotone_pdac_bitwise(family, seed, m, n, delta, alpha, beta):
+    prob = _instance(family, seed, m, n)
+    if prob.is_matrix_game:
+        # the ergodic weights are lambda and beta*lambda: equal bits at beta = 1
+        beta = 1.0
+    cfg = SolverConfig(delta=delta, alpha=alpha / delta**0.5, beta0=beta, gamma=0.0,
+                       lambda0=default_lambda0(prob, beta), nonmonotone=False)
+    base = run("pdac", prob, cfg, *prob.start, max_iter=25)
+    accelerated = run("apdac", prob, cfg, *prob.start, max_iter=25)
+    assert _rows(accelerated) == _rows(base)
+
+
+_KIND_FAMILIES = [(kind, family) for kind in ("pdac", "apdac", "pda", "pdal")
+                  for family in _FAMILIES]
+_KIND_FAMILIES += [(kind, family) for kind in ("pgm", "fista") for family in ("lasso", "nnls")]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(_KIND_FAMILIES), _SEED, _SIZE, _SIZE)
+def test_runs_of_one_kind_and_config_are_identical(kind_family, seed, m, n):
+    kind, family = kind_family
+    prob = _instance(family, seed, m, n)
+    cfg, _ = default_config(prob, kind)
+    assert _ending(kind, prob, cfg) == _ending(kind, prob, cfg)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(_FAMILIES), _SEED, _SIZE, _SIZE,
+       st.floats(DELTA_LOWER + 1e-3, 0.999), st.booleans())
+def test_corrected_displacement_stays_under_nu_zeta0(family, seed, m, n, delta, nonmonotone):
+    prob = _instance(family, seed, m, n)
+    cfg, _ = default_config(prob, "pdac", delta=delta, nonmonotone=nonmonotone)
+    st_ = init_state(prob, *prob.start, cfg)
+    for _ in range(40):
+        try:
+            pdac_iterate(st_, prob, cfg)
+        except LinesearchStallError:
+            # only the known stall: zeta_n = 0 makes the bound 0 (see below)
+            assert st_.zeta_cur == 0.0
+            return
+        assert st_.zeta_cur <= cfg.nu_corr * st_.zeta0
+
+
+@pytest.mark.xfail(raises=LinesearchStallError, strict=True,
+                   reason="a step that leaves x in place makes zeta_n = 0, and the "
+                          "correction bound min(nu zeta_0, mu zeta_n) = 0 then rejects "
+                          "every later move of x")
+def test_correction_moves_on_after_a_zero_displacement():
+    # x is soft-thresholded to 0 at iterations 3 and 4; iteration 5 needs to
+    # move it and stalls after 200 shrinks at a displacement of 2.5e-31
+    prob = gen_lasso(ProblemSpec("lasso1", seed=14, m=1, n=1, s=1))[0]
+    cfg, _ = default_config(prob, "pdac", delta=0.75, nonmonotone=False)
+    run("pdac", prob, cfg, *prob.start, max_iter=40)

@@ -336,6 +336,25 @@ def test_frobenius(fixtures):
     assert op.frobenius_norm() == pytest.approx(fixtures["frob_2x2"]["out"], rel=1e-15)
 
 
+@pytest.mark.parametrize("scale", [1e-200, 1e-320, 1e160, 1e200])
+def test_frobenius_norm_holds_at_extreme_scales(rng, scale):
+    # the plain sum of squares under- or overflows here (numpy warns on the
+    # overflow, an error in this suite); the norm of K / max|K| is scaled back
+    K = rng.standard_normal((6, 4))
+    expected = float(np.linalg.norm(K)) * scale
+    for backing in (K * scale, SparseMatrix.from_dense(K.T * scale)):
+        got = LinearOperator(backing).frobenius_norm()
+        assert got == pytest.approx(expected, rel=1e-13, abs=0.0)
+
+
+def test_frobenius_norm_keeps_the_bits_of_the_plain_norm(rng):
+    K = rng.standard_normal((7, 5))
+    K[K < 0.3] = 0.0
+    for backing in (K, SparseMatrix.from_dense(K)):
+        plain = np.linalg.norm(K)
+        assert np.float64(LinearOperator(backing).frobenius_norm()).tobytes() == plain.tobytes()
+
+
 def test_dense_matrix_validation():
     with pytest.raises(ValueError, match="finite"):
         DenseMatrix([[np.inf, 1.0]])

@@ -187,7 +187,7 @@ def test_init_state_lasso_zeta0():
     ktb = prob.K.adjoint_apply(gt.b)
     expect = np.linalg.norm(np.sign(ktb) * np.maximum(np.abs(ktb) - prob.g.mu, 0.0))
     assert st.zeta0 == pytest.approx(expect, rel=1e-12)
-    assert st.lam_cur == st.lam_next == 1.0
+    assert st.lam == st.lam_next == 1.0
 
 
 def test_init_state_zero_saddle():
@@ -230,10 +230,10 @@ def test_pdac_hand_simulation(fixtures):
     prob = _bilinear_problem()
     st = init_state(prob, [1.0], [1.0], _cfg(lambda0=0.5))
     pdac_iterate(st, prob, _cfg(lambda0=0.5))
-    assert st.x_cur[0] == pytest.approx(rec["x1"], abs=1e-15)
-    assert st.y_cur[0] == pytest.approx(rec["y1"], abs=1e-15)
+    assert st.x[0] == pytest.approx(rec["x1"], abs=1e-15)
+    assert st.y[0] == pytest.approx(rec["y1"], abs=1e-15)
     # z1 = 0 means the dual point did not move from y0 = 1
-    assert st.y_cur[0] == 1.0
+    assert st.y[0] == 1.0
 
 
 def test_pdac_fixed_at_zero_saddle():
@@ -242,8 +242,8 @@ def test_pdac_fixed_at_zero_saddle():
     st = init_state(prob, [0.0], [0.0], cfg)
     for _ in range(50):
         pdac_iterate(st, prob, cfg)
-        assert abs(st.x_cur[0]) <= 1e-10 and abs(st.y_cur[0]) <= 1e-10
-    assert st.correction_backtracks == 0
+        assert abs(st.x[0]) <= 1e-10 and abs(st.y[0]) <= 1e-10
+    assert st.corrections == 0
 
 
 def test_pdac_no_correction_when_delta_ge_one():
@@ -253,7 +253,7 @@ def test_pdac_no_correction_when_delta_ge_one():
     st = init_state(prob, x0, y0, cfg)
     for _ in range(100):
         pdac_iterate(st, prob, cfg)
-    assert st.correction_backtracks == 0
+    assert st.corrections == 0
 
 
 @pytest.mark.parametrize("beta", [0, -1.0, math.nan, math.inf])
@@ -283,7 +283,7 @@ def test_correction_zero_shrinks_when_bound_holds():
     x_cand = np.array([0.9])
     zeta = 0.1  # zeta0 is about 0.5; bound = min(1.5*zeta0, 10*zeta0) > 0.1
     out, zeta_out = correction_pass(st, prob, cfg, x_cand, zeta, 1.0)
-    assert st.correction_backtracks == 0
+    assert st.corrections == 0
     assert out[0] == 0.9 and zeta_out == 0.1
 
 
@@ -301,23 +301,23 @@ def test_correction_shrink_count_matches_fixture(fixtures):
     )
     st = SolverState(
         x_prev=np.array([0.0]),
-        x_cur=np.array([0.0]),
-        y_cur=np.array([rec["c"]]),
-        lam_cur=rec["lam"],
+        x=np.array([0.0]),
+        y=np.array([rec["c"]]),
+        lam=rec["lam"],
         lam_next=rec["lam"],
-        beta_cur=1.0,
+        beta=1.0,
         zeta0=rec["zeta0"],
         zeta_cur=rec["zeta_n"],
         iter=1,
-        correction_backtracks=0,
-        Ky_cur=np.array([rec["c"]]),
-        Kx_cur=np.array([0.0]),
+        corrections=0,
+        Ky=np.array([rec["c"]]),
+        Kx=np.array([0.0]),
     )
-    x_cand = st.x_cur - st.lam_cur * st.Ky_cur
-    zeta = float(np.linalg.norm(x_cand - st.x_cur))
+    x_cand = st.x - st.lam * st.Ky
+    zeta = float(np.linalg.norm(x_cand - st.x))
     x_out, zeta_out = correction_pass(st, prob, cfg, x_cand, zeta, 1.0)
-    assert st.correction_backtracks == rec["k"]
-    assert st.lam_cur == pytest.approx(rec["lam_final"], rel=1e-12)
+    assert st.corrections == rec["k"]
+    assert st.lam == pytest.approx(rec["lam_final"], rel=1e-12)
     assert zeta_out <= min(cfg.nu_corr * st.zeta0, cfg.mu_corr * rec["zeta_n"]) + 1e-12
 
 
@@ -327,20 +327,20 @@ def test_correction_stall_error():
     cfg = _cfg(delta=0.62, alpha=1.27)
     st = SolverState(
         x_prev=np.array([0.0]),
-        x_cur=np.array([0.0]),
-        y_cur=np.array([1.0]),
-        lam_cur=1.0,
+        x=np.array([0.0]),
+        y=np.array([1.0]),
+        lam=1.0,
         lam_next=1.0,
-        beta_cur=1.0,
+        beta=1.0,
         zeta0=0.0,
         zeta_cur=0.0,
         iter=3,
-        correction_backtracks=0,
-        Ky_cur=np.array([1.0]),
-        Kx_cur=np.array([0.0]),
+        corrections=0,
+        Ky=np.array([1.0]),
+        Kx=np.array([0.0]),
     )
     with pytest.raises(LinesearchStallError, match="200"):
-        correction_pass(st, prob, cfg, st.x_cur - st.Ky_cur, 1.0, 1.0)
+        correction_pass(st, prob, cfg, st.x - st.Ky, 1.0, 1.0)
 
 
 def test_lambda_monotone_mode_nonincreasing():
@@ -348,7 +348,7 @@ def test_lambda_monotone_mode_nonincreasing():
     x0, y0 = prob.start
     cfg = _cfg(delta=0.62, alpha=1.27, beta0=0.0025, lambda0=default_lambda0(prob, 0.0025))
     st = init_state(prob, x0, y0, cfg)
-    lams = [st.lam_cur, st.lam_next]
+    lams = [st.lam, st.lam_next]
     for _ in range(300):
         pdac_iterate(st, prob, cfg)
         lams.append(st.lam_next)
@@ -371,7 +371,7 @@ def test_delta_lambda_ratio_invariant(nonmonotone):
     st = init_state(prob, x0, y0, cfg)
     for _ in range(400):
         pdac_iterate(st, prob, cfg)
-        assert cfg.delta * st.lam_next <= (1 + cfg.delta) * st.lam_cur + 1e-12
+        assert cfg.delta * st.lam_next <= (1 + cfg.delta) * st.lam + 1e-12
 
 
 def test_step_floor_delta_ge_one():
@@ -379,7 +379,7 @@ def test_step_floor_delta_ge_one():
     x0, y0 = game.start
     cfg = _cfg(delta=1.0, alpha=0.99, beta0=1.0, lambda0=default_lambda0(game, 1.0))
     st = init_state(game, x0, y0, cfg)
-    lams = [st.lam_cur, st.lam_next]
+    lams = [st.lam, st.lam_next]
     for _ in range(2000):
         pdac_iterate(st, game, cfg)
         lams.append(st.lam_next)
@@ -397,9 +397,9 @@ def test_apdac_beta_growth_and_cap(fixtures):
     cfg = _cfg(delta=1.0, alpha=0.9, gamma=1.0, lambda0=1.0)
     st = init_state(prob, [1.0], [2.0], cfg, kind="apdac")
     apdac_iterate(st, prob, cfg)
-    assert st.beta_cur == pytest.approx(rec["beta_next"], rel=1e-15)
+    assert st.beta == pytest.approx(rec["beta_next"], rel=1e-15)
     # step cap sqrt(beta_n / beta_{n+1}) * lam
-    assert st.lam_next <= rec["cap"] * st.lam_cur + 1e-15
+    assert st.lam_next <= rec["cap"] * st.lam + 1e-15
 
 
 def test_apdac_beta_ratio_exact():
@@ -408,10 +408,10 @@ def test_apdac_beta_ratio_exact():
     cfg = _cfg(delta=1.0, alpha=0.9, gamma=0.37, beta0=2.0, lambda0=0.05)
     st = init_state(prob, x0, y0, cfg, kind="apdac")
     for _ in range(50):
-        beta_prev = st.beta_cur
+        beta_prev = st.beta
         lam_next = st.lam_next
         apdac_iterate(st, prob, cfg)
-        assert st.beta_cur == beta_prev * (1.0 + cfg.gamma * lam_next)  # bitwise
+        assert st.beta == beta_prev * (1.0 + cfg.gamma * lam_next)  # bitwise
 
 
 def test_apdac_gamma_zero_reduces_to_pdac():
@@ -423,10 +423,10 @@ def test_apdac_gamma_zero_reduces_to_pdac():
     for _ in range(100):
         apdac_iterate(s1, prob, cfg)
         pdac_iterate(s2, prob, cfg)
-        assert np.array_equal(s1.x_cur, s2.x_cur)
-        assert np.array_equal(s1.y_cur, s2.y_cur)
+        assert np.array_equal(s1.x, s2.x)
+        assert np.array_equal(s1.y, s2.y)
         assert s1.lam_next == s2.lam_next
-    assert s1.beta_cur == cfg.beta0
+    assert s1.beta == cfg.beta0
 
 
 def test_apdac_growth_bound_on_step_floor_branch():
@@ -440,11 +440,11 @@ def test_apdac_growth_bound_on_step_floor_branch():
     st = init_state(prob, *prob.start, cfg, kind="apdac")
     checked = 0
     for _ in range(3000):
-        beta_prev = st.beta_cur
+        beta_prev = st.beta
         lam_next = st.lam_next
         apdac_iterate(st, prob, cfg)
         if lam_next >= cfg.alpha / (math.sqrt(beta_prev) * L) - 1e-15:
-            assert st.beta_cur >= beta_prev + cfg.gamma * cfg.alpha * math.sqrt(beta_prev) / L - 1e-9
+            assert st.beta >= beta_prev + cfg.gamma * cfg.alpha * math.sqrt(beta_prev) / L - 1e-9
             checked += 1
     assert checked > 0
 
@@ -474,8 +474,8 @@ def test_apdac_fixed_at_saddle_while_beta_grows():
     st = init_state(prob, [0.0], [0.0], cfg, kind="apdac")
     for _ in range(30):
         apdac_iterate(st, prob, cfg)
-        assert abs(st.x_cur[0]) <= 1e-10 and abs(st.y_cur[0]) <= 1e-10
-    assert st.beta_cur > 1.0
+        assert abs(st.x[0]) <= 1e-10 and abs(st.y[0]) <= 1e-10
+    assert st.beta > 1.0
 
 
 # --- baselines ----------------------------------------------------------------
@@ -508,7 +508,7 @@ def test_pdal_no_shrink_when_condition_holds(fixtures):
     bcfg = BaselineConfig(tau=1e-3, beta=1.0, alpha_ls=0.99, mu_ls=0.7)
     st = init_pdal(prob, *prob.start, bcfg)
     pdal_iterate(st, prob, bcfg)
-    assert st.shrinks == 0  # tiny step always passes
+    assert st.corrections == 0  # tiny step always passes
 
 
 def test_pdal_fixed_at_zero_saddle():
@@ -519,7 +519,7 @@ def test_pdal_fixed_at_zero_saddle():
         pdal_iterate(st, prob, bcfg)
         assert st.x[0] == 0.0 and st.y[0] == 0.0
     # K* dy = 0 keeps the condition degenerately true, tau grows freely
-    assert st.tau > 0.5
+    assert st.lam > 0.5
 
 
 def test_pgm_unit_curvature_one_step(fixtures):
@@ -870,6 +870,97 @@ def test_default_config_reports_unknown_and_unread_overrides():
         default_config(prob, "newton")
 
 
+# the default configs that cannot be formed at a scale of K; every other
+# (scale, kind) must give a config its init accepts
+_EXTREME_SCALE_REJECTIONS = {
+    (0.0, "pda"): (ValueError, "zero operator"),
+    (0.0, "pdal"): (ValueError, "zero operator"),
+    (0.0, "pgm"): (ValueError, "zero operator"),
+    (1e-200, "pgm"): (ConfigError, "step must be positive and finite"),  # 1/L^2 overflows
+    (1e160, "pgm"): (ConfigError, "step must be positive and finite"),  # 1/L^2 underflows
+}
+
+
+@pytest.mark.parametrize("scale", [0.0, 1e-200, 1e160])
+@pytest.mark.parametrize("kind", ["pdac", "apdac", "pda", "pdal", "pgm", "fista"])
+def test_default_config_at_extreme_scales(kind, scale):
+    # the suite turns RuntimeWarnings into errors, so an over- or underflow
+    # that numpy reports fails here too
+    K = np.random.default_rng(6).standard_normal((6, 4)) * scale
+    prob = build_nnls(K, np.ones(6))
+    if (scale, kind) in _EXTREME_SCALE_REJECTIONS:
+        error, message = _EXTREME_SCALE_REJECTIONS[scale, kind]
+        with pytest.raises(error, match=message):
+            default_config(prob, kind)
+        return
+    cfg, _ = default_config(prob, kind)
+    cfg.validate(kind) if kind in ("pdac", "apdac") else cfg.validate()
+    run(kind, prob, cfg, *prob.start, max_iter=0)  # the init accepts it
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1e160])
+def test_default_lambda0_scales_with_k_at_extreme_scales(scale):
+    K = np.random.default_rng(6).standard_normal((6, 4))
+    prob = build_nnls(K * scale, np.ones(6))
+    assert default_lambda0(prob, 1.0) == pytest.approx(1.0 / (np.linalg.norm(K) * scale),
+                                                       rel=1e-14, abs=0.0)
+
+
+def test_init_pda_accepts_the_bound_at_extreme_scales():
+    for scale in (1e-200, 1e160):
+        prob = build_nnls(np.array([[3.0, 0.0], [0.0, 1.0]]) * scale, np.ones(2))
+        L = prob.K.operator_norm()
+        init_pda(prob, *prob.start, BaselineConfig(tau=20.0 / L, sigma=1.0 / (20.0 * L)))
+        with pytest.raises(ConfigError, match="tau"):
+            init_pda(prob, *prob.start, BaselineConfig(tau=2.0 / L, sigma=1.0 / L))
+
+
+_BY_HAND = {
+    "pdac": (lambda prob, cfg: init_state(prob, *prob.start, cfg), pdac_iterate),
+    "apdac": (lambda prob, cfg: init_state(prob, *prob.start, cfg, kind="apdac"), apdac_iterate),
+    "pda": (lambda prob, cfg: init_pda(prob, *prob.start, cfg), pda_iterate),
+    "pdal": (lambda prob, cfg: init_pdal(prob, *prob.start, cfg), pdal_iterate),
+    "pgm": (lambda prob, cfg: init_pgm(prob, prob.start[0], cfg), pgm_iterate),
+    "fista": (lambda prob, cfg: init_fista(prob, prob.start[0], cfg), fista_iterate),
+}
+
+
+# the trace columns (3 lambda, 4 beta, 5 corrections) a kind holds fixed
+_FIXED_COLUMNS = {
+    "pdac": lambda cfg: {4: cfg.beta0},
+    "pda": lambda cfg: {3: cfg.tau, 4: cfg.sigma / cfg.tau, 5: 0},
+    "pdal": lambda cfg: {4: cfg.beta},
+    "pgm": lambda cfg: {3: cfg.step, 4: 0.0, 5: 0},
+    "fista": lambda cfg: {4: 0.0},
+}
+
+
+@pytest.mark.parametrize(
+    "kind, family",
+    [(kind, "lasso") for kind in _BY_HAND] + [("pdac", "nnls-swapped"), ("apdac", "nnls-swapped")],
+)
+def test_run_reads_every_state_by_the_trace_column_names(kind, family):
+    # each row's lambda, beta, corrections are the state's lam, beta,
+    # corrections, and its metric is the objective at the state's
+    # objective_var and that point's image, bit for bit
+    prob = _budget_problem(family)
+    cfg = _budget_config(kind, prob)
+    trace = run(kind, prob, cfg, *prob.start, max_iter=20, trace_every=1)
+    init, iterate = _BY_HAND[kind]
+    st = init(prob, cfg)
+    var = prob.objective_var
+    assert len(trace.rows) == 21
+    for n, (it, _, metric, lam, beta, corrections) in enumerate(trace.rows):
+        if n:
+            iterate(st, prob, cfg)
+        expected = prob.objective(getattr(st, var), getattr(st, "K" + var))
+        assert it == n and corrections == st.corrections
+        assert np.array([metric, lam, beta]).tobytes() == \
+            np.array([expected, st.lam, st.beta], dtype=float).tobytes()
+    for column, value in _FIXED_COLUMNS.get(kind, lambda cfg: {})(cfg).items():
+        assert {row[column] for row in trace.rows} == {value}
+
+
 def test_trace_csv_rejects_wrong_header(tmp_path):
     path = tmp_path / "t.csv"
     path.write_text("iter,seconds,metric\n0,0.0,1.0\n")
@@ -899,8 +990,8 @@ def _game_run_pieces(kind, game):
         step = apdac_iterate if kind == "apdac" else pdac_iterate
 
         def sample(st):
-            weight = st.beta_cur * st.lam_cur if kind == "apdac" else st.lam_cur
-            return weight, st.x_cur + cfg.delta * (st.x_cur - st.x_prev), st.y_cur
+            weight = st.beta * st.lam if kind == "apdac" else st.lam
+            return weight, st.x + cfg.delta * (st.x - st.x_prev), st.y
 
         return cfg, st, step, sample, cfg.delta
     L = game.K.operator_norm()
@@ -908,7 +999,7 @@ def _game_run_pieces(kind, game):
         cfg = BaselineConfig(tau=1.0 / L, sigma=1.0 / L)
         return cfg, init_pda(game, x0, y0, cfg), pda_iterate, lambda st: (1.0, st.x, st.y), 1.0
     cfg = BaselineConfig(tau=1.0 / L, beta=1.0)
-    return cfg, init_pdal(game, x0, y0, cfg), pdal_iterate, lambda st: (st.tau, st.x, st.y), 1.0
+    return cfg, init_pdal(game, x0, y0, cfg), pdal_iterate, lambda st: (st.lam, st.x, st.y), 1.0
 
 
 @pytest.mark.parametrize("kind", ["pdac", "apdac", "pda", "pdal"])
