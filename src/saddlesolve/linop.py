@@ -16,6 +16,7 @@ and ``adjoint_apply``, the names that a tracer wraps.
 from __future__ import annotations
 
 import math
+import re
 from functools import partial
 
 import numpy as np
@@ -40,6 +41,16 @@ _LANCZOS_SEED = 0x5EED
 _LANCZOS_TOL = 1e-13
 _LANCZOS_CHECK = 4
 _LANCZOS_MAX_ITER = 1000
+
+# An entry line as np.loadtxt reads it, and the index tokens its int64
+# parser accepts (an optional sign and ASCII digits). Dimensions are capped
+# at the int64 maximum, so every index in range fits the entry array.
+_MM_ENTRY = np.dtype([("row", np.int64), ("col", np.int64), ("value", np.float64)])
+_MM_INDEX = re.compile(r"[+-]?[0-9]+")
+# A line whose first non-blank character is not % but which holds a %: an
+# entry with a trailing comment, which loadtxt(comments="%") would drop.
+_MM_TRAILING_COMMENT = re.compile(r"^[^\S\n]*[^\s%][^\n%]*%", re.MULTILINE)
+_INDEX_MAX = np.iinfo(np.int64).max
 
 
 def vector_norm(v):
@@ -350,11 +361,30 @@ def _top_ritz_pair(alphas, betas):
 
 
 def read_matrix_market(path):
-    """Parse a coordinate-format real Matrix Market file into a SparseMatrix.
+    r"""Parse a coordinate-format real Matrix Market file into a SparseMatrix.
 
     Accepts the ``general`` and ``symmetric`` qualifiers; symmetric input is
-    expanded to full storage at load time. 1-based indices are converted to
-    0-based and duplicate coordinates are summed.
+    expanded to full storage at load time, each mirrored entry right after
+    its original. 1-based indices are converted to 0-based and duplicate
+    coordinates are summed in file order.
+
+    Comments are whole lines whose first non-blank character is ``%``; a
+    ``%`` after an entry is an error. Blank lines may stand anywhere. Lines
+    are numbered as iterating over the file counts them: the banner is line
+    1, and a line ends at ``\n``, ``\r\n`` or ``\r`` (not at ``\v``,
+    ``\f`` or ``\x1c``-``\x1e``, where ``str.splitlines`` ends one). An
+    entry line holds exactly three whitespace-separated tokens. An index is
+    an optional sign and decimal digits; a value is anything Python's
+    ``float`` reads that holds no ``_``. So ``1_0``, ``1.0`` and ``1e3`` are
+    rejected as indices, and ``1_0.5`` as a value. Indices outside the
+    declared dimensions, non-finite values and an entry count other than
+    the declared one are errors too. Each error is a ``MatrixMarketError``
+    naming the first bad line in file order; a count error names the last
+    line.
+
+    The entry lines are read in one ``np.loadtxt`` pass and checked as
+    arrays; only input that fails this pass is walked line by line, to find
+    the line to name.
     """
     with open(path, "r", encoding="ascii", errors="replace") as fh:
         first = fh.readline()
@@ -372,54 +402,110 @@ def read_matrix_market(path):
             raise MatrixMarketError(f"unsupported field qualifier {field!r}", 1)
         if symmetry not in ("general", "symmetric"):
             raise MatrixMarketError(f"unsupported symmetry qualifier {symmetry!r}", 1)
+        text = fh.read()
 
-        line_no = 1
-        rows = cols = declared = None
-        ri, ci, vv = [], [], []
-        seen = 0
-        for raw in fh:
-            line_no += 1
-            s = raw.strip()
-            if not s or s.startswith("%"):
-                continue
-            toks = s.split()
-            if rows is None:
-                if len(toks) != 3:
-                    raise MatrixMarketError("size line must hold three integers", line_no)
-                try:
-                    rows, cols, declared = (int(t) for t in toks)
-                except ValueError:
-                    raise MatrixMarketError("non-numeric token in size line", line_no) from None
-                if rows <= 0 or cols <= 0 or declared < 0:
-                    raise MatrixMarketError("invalid matrix dimensions", line_no)
-                continue
-            if len(toks) != 3:
-                raise MatrixMarketError("entry line must be 'row col value'", line_no)
-            try:
-                i = int(toks[0])
-                j = int(toks[1])
-            except ValueError:
-                raise MatrixMarketError(f"non-numeric index token in {s!r}", line_no) from None
-            try:
-                v = float(toks[2])
-            except ValueError:
-                raise MatrixMarketError(f"non-numeric value token {toks[2]!r}", line_no) from None
-            if not (1 <= i <= rows) or not (1 <= j <= cols):
-                raise MatrixMarketError(
-                    f"index ({i}, {j}) out of range for {rows}x{cols}", line_no
-                )
-            if not math.isfinite(v):
-                raise MatrixMarketError("non-finite value", line_no)
-            seen += 1
-            ri.append(i - 1)
-            ci.append(j - 1)
-            vv.append(v)
-            if symmetry == "symmetric" and i != j:
-                ri.append(j - 1)
-                ci.append(i - 1)
-                vv.append(v)
-        if rows is None:
-            raise MatrixMarketError("missing size line", line_no)
-        if seen != declared:
-            raise MatrixMarketError(f"expected {declared} entries, found {seen}", line_no)
+    lines = _content_lines(text)
+    size_line = next(lines, None)
+    if size_line is None:
+        raise MatrixMarketError("missing size line", _last_line_no(text))
+    line_no, _, s = size_line
+    toks = s.split()
+    if len(toks) != 3:
+        raise MatrixMarketError("size line must hold three integers", line_no)
+    try:
+        rows, cols, declared = (int(t) for t in toks)
+    except ValueError:
+        raise MatrixMarketError("non-numeric token in size line", line_no) from None
+    if rows <= 0 or cols <= 0 or declared < 0 or max(rows, cols) > _INDEX_MAX:
+        raise MatrixMarketError("invalid matrix dimensions", line_no)
+
+    _, start, _ = next(lines, (None, len(text), None))
+    entries = _read_entries(text[start:], rows, cols, declared)
+    if entries is None:
+        _raise_first_fault(text, rows, cols, declared)
+    ri, ci, vv = entries["row"] - 1, entries["col"] - 1, entries["value"]
+    if symmetry == "symmetric":
+        # each off-diagonal entry followed by its mirror, the order in which
+        # from_coo sums duplicates
+        keep = np.ones(2 * len(vv), dtype=bool)
+        keep[1::2] = ri != ci
+        pairs = np.stack([ri, ci], axis=1)
+        ri, ci = pairs.ravel()[keep], pairs[:, ::-1].ravel()[keep]
+        vv = np.repeat(vv, 2)[keep]
     return SparseMatrix.from_coo(rows, cols, ri, ci, vv)
+
+
+def _content_lines(text):
+    r"""(line number, offset, stripped line) of each line of ``text`` that is
+    neither blank nor a comment. ``text`` is a file past its banner, read in
+    text mode, so every line ends at ``\n``."""
+    line_no, pos = 1, 0
+    while pos < len(text):
+        end = text.find("\n", pos)
+        if end < 0:
+            end = len(text)
+        line_no += 1
+        s = text[pos:end].strip()
+        if s and not s.startswith("%"):
+            yield line_no, pos, s
+        pos = end + 1
+
+
+def _last_line_no(text):
+    """The number of the last line of a file whose text past the banner is
+    ``text``."""
+    return 1 + text.count("\n") + (text[-1:] not in ("", "\n"))
+
+
+def _read_entries(body, rows, cols, declared):
+    """The entry lines ``body`` as an array of (row, col, value), or None when
+    a line is malformed or carries a comment, an entry is out of range or not
+    finite, or the count is not the declared one."""
+    if not body:
+        entries = np.zeros(0, dtype=_MM_ENTRY)
+    else:
+        try:
+            # body starts at an entry line, so loadtxt never sees empty input
+            entries = np.loadtxt(body.split("\n"), dtype=_MM_ENTRY, comments="%", ndmin=1)
+        except ValueError:
+            return None
+    ri, ci = entries["row"], entries["col"]
+    if (
+        len(entries) != declared
+        or ("%" in body and _MM_TRAILING_COMMENT.search(body))
+        or ri.min(initial=1) < 1
+        or ri.max(initial=1) > rows
+        or ci.min(initial=1) < 1
+        or ci.max(initial=1) > cols
+        or not np.isfinite(entries["value"]).all()
+    ):
+        return None
+    return entries
+
+
+def _raise_first_fault(text, rows, cols, declared):
+    """Raise the ``MatrixMarketError`` of the first bad entry line of
+    ``text``, the file past its banner, or of an entry count that is not
+    ``declared``: the line-by-line check of what ``_read_entries`` rejects."""
+    lines = _content_lines(text)
+    next(lines)  # the size line
+    seen = 0
+    for line_no, _, s in lines:
+        toks = s.split()
+        if len(toks) != 3:
+            raise MatrixMarketError("entry line must be 'row col value'", line_no)
+        if not (_MM_INDEX.fullmatch(toks[0]) and _MM_INDEX.fullmatch(toks[1])):
+            raise MatrixMarketError(f"non-numeric index token in {s!r}", line_no)
+        i, j = int(toks[0]), int(toks[1])
+        try:
+            if "_" in toks[2]:
+                raise ValueError
+            v = float(toks[2])
+        except ValueError:
+            raise MatrixMarketError(f"non-numeric value token {toks[2]!r}", line_no) from None
+        if not (1 <= i <= rows) or not (1 <= j <= cols):
+            raise MatrixMarketError(f"index ({i}, {j}) out of range for {rows}x{cols}", line_no)
+        if not math.isfinite(v):
+            raise MatrixMarketError("non-finite value", line_no)
+        seen += 1
+    raise MatrixMarketError(f"expected {declared} entries, found {seen}", _last_line_no(text))

@@ -71,9 +71,16 @@ class ConfigError(ValueError):
 
 
 class LinesearchStallError(RuntimeError):
-    """A backtracking loop exceeded the shrink cap; signals a bug or a
-    degenerate problem since the correction is guaranteed to terminate.
-    ``trace`` may carry the partial run trace."""
+    """A backtracking loop exceeded the shrink cap of 200 shrinks.
+
+    The correction shrinks lambda_n, and its primal candidate tends to x_n
+    as lambda_n goes to 0, so it ends whenever its bound min(nu zeta_0,
+    mu zeta_n) is positive; it hits the cap only when that bound is tiny
+    next to the first displacement. After a step that leaves x in place,
+    zeta_n = 0 and so is the bound: the correction then rejects every move
+    of x and raises this error, as the strict xfail
+    ``test_correction_moves_on_after_a_zero_displacement`` pins. ``trace``
+    may carry the partial run trace."""
 
     trace = None
 

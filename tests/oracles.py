@@ -1,9 +1,9 @@
 """Brute-force oracles that back the tests and the derived fixtures.
 
 Enumeration-based projections, naive multiply checks, a characteristic-
-polynomial norm oracle and candidate or grid-search proxes. Each computes
-its value by a route independent of the production code it validates; the
-enumeration oracles are dimension-capped.
+polynomial norm oracle, candidate or grid-search proxes and a line-by-line
+Matrix Market reader. Each computes its value by a route independent of the
+production code it validates; the enumeration oracles are dimension-capped.
 """
 
 import math
@@ -186,3 +186,83 @@ def prox_quad_shift_oracle(v, s, b, grid=2001):
                 lo = mid
         out[i] = 0.5 * (lo + hi)
     return out
+
+
+def read_matrix_market_oracle(path):
+    """Parse a coordinate-format real Matrix Market file into a SparseMatrix,
+    one line at a time with Python's ``int`` and ``float``.
+
+    Accepts the ``general`` and ``symmetric`` qualifiers; symmetric input is
+    expanded to full storage at load time. 1-based indices are converted to
+    0-based and duplicate coordinates are summed.
+    """
+    # imported here, so make_fixtures.py runs without the package installed
+    from saddlesolve.linop import MatrixMarketError, SparseMatrix
+
+    with open(path, "r", encoding="ascii", errors="replace") as fh:
+        first = fh.readline()
+        if not first:
+            raise MatrixMarketError("empty file", 1)
+        banner = first.strip().split()
+        if len(banner) < 5 or banner[0].lower() != "%%matrixmarket":
+            raise MatrixMarketError("missing MatrixMarket banner", 1)
+        obj, fmt, field, symmetry = (tok.lower() for tok in banner[1:5])
+        if obj != "matrix":
+            raise MatrixMarketError(f"unsupported object {obj!r}", 1)
+        if fmt != "coordinate":
+            raise MatrixMarketError(f"unsupported format {fmt!r}", 1)
+        if field != "real":
+            raise MatrixMarketError(f"unsupported field qualifier {field!r}", 1)
+        if symmetry not in ("general", "symmetric"):
+            raise MatrixMarketError(f"unsupported symmetry qualifier {symmetry!r}", 1)
+
+        line_no = 1
+        rows = cols = declared = None
+        ri, ci, vv = [], [], []
+        seen = 0
+        for raw in fh:
+            line_no += 1
+            s = raw.strip()
+            if not s or s.startswith("%"):
+                continue
+            toks = s.split()
+            if rows is None:
+                if len(toks) != 3:
+                    raise MatrixMarketError("size line must hold three integers", line_no)
+                try:
+                    rows, cols, declared = (int(t) for t in toks)
+                except ValueError:
+                    raise MatrixMarketError("non-numeric token in size line", line_no) from None
+                if rows <= 0 or cols <= 0 or declared < 0:
+                    raise MatrixMarketError("invalid matrix dimensions", line_no)
+                continue
+            if len(toks) != 3:
+                raise MatrixMarketError("entry line must be 'row col value'", line_no)
+            try:
+                i = int(toks[0])
+                j = int(toks[1])
+            except ValueError:
+                raise MatrixMarketError(f"non-numeric index token in {s!r}", line_no) from None
+            try:
+                v = float(toks[2])
+            except ValueError:
+                raise MatrixMarketError(f"non-numeric value token {toks[2]!r}", line_no) from None
+            if not (1 <= i <= rows) or not (1 <= j <= cols):
+                raise MatrixMarketError(
+                    f"index ({i}, {j}) out of range for {rows}x{cols}", line_no
+                )
+            if not math.isfinite(v):
+                raise MatrixMarketError("non-finite value", line_no)
+            seen += 1
+            ri.append(i - 1)
+            ci.append(j - 1)
+            vv.append(v)
+            if symmetry == "symmetric" and i != j:
+                ri.append(j - 1)
+                ci.append(i - 1)
+                vv.append(v)
+        if rows is None:
+            raise MatrixMarketError("missing size line", line_no)
+        if seen != declared:
+            raise MatrixMarketError(f"expected {declared} entries, found {seen}", line_no)
+    return SparseMatrix.from_coo(rows, cols, ri, ci, vv)

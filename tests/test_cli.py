@@ -455,6 +455,16 @@ def test_nnls_missing_data_errors(tmp_path, monkeypatch):
     assert code == 1
 
 
+def test_malformed_matrix_file_names_its_line(tmp_path, monkeypatch, capsys):
+    bad = tmp_path / "bad.mtx"
+    bad.write_text("%%MatrixMarket matrix coordinate real general\n% c\n2 2 1\n1 1 5.0 % note\n")
+    argv = ["run", "--problem", "nnls-well", "--solver", "pgm", "--matrix-file", str(bad)]
+    assert _script_exit_code(monkeypatch, argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: entry line must be 'row col value' (line 4)")
+    assert "Traceback" not in err
+
+
 def test_nnls_swapped_apdac(tmp_path):
     mtx = tmp_path / "k.mtx"
     _toy_mtx(mtx)

@@ -7,10 +7,11 @@ from pathlib import Path
 import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import saddlesolve.linop as linop
+from oracles import read_matrix_market_oracle
 from saddlesolve.linop import (
     DenseMatrix,
     LinearOperator,
@@ -507,12 +508,140 @@ def test_mm_matches_reference_dense_parse(tmp_path, rng):
         ("%%MatrixMarket matrix coordinate real general\n2 2 1\n1 1\n", "row col value"),
         ("%%MatrixMarket matrix coordinate real general\n2 2 1\n1 1 inf\n", "non-finite"),
         ("%%MatrixMarket matrix coordinate real general\n2 2 1\n1 1 nan\n", "non-finite"),
+        # comment and blank lines count; \v and \f end no line
+        (
+            "%%MatrixMarket matrix coordinate real general\n% a\vb\fc\n2 2 2\n1 1 5.0\n"
+            "% interior\n\n  \t\n2 x 1.0\n",
+            r"non-numeric index token in '2 x 1.0' \(line 8\)",
+        ),
+        # a comment may not follow an entry
+        (
+            "%%MatrixMarket matrix coordinate real general\n2 2 1\n1 1 5.0 % note\n",
+            r"'row col value' \(line 3\)",
+        ),
+        (
+            "%%MatrixMarket matrix coordinate real general\n2 2 1\n1 1 5.0%note\n",
+            r"value token '5.0%note' \(line 3\)",
+        ),
+        # of two faults the earlier line is named, whichever check finds it
+        (
+            "%%MatrixMarket matrix coordinate real general\n2 2 2\n3 1 5.0\n1 x 5.0\n",
+            r"out of range for 2x2 \(line 3\)",
+        ),
+        (
+            "%%MatrixMarket matrix coordinate real general\n2 2 9\n1 1 inf\n1 1 x\n",
+            r"non-finite value \(line 3\)",
+        ),
+        (
+            "%%MatrixMarket matrix coordinate real general\n2 2 1\n99999999999999999999 1 5.0\n",
+            r"index \(99999999999999999999, 1\) out of range for 2x2 \(line 3\)",
+        ),
+        # Python's int and float read 1_0; the reader does not
+        (
+            "%%MatrixMarket matrix coordinate real general\n20 20 1\n1_0 1 5.0\n",
+            r"non-numeric index token in '1_0 1 5.0' \(line 3\)",
+        ),
+        (
+            "%%MatrixMarket matrix coordinate real general\n2 2 1\n1 1 1_0.5\n",
+            r"non-numeric value token '1_0.5' \(line 3\)",
+        ),
+        (
+            "%%MatrixMarket matrix coordinate real general\n99999999999999999999 2 1\n1 1 5.0\n",
+            r"dimensions \(line 2\)",
+        ),
+        (
+            "%%MatrixMarket matrix coordinate real general\r\n2 2 3\r\n1 1 5.0\r\n\r\n",
+            r"expected 3 entries, found 1 \(line 4\)",
+        ),
     ],
 )
 def test_mm_errors(tmp_path, text, match):
     path = _write(tmp_path, text)
     with pytest.raises(MatrixMarketError, match=match):
         read_matrix_market(path)
+
+
+# values that cancel in one summation order and not in another
+_MM_VALUES = st.one_of(st.sampled_from([1e16, 1.0, -1e16, 0.0]), st.floats(-1e3, 1e3))
+_MM_FORMATS = (repr, "{:.3e}".format, "{:+g}".format)
+_MM_FILLER = st.lists(st.sampled_from(["", "% note", "  %", "\t", " \t % indented"]), max_size=2)
+
+
+@st.composite
+def _mm_files(draw):
+    """A small valid Matrix Market file, as (lines, line ending, indices of
+    the size and entry lines)."""
+    symmetric = draw(st.booleans())
+    m = draw(st.integers(1, 4))
+    n = m if symmetric else draw(st.integers(1, 4))
+    count = draw(st.integers(0, 8))
+    sep = draw(st.sampled_from([" ", "\t", "  ", " \t "]))
+    lines = [f"%%MatrixMarket matrix coordinate real {'symmetric' if symmetric else 'general'}"]
+    lines += draw(_MM_FILLER)
+    content = [len(lines)]
+    lines.append(sep.join(map(str, (m, n, count))))
+    for _ in range(count):
+        lines += draw(_MM_FILLER)
+        content.append(len(lines))
+        fmt = draw(st.sampled_from(_MM_FORMATS))
+        lines.append(sep.join([str(draw(st.integers(1, m))), str(draw(st.integers(1, n))),
+                               fmt(draw(_MM_VALUES))]))
+    lines += draw(_MM_FILLER)
+    return lines, draw(st.sampled_from(["\n", "\r\n"])), content
+
+
+def _mm_outcome(read, path):
+    """The CSR arrays ``read`` returns, or its error's line number and text."""
+    try:
+        sp = read(path)
+    except MatrixMarketError as err:
+        return err.line_no, str(err)
+    return [arr.tobytes() for arr in (sp.row_offsets, sp.col_indices, sp.values)]
+
+
+# one token of a content line made wrong, in a way the line-by-line reader
+# rejects too
+_MM_CORRUPTIONS = (
+    ("index", "x"), ("index", "0"), ("index", "-1"), ("index", "1.5"), ("index", "5"),
+    ("index", "99999999999999999999"), ("value", "nan"), ("value", "-inf"), ("value", "1e400"),
+    ("value", "1.0.0"), ("value", "%"), ("append", "% note"), ("append", "7"), ("drop", None),
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(_mm_files(), st.data())
+@example(
+    (["%%MatrixMarket matrix coordinate real symmetric", "2 2 3", "2 1 1e16", "1 2 1.0",
+      "2 1 -1e16"], "\n", [1, 2, 3, 4]),
+    None,
+).via("symmetric mirrors that cancel in file order only")
+def test_mm_matches_line_by_line_oracle(tmp_path_factory, file, data):
+    lines, eol, content = file
+    path = tmp_path_factory.mktemp("mm") / "m.mtx"
+    path.write_bytes(eol.join(lines).encode() + b"\n")
+    expect = _mm_outcome(read_matrix_market_oracle, path)
+    assert isinstance(expect, list)
+    assert _mm_outcome(read_matrix_market, path) == expect
+    if data is None:
+        return
+    at = data.draw(st.sampled_from(content))
+    kind, token = data.draw(st.sampled_from(_MM_CORRUPTIONS))
+    toks = lines[at].split()
+    if at == content[0]:
+        toks[2] = str(int(toks[2]) + 1)  # the size line: a count that does not match
+    elif kind == "index":
+        toks[data.draw(st.integers(0, 1))] = token
+    elif kind == "value":
+        toks[2] = token
+    elif kind == "append":
+        toks.append(token)
+    else:
+        toks.pop()
+    lines = [*lines[:at], " ".join(toks), *lines[at + 1:]]
+    path.write_bytes(eol.join(lines).encode())
+    expect = _mm_outcome(read_matrix_market_oracle, path)
+    assert isinstance(expect, tuple) and expect[0] is not None
+    assert _mm_outcome(read_matrix_market, path) == expect
 
 
 def test_counters(rng):

@@ -1,6 +1,6 @@
-"""Hash the traces of a fixed set of ``saddle-solve run`` calls, the
-operator norms of their problems and the results of a fixed set of
-``saddle-solve reference`` solves.
+"""Hash the parsed C12 matrix, the traces of a fixed set of ``saddle-solve
+run`` calls, the operator norms of their problems and the results of a fixed
+set of ``saddle-solve reference`` solves.
 
 Runs the six solvers on lasso1, lasso2, game1, game3, nnls-well and
 nnls-well ``--swapped`` at the default settings, and on lasso1
@@ -9,36 +9,38 @@ ITERS = 400 iterations through ``run_experiment`` (a solver that does not
 read a given flag exits 1 and writes no trace, which is hashed too), and
 the reference solve on lasso1 seeds 1-4 and nnls-well seed 1 through
 ``reference_solve_cmd``, with OpenBLAS pinned to one thread (results depend
-on the BLAS thread count). The NNLS problems use
-the synthetic 1033x320 matrix of ``bench/workloads.py``
-(``write_c12_matrix``). Prints, for each of the six problems, one line with
-the bits of ``operator_norm()`` (the L that pda and pgm step by) as 16 hex
-digits and its relative distance to ``np.linalg.svd``'s top singular value;
-one line per solver run: its exit code, the
-first 16 hex digits of the sha256 of its CSV trace without the ``seconds``
-column ("-" when it wrote none), and its final metric; one line per
-reference solve: its exit code, the first 16 hex digits of the sha256 of
-the bits of x_bar, y_bar and phi_star, and its iteration count; then the
-hash of the whole listing.
+on the BLAS thread count). The NNLS problems use the synthetic 1033x320
+matrix of ``bench/workloads.py`` (``write_c12_matrix``). Prints one line
+with the first 16 hex digits of the sha256 of the bits of that matrix as
+``read_matrix_market`` parses it (its shape, ``row_offsets``,
+``col_indices`` and ``values``); for each of the six problems, one line
+with the bits of ``operator_norm()`` (the L that pda and pgm step by) as 16
+hex digits and its relative distance to ``np.linalg.svd``'s top singular
+value; one line per solver run: its exit code, the first 16 hex digits of
+the sha256 of its CSV trace without the ``seconds`` column ("-" when it
+wrote none), and its final metric; one line per reference solve: its exit
+code, the first 16 hex digits of the sha256 of the bits of x_bar, y_bar and
+phi_star, and its iteration count; then the hash of the whole listing.
 
     python3 tools/tracehash.py [--out RUNS.json] [--compare OTHER.json]
 
-``--out`` writes every run's rows (``seconds`` dropped), every operator
-norm and every reference result to a JSON file. ``--compare`` reads such a
-file, made by another version of the code, and prints for each operator norm
-the relative change of L and its distance to the SVD on either side; for
-each solver run the largest relative
-difference of the metric, lambda and beta columns over all rows, and how
-many rows differ at all; for each reference solve the largest absolute
-difference in x_bar and the relative difference in phi_star; then the count
-of entries that differ. An operator norm differs when its bits changed or
-it is missing from either side. A solver run differs when a row differs, its
-iterations or its exit code changed, or it is missing from either side. A
-reference solve differs when the bits of x_bar, y_bar or phi_star or its
-exit code changed, or it is missing from either side; a changed iteration
-count alone is reported but is no difference. With ``--compare`` the script
-exits 1 when any entry differs and 0 otherwise. The package and the bench
-helpers are imported from the tree this script sits in.
+``--out`` writes the matrix hash, every run's rows (``seconds`` dropped),
+every operator norm and every reference result to a JSON file.
+``--compare`` reads such a file, made by another version of the code, and
+prints whether the parsed matrix kept its bits; for each operator norm the
+relative change of L and its distance to the SVD on either side; for each
+solver run the largest relative difference of the metric, lambda and beta
+columns over all rows, and how many rows differ at all; for each reference
+solve the largest absolute difference in x_bar and the relative difference
+in phi_star; then the count of entries that differ. The parsed matrix or an
+operator norm differs when its bits changed or it is missing from either
+side. A solver run differs when a row differs, its iterations or its exit
+code changed, or it is missing from either side. A reference solve differs
+when the bits of x_bar, y_bar or phi_star or its exit code changed, or it
+is missing from either side; a changed iteration count alone is reported
+but is no difference. With ``--compare`` the script exits 1 when any entry
+differs and 0 otherwise. The package and the bench helpers are imported
+from the tree this script sits in.
 """
 
 from __future__ import annotations
@@ -69,6 +71,7 @@ from saddlesolve.cli import (  # noqa: E402
     reference_solve_cmd,
     run_experiment,
 )
+from saddlesolve.linop import read_matrix_market  # noqa: E402
 from workloads import write_c12_matrix  # noqa: E402
 
 PROBLEMS = (
@@ -86,6 +89,15 @@ PROBLEMS = (
 ITERS = 400  # the recorded hashes are comparable only at this budget
 REFERENCES = (("lasso1", 1), ("lasso1", 2), ("lasso1", 3), ("lasso1", 4), ("nnls-well", 1))
 COLUMNS = ("metric", "lambda", "beta")  # compared as floats; corrections as counts
+
+
+def matrix_entry(matrix):
+    """{"matrix": sha256}: the bits of the CSR matrix that
+    ``read_matrix_market`` parses from ``matrix``, shape included."""
+    sp = read_matrix_market(str(matrix))
+    bits = struct.pack(">qq", sp.rows, sp.cols) + b"".join(
+        arr.tobytes() for arr in (sp.row_offsets, sp.col_indices, sp.values))
+    return {"matrix": hashlib.sha256(bits).hexdigest()}
 
 
 def operator_norm_entry(family, swapped, matrix):
@@ -204,10 +216,16 @@ def main(argv=None):
     with tempfile.TemporaryDirectory() as tmp:
         matrix = Path(tmp) / "c12.mtx"
         write_c12_matrix(matrix)
-        runs = run_all(Path(tmp), matrix)
+        runs = {"c12 matrix": matrix_entry(matrix)}
+        runs.update(run_all(Path(tmp), matrix))
         runs.update(reference_all(Path(tmp), matrix))
     listing = ""
     for name, rec in runs.items():
+        if "matrix" in rec:
+            line = f"{name:28s} matrix {rec['matrix'][:16]}"
+            listing += line + "\n"
+            print(line)
+            continue
         if "L" in rec:
             bits = struct.pack(">d", rec["L"]).hex()
             line = f"{name:28s} L {bits}  {_svd_distance(rec):+.2e} vs svd"
@@ -235,6 +253,11 @@ def main(argv=None):
             differing += 1
             continue
         rec, old = runs[name], other[name]
+        if "matrix" in rec:
+            differs = rec["matrix"] != old["matrix"]
+            print(f"{name:28s} {'bits differ' if differs else 'same bits'}")
+            differing += differs
+            continue
         if "L" in rec:
             differs = rec["L"] != old["L"]
             status = "same bits" if not differs else (
