@@ -378,9 +378,11 @@ def read_matrix_market(path):
     ``float`` reads that holds no ``_``. So ``1_0``, ``1.0`` and ``1e3`` are
     rejected as indices, and ``1_0.5`` as a value. Indices outside the
     declared dimensions, non-finite values and an entry count other than
-    the declared one are errors too. Each error is a ``MatrixMarketError``
-    naming the first bad line in file order; a count error names the last
-    line.
+    the declared one are errors too, and so is a ``symmetric`` size line
+    with rows != cols. Each error is a ``MatrixMarketError`` naming the
+    first bad line in file order; a count error names the last line. When
+    the declared dimensions are too large to build the matrix in memory, the
+    ``MatrixMarketError`` names the size line.
 
     The entry lines are read in one ``np.loadtxt`` pass and checked as
     arrays; only input that fails this pass is walked line by line, to find
@@ -418,6 +420,8 @@ def read_matrix_market(path):
         raise MatrixMarketError("non-numeric token in size line", line_no) from None
     if rows <= 0 or cols <= 0 or declared < 0 or max(rows, cols) > _INDEX_MAX:
         raise MatrixMarketError("invalid matrix dimensions", line_no)
+    if symmetry == "symmetric" and rows != cols:
+        raise MatrixMarketError(f"a symmetric matrix must be square; got {rows}x{cols}", line_no)
 
     _, start, _ = next(lines, (None, len(text), None))
     entries = _read_entries(text[start:], rows, cols, declared)
@@ -432,7 +436,12 @@ def read_matrix_market(path):
         pairs = np.stack([ri, ci], axis=1)
         ri, ci = pairs.ravel()[keep], pairs[:, ::-1].ravel()[keep]
         vv = np.repeat(vv, 2)[keep]
-    return SparseMatrix.from_coo(rows, cols, ri, ci, vv)
+    try:
+        return SparseMatrix.from_coo(rows, cols, ri, ci, vv)
+    except MemoryError:
+        raise MatrixMarketError(
+            f"not enough memory to build the declared {rows}x{cols} matrix", line_no
+        ) from None
 
 
 def _content_lines(text):

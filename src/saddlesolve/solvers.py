@@ -240,7 +240,10 @@ class PdaState:
 class PdalState:
     """Linesearch PDA state; ``lam`` is the accepted primal step tau,
     ``beta`` the config's step ratio and ``corrections`` the line-search
-    shrinks."""
+    shrinks. When f* is a ``QuadShift`` with shift b, ``grad`` caches
+    G_n = K*(K x_n - b), the image the line search builds K*y from, and
+    ``Ky`` is carried by that recombination rather than applied afresh;
+    for any other f* ``grad`` is None."""
 
     x: np.ndarray
     y: np.ndarray
@@ -249,6 +252,7 @@ class PdalState:
     theta: float
     Kx: np.ndarray
     Ky: np.ndarray
+    grad: np.ndarray | None = None
     corrections: int = 0
 
 
@@ -583,16 +587,21 @@ def pda_iterate(state, problem, bcfg):
 
 
 def init_pdal(problem, x0, y0, bcfg):
+    """Linesearch PDA state at (x0, y0); with a ``QuadShift`` f* it also
+    holds G_0 = K*(K x0 - b)."""
     bcfg.validate()
     x0, y0 = _checked_start(problem, x0, y0)
+    Kx0 = problem.K.apply(x0)
+    fstar = problem.fstar
     return PdalState(
         x=x0.copy(),
         y=y0.copy(),
         lam=bcfg.tau,
         beta=bcfg.beta,
         theta=bcfg.theta,
-        Kx=problem.K.apply(x0),
+        Kx=Kx0,
         Ky=problem.K.adjoint_apply(y0),
+        grad=problem.K.adjoint_apply(Kx0 - fstar.shift) if isinstance(fstar, QuadShift) else None,
     )
 
 
@@ -601,12 +610,18 @@ def pdal_iterate(state, problem, bcfg):
 
     The trial step grows by sqrt(1 + theta) and shrinks by mu_ls until
     sqrt(beta)*tau*||K*(y+ - y)|| <= alpha_ls*||y+ - y||. The extrapolated
-    image K z is recombined from cached K x values, so each inner trial costs
-    one adjoint application only.
+    image K z is recombined from cached K x values. When f* is a
+    ``QuadShift`` with shift b, y+ = (y + s(K z - b))/(1 + s) is affine in
+    the trial, so K*y+ = (K*y + s((1 + theta) G_{n+1} - theta G_n))/(1 + s)
+    with G = K*(K x - b): the iteration applies K and K* once each, to get
+    K x_{n+1} and G_{n+1}, and its trials apply nothing. The carried K*y
+    contracts by 1/(1 + s) per iteration, so its roundoff stays bounded.
+    Any other f* applies K* once per trial, and K once per iteration.
     """
     K = problem.K
     x_next = problem.g.prox(state.x - state.lam * state.Ky, state.lam)
     Kx_next = K.apply(x_next)
+    grad_next = None if state.grad is None else K.adjoint_apply(Kx_next - problem.fstar.shift)
     trial = state.lam * math.sqrt(1.0 + state.theta)
     sqrt_beta = math.sqrt(bcfg.beta)
     shrinks = 0
@@ -615,7 +630,10 @@ def pdal_iterate(state, problem, bcfg):
         Kz = (1.0 + theta) * Kx_next - theta * state.Kx
         s = bcfg.beta * trial
         y_next = problem.fstar.prox(state.y + s * Kz, s)
-        Ky_next = K.adjoint_apply(y_next)
+        if grad_next is None:
+            Ky_next = K.adjoint_apply(y_next)
+        else:
+            Ky_next = (state.Ky + s * ((1.0 + theta) * grad_next - theta * state.grad)) / (1.0 + s)
         lhs = sqrt_beta * trial * vector_norm(Ky_next - state.Ky)
         rhs = bcfg.alpha_ls * vector_norm(y_next - state.y)
         if lhs <= rhs:
@@ -631,6 +649,7 @@ def pdal_iterate(state, problem, bcfg):
     state.Kx = Kx_next
     state.y = y_next
     state.Ky = Ky_next
+    state.grad = grad_next
     state.theta = theta
     state.lam = trial
     return state

@@ -465,6 +465,21 @@ def test_malformed_matrix_file_names_its_line(tmp_path, monkeypatch, capsys):
     assert "Traceback" not in err
 
 
+def test_matrix_too_large_to_build_names_its_size_line(tmp_path, monkeypatch, capsys):
+    def out_of_memory(*args):
+        raise MemoryError  # what scipy raises for 3e9 rows; nothing is allocated here
+
+    monkeypatch.setattr(SparseMatrix, "from_coo", out_of_memory)
+    big = tmp_path / "big.mtx"
+    big.write_text("%%MatrixMarket matrix coordinate real general\n3000000000 2 1\n1 1 5.0\n")
+    argv = ["run", "--problem", "nnls-well", "--solver", "pgm", "--matrix-file", str(big)]
+    assert _script_exit_code(monkeypatch, argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(
+        "error: not enough memory to build the declared 3000000000x2 matrix (line 2)")
+    assert "Traceback" not in err
+
+
 def test_nnls_swapped_apdac(tmp_path):
     mtx = tmp_path / "k.mtx"
     _toy_mtx(mtx)

@@ -1,6 +1,6 @@
 """The paper's invariants on random small instances (m, n <= 12): the bitwise
-reduction of the accelerated solver at gamma = 0, deterministic traces and
-the correction bound on zeta_n."""
+reduction of the accelerated solver at gamma = 0, deterministic traces, the
+correction bound on zeta_n and one K and one K* per iteration."""
 
 import numpy as np
 import pytest
@@ -92,6 +92,36 @@ def test_corrected_displacement_stays_under_nu_zeta0(family, seed, m, n, delta, 
             assert st_.zeta_cur == 0.0
             return
         assert st_.zeta_cur <= cfg.nu_corr * st_.zeta0
+
+
+_PRODUCT_KINDS = [(kind, family) for kind in ("pdac", "apdac", "pda", "pgm", "pdal")
+                  for family in ("lasso", "nnls")]
+
+
+def _products(kind, prob, cfg, budget):
+    """(K, K*) applications of a run at trace_every=1, and the iterations it
+    completed. A run that the known zeta_n = 0 stall ends early counts up to
+    its last row: pdac's correction raises before the stalled iteration
+    applies anything."""
+    prob.K.reset_counters()
+    try:
+        iters = run(kind, prob, cfg, *prob.start, max_iter=budget).rows[-1][0]
+    except LinesearchStallError as err:
+        assert kind == "pdac" and "correction" in str(err)
+        iters = err.trace.rows[-1][0]
+    return prob.K.apply_calls, prob.K.adjoint_calls, iters
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(_PRODUCT_KINDS), _SEED, _SIZE, _SIZE, st.integers(1, 30))
+def test_each_iteration_applies_k_and_its_adjoint_once(kind_family, seed, m, n, budget):
+    # every iteration writes an objective row, which reads the cached image
+    kind, family = kind_family
+    prob = _instance(family, seed, m, n)
+    cfg, _ = default_config(prob, kind)
+    f0, a0, _ = _products(kind, prob, cfg, 0)
+    f, a, iters = _products(kind, prob, cfg, budget)
+    assert (f - f0, a - a0) == (iters, iters)
 
 
 @pytest.mark.xfail(raises=LinesearchStallError, strict=True,

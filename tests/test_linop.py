@@ -553,6 +553,11 @@ def test_mm_matches_reference_dense_parse(tmp_path, rng):
             "%%MatrixMarket matrix coordinate real general\r\n2 2 3\r\n1 1 5.0\r\n\r\n",
             r"expected 3 entries, found 1 \(line 4\)",
         ),
+        # mirroring 1 3 5.0 would put an entry in row 3 of 2
+        (
+            "%%MatrixMarket matrix coordinate real symmetric\n% c\n2 3 1\n1 3 5.0\n",
+            r"symmetric matrix must be square; got 2x3 \(line 3\)",
+        ),
     ],
 )
 def test_mm_errors(tmp_path, text, match):

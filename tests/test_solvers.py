@@ -807,7 +807,8 @@ def _budget_config(kind, prob):
 @pytest.mark.parametrize(
     "kind, family",
     [("pdac", "lasso"), ("apdac", "lasso"), ("pda", "lasso"), ("pgm", "lasso"),
-     ("apdac", "nnls-swapped"), ("pdal", "lasso"), ("fista", "lasso")],
+     ("apdac", "nnls-swapped"), ("pdal", "lasso"), ("pdal", "nnls"), ("pdal", "game"),
+     ("fista", "lasso")],
 )
 def test_run_matvecs_per_iteration_with_metric_rows(kind, family, matvec_count):
     # at trace_every=1 every iteration also writes an objective row; the row
@@ -822,11 +823,29 @@ def test_run_matvecs_per_iteration_with_metric_rows(kind, family, matvec_count):
                       trace.rows[-1][5]))
     (f20, a20, c20), (f120, a120, c120) = spent
     iters, shrinks = 100, c120 - c20  # the last column: corrections or shrinks
+    if kind == "pdal":
+        assert shrinks > 0  # so the count below holds whatever the shrinks
     expected = {
-        "pdal": (iters, iters + shrinks),  # each line-search trial applies K* once
-        "fista": (iters + shrinks, iters),  # K x+ for each trial; K v is recombined
-    }.get(kind, (iters, iters))
+        # pdal's trials recombine K*y+ when f* is a QuadShift; on a game each
+        # line-search trial applies K* once, and each gap row (pd_gap_game)
+        # applies K and K* once more
+        ("pdal", "game"): (iters + iters, iters + shrinks + iters),
+        ("fista", "lasso"): (iters + shrinks, iters),  # K x+ for each trial; K v is recombined
+    }.get((kind, family), (iters, iters))
     assert (f120 - f20, a120 - a20) == expected
+
+
+def test_pdal_carried_adjoint_image_stays_within_roundoff():
+    # on a least-squares problem pdal carries K*y by recombination; the
+    # 1/(1 + s) contraction per iteration keeps its drift bounded
+    prob, _ = gen_lasso(ProblemSpec("lasso1", seed=1, m=100, n=500, s=5))
+    cfg, _ = default_config(prob, "pdal")
+    state = init_pdal(prob, *prob.start, cfg)
+    for _ in range(2000):
+        pdal_iterate(state, prob, cfg)
+    assert state.corrections > 0
+    fresh = prob.K.adjoint_apply(state.y)
+    assert np.abs(state.Ky - fresh).max() <= 1e-10 * np.abs(fresh).max()
 
 
 _SOLVER_FLAGS = ("delta", "alpha", "rho", "beta", "gamma", "lambda0", "lambda_cap",

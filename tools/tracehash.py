@@ -18,29 +18,35 @@ with the bits of ``operator_norm()`` (the L that pda and pgm step by) as 16
 hex digits and its relative distance to ``np.linalg.svd``'s top singular
 value; one line per solver run: its exit code, the first 16 hex digits of
 the sha256 of its CSV trace without the ``seconds`` column ("-" when it
-wrote none), and its final metric; one line per reference solve: its exit
-code, the first 16 hex digits of the sha256 of the bits of x_bar, y_bar and
-phi_star, and its iteration count; then the hash of the whole listing.
+wrote none), its forward (K) and adjoint (K*) application counts, setup,
+start and metric rows included, and its final metric; one line per
+reference solve: its exit code, the first 16 hex digits of the sha256 of
+the bits of x_bar, y_bar and phi_star, and its iteration count; then the
+hash of the whole listing.
 
     python3 tools/tracehash.py [--out RUNS.json] [--compare OTHER.json]
 
-``--out`` writes the matrix hash, every run's rows (``seconds`` dropped),
-every operator norm and every reference result to a JSON file.
-``--compare`` reads such a file, made by another version of the code, and
-prints whether the parsed matrix kept its bits; for each operator norm the
-relative change of L and its distance to the SVD on either side; for each
-solver run the largest relative difference of the metric, lambda and beta
-columns over all rows, and how many rows differ at all; for each reference
-solve the largest absolute difference in x_bar and the relative difference
-in phi_star; then the count of entries that differ. The parsed matrix or an
+``--out`` writes the matrix hash, every run's rows (``seconds`` dropped)
+and application counts, every operator norm and every reference result to
+a JSON file. ``--compare`` reads such a file, made by another version of
+the code, and prints whether the parsed matrix kept its bits; for each
+operator norm the relative change of L and its distance to the SVD on
+either side; for each solver run the largest relative difference of the
+metric, lambda and beta columns over all rows, how many rows differ at all
+and any change of its application counts; for each reference solve the
+largest absolute difference in x_bar and the relative difference in
+phi_star; then the count of entries that differ. The parsed matrix or an
 operator norm differs when its bits changed or it is missing from either
-side. A solver run differs when a row differs, its iterations or its exit
-code changed, or it is missing from either side. A reference solve differs
-when the bits of x_bar, y_bar or phi_star or its exit code changed, or it
-is missing from either side; a changed iteration count alone is reported
-but is no difference. With ``--compare`` the script exits 1 when any entry
-differs and 0 otherwise. The package and the bench helpers are imported
-from the tree this script sits in.
+side. A solver run differs when a row differs, its iterations, its
+application counts or its exit code changed, or it is missing from either
+side. A reference solve differs when the bits of x_bar, y_bar or phi_star
+or its exit code changed, or it is missing from either side; a changed
+iteration count alone is reported but is no difference. With
+``--compare`` the script exits 1 when any entry differs and 0 otherwise.
+The package and the bench helpers are imported from the tree this script
+sits in. Applications are counted by ``Operators``, which registers every
+``LinearOperator`` at construction, as the bench's class of that name does,
+so counting costs nothing per product.
 """
 
 from __future__ import annotations
@@ -71,7 +77,7 @@ from saddlesolve.cli import (  # noqa: E402
     reference_solve_cmd,
     run_experiment,
 )
-from saddlesolve.linop import read_matrix_market  # noqa: E402
+from saddlesolve.linop import LinearOperator, read_matrix_market  # noqa: E402
 from workloads import write_c12_matrix  # noqa: E402
 
 PROBLEMS = (
@@ -89,6 +95,30 @@ PROBLEMS = (
 ITERS = 400  # the recorded hashes are comparable only at this budget
 REFERENCES = (("lasso1", 1), ("lasso1", 2), ("lasso1", 3), ("lasso1", 4), ("nnls-well", 1))
 COLUMNS = ("metric", "lambda", "beta")  # compared as floats; corrections as counts
+
+
+class Operators:
+    """The LinearOperators built since the last ``take``. Hooks construction
+    only, so no product pays for the count. They are held, not weakly
+    referenced as in the bench, because a run's problem can be freed by the
+    time the run returns (a game's has no reference cycle)."""
+
+    def __init__(self):
+        self.built = []
+        init, built = LinearOperator.__init__, self.built
+
+        def register(op, *args, **kwargs):
+            init(op, *args, **kwargs)
+            built.append(op)
+
+        LinearOperator.__init__ = register
+
+    def take(self):
+        """[K, K*] applications of the operators built since the last call."""
+        counts = [sum(op.apply_calls for op in self.built),
+                  sum(op.adjoint_calls for op in self.built)]
+        self.built.clear()
+        return counts
 
 
 def matrix_entry(matrix):
@@ -109,9 +139,10 @@ def operator_norm_entry(family, swapped, matrix):
 
 
 def run_all(tmp, matrix):
-    """{run name: {"exit", "sha256", "final_metric", "rows"}} for every run,
-    each problem's operator norm entry before its first run."""
-    runs, normed = {}, set()
+    """{run name: {"exit", "sha256", "final_metric", "rows", "products"}} for
+    every run, with ``products`` its [K, K*] application counts, each
+    problem's operator norm entry before its first run."""
+    runs, normed, ops = {}, set(), Operators()
     for problem, extra in PROBLEMS:
         family = problem.split()[0]
         swapped = "--swapped" in extra
@@ -125,9 +156,11 @@ def run_all(tmp, matrix):
             out.unlink(missing_ok=True)
             argv = ["--problem", family, "--solver", solver, "--max-iters", str(ITERS),
                     "--output", str(out), *extra]
+            ops.take()
             with contextlib.redirect_stdout(io.StringIO()), \
                     contextlib.redirect_stderr(io.StringIO()):
                 code = run_experiment(argv)
+            products = ops.take()
             lines = out.read_text(encoding="ascii").splitlines() if out.exists() else []
             fields = [line.split(",") for line in lines]
             kept = "".join(",".join(f[:1] + f[2:]) + "\n" for f in fields)
@@ -138,6 +171,7 @@ def run_all(tmp, matrix):
                 "sha256": hashlib.sha256(kept.encode("ascii")).hexdigest() if lines else None,
                 "final_metric": rows[-1][1] if rows else None,
                 "rows": rows,
+                "products": products,
             }
     return runs
 
@@ -233,7 +267,10 @@ def main(argv=None):
             print(line)
             continue
         digest = (rec["sha256"] or "-")[:16]
-        last = f"{rec['iterations']} iterations" if "x_bar" in rec else repr(rec["final_metric"])
+        if "x_bar" in rec:
+            last = f"{rec['iterations']} iterations"
+        else:
+            last = "K {} K* {}  {!r}".format(*rec["products"], rec["final_metric"])
         line = f"{name:28s} exit {rec['exit']}  {digest:16s}  {last}"
         listing += line + "\n"
         print(line)
@@ -268,6 +305,9 @@ def main(argv=None):
             continue
         differs = rec["exit"] != old["exit"]
         note = f"  exit {old['exit']} -> {rec['exit']}" if differs else ""
+        if "products" in rec and rec["products"] != old.get("products"):
+            differs = True
+            note += "  K, K* {} -> {}".format(old.get("products"), rec["products"])
         if "x_bar" in rec:
             status, bits_differ = reference_drift(rec, old)
             differs = differs or bits_differ
