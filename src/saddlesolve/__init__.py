@@ -52,17 +52,7 @@ from .solvers import (
     predict_step,
     run,
 )
-from .diagnostics import (
-    ErgodicAverage,
-    IterateWindow,
-    LyapunovSample,
-    ReferencePoint,
-    find_burn_in,
-    gap_D,
-    gap_P,
-    lyapunov_sample,
-    lyapunov_series,
-)
+from .diagnostics import ErgodicAverage, ReferencePoint
 from .oracle import saddle_residual, solve_reference
 
 __version__ = "0.1.0"

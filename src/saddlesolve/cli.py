@@ -40,6 +40,7 @@ from .problems import (
 )
 from .oracle import solve_reference
 from .solvers import (
+    SOLVERS,
     ConfigError,
     DivergenceError,
     LinesearchStallError,
@@ -50,7 +51,6 @@ from .solvers import (
 __all__ = ["main", "console_main", "run_experiment", "reference_solve_cmd"]
 
 PROBLEM_NAMES = sorted(list(LASSO_FAMILIES) + list(GAME_FAMILIES) + list(NNLS_FAMILIES))
-SOLVER_NAMES = ["pdac", "apdac", "pda", "pdal", "pgm", "fista"]
 
 DATA_ENV = "SADDLE_SOLVE_DATA"
 
@@ -120,7 +120,7 @@ def main():
 
 @main.command("run")
 @click.option("--problem", "problem_name", required=True, type=click.Choice(PROBLEM_NAMES))
-@click.option("--solver", required=True, type=click.Choice(SOLVER_NAMES))
+@click.option("--solver", required=True, type=click.Choice(list(SOLVERS)))
 @click.option("--seed", type=int, default=None)
 @click.option("--max-iters", type=int, default=1000)
 @click.option("--max-seconds", type=float, default=None)

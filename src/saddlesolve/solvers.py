@@ -6,19 +6,25 @@ beta*lambda_{n+1}; the next step size is predicted from the local inverse
 Lipschitz ratio alpha*||dy|| / (sqrt(beta)*||K* dy||) so the operator norm is
 never needed. For delta < 1 a correction loop shrinks lambda_n until the
 primal displacement satisfies ||x_{n+1} - x_n|| <= min(nu*zeta_0, mu*zeta_n),
-a condition weak enough that it fires only a handful of times per run.
+with zeta_n the larger of the last primal and dual displacements, a
+condition weak enough that it fires only a handful of times per run.
 The accelerated variant grows beta geometrically using the strong-convexity
 constant gamma of g.
 
 Baselines: fixed-step PDA, the linesearch PDA, the proximal gradient method,
 and FISTA with backtracking.
+
+``SOLVERS`` names the six run kinds, pdac, apdac, pda, pdal, pgm and fista,
+once: ``default_config``, ``run`` and the CLI reach every kind through it.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, fields
+from collections.abc import Callable
+from dataclasses import dataclass, field, fields, replace
+from functools import partial
 from operator import attrgetter
 
 import numpy as np
@@ -32,6 +38,8 @@ __all__ = [
     "DELTA_LOWER",
     "SolverConfig",
     "BaselineConfig",
+    "SolverKind",
+    "SOLVERS",
     "SolverState",
     "PdaState",
     "PdalState",
@@ -76,11 +84,9 @@ class LinesearchStallError(RuntimeError):
     The correction shrinks lambda_n, and its primal candidate tends to x_n
     as lambda_n goes to 0, so it ends whenever its bound min(nu zeta_0,
     mu zeta_n) is positive; it hits the cap only when that bound is tiny
-    next to the first displacement. After a step that leaves x in place,
-    zeta_n = 0 and so is the bound: the correction then rejects every move
-    of x and raises this error, as the strict xfail
-    ``test_correction_moves_on_after_a_zero_displacement`` pins. ``trace``
-    may carry the partial run trace."""
+    next to the first displacement. zeta_n is 0 only when neither x nor y
+    moved, that is at a fixed point, so a step that leaves x alone does not
+    stop x from moving later. ``trace`` may carry the partial run trace."""
 
     trace = None
 
@@ -201,10 +207,12 @@ class SolverState:
     ``corrections`` columns. Here ``x_prev``/``x`` hold x_{n-1} and x_n (the
     driver rebuilds the extrapolated point z_n from them); ``lam``/
     ``lam_next`` hold lambda_n and lambda_{n+1}; ``beta`` is beta_n,
-    constant unless the run is accelerated; ``corrections`` counts the
-    correction loop's shrinks. The cached images make each outer iteration
-    spend exactly one forward and one adjoint application and the objective
-    none.
+    constant unless the run is accelerated; ``zeta0`` is zeta_0 and
+    ``zeta_cur`` is zeta_n = max(||x_n - x_{n-1}||, ||y_n - y_{n-1}||), the
+    two quantities zeta_0 measures as prox residuals at the start;
+    ``corrections`` counts the correction loop's shrinks. The cached images
+    make each outer iteration spend exactly one forward and one adjoint
+    application and the objective none.
     """
 
     x_prev: np.ndarray
@@ -303,13 +311,14 @@ def default_config(problem, solver, **overrides):
     settings of the problem's family, with the non-None ``overrides``
     applied; returns (config, unread).
 
-    The family follows from the problem: a matrix game when
-    ``problem.is_matrix_game``, LASSO when g is ``ScaledL1``, NNLS (swapped
-    or not) otherwise. Overrides take the CLI's flag names, which are the
-    ``SolverConfig`` field names except that ``beta`` sets ``beta0`` (and
-    pdal's ``beta``). ``unread`` is the set of given override names the run
-    never reads, any name it does not know included; a ``solver`` other than
-    the six raises ConfigError.
+    The ``SOLVERS`` record of ``solver`` builds the config and names the
+    overrides it reads, so ``unread`` is the set of given override names the
+    run never reads, any name it does not know included; a ``solver`` that
+    is not in ``SOLVERS`` raises ConfigError. The family follows from the
+    problem: a matrix game when ``problem.is_matrix_game``, LASSO when g is
+    ``ScaledL1``, NNLS (swapped or not) otherwise. Overrides take the CLI's
+    flag names, which are the ``SolverConfig`` field names except that
+    ``beta`` sets ``beta0`` (and pdal's ``beta``).
 
     pdac and apdac get a ``SolverConfig``. Both take beta0 = 1/400 on LASSO
     and 1 otherwise, lambda0 = ``default_lambda0(problem, beta0)``, gamma =
@@ -331,54 +340,57 @@ def default_config(problem, solver, **overrides):
     pgm, and a pgm step 1/L^2 that is not positive and finite raises
     ConfigError.
     """
+    kind = SOLVERS[solver]
     given = {name: value for name, value in overrides.items() if value is not None}
-    lasso = isinstance(problem.g, ScaledL1)
+    cfg = kind.config(problem, given)
+    return cfg, set(given) - kind.reads(cfg)
+
+
+def _family_beta(problem, given):
+    """The ``beta`` override, else 1/400 on LASSO and 1 otherwise."""
+    return given.get("beta", 1.0 / 400.0 if isinstance(problem.g, ScaledL1) else 1.0)
+
+
+def _pd_config(problem, given, accelerated=False):
     game = problem.is_matrix_game
-    beta = given.get("beta", 1.0 / 400.0 if lasso else 1.0)
-    if solver in ("pda", "pgm"):
-        L = problem.K.operator_norm()
-        if solver == "pgm":
-            # 1/L^2 leaves the float range when L*L under- or overflows
-            step = 1.0 / (L * L) if L * L > 0.0 else math.inf
-            return BaselineConfig(step=step).validate(), set(given)
-        scale = 20.0 if lasso else 1.0
-        return BaselineConfig(tau=scale / L, sigma=1.0 / (scale * L)), set(given)
-    if solver == "pdal":
-        fro = problem.K.frobenius_norm()
-        if fro == 0.0:
-            raise ValueError("operator_norm: zero operator")
-        tau0 = math.sqrt(min(problem.K.shape)) / fro
-        return BaselineConfig(tau=tau0, beta=beta), set(given) - {"beta"}
-    if solver == "fista":
-        return BaselineConfig(fista_beta=0.7), set(given)
-    if solver not in ("pdac", "apdac"):
-        raise ConfigError(f"unknown solver kind {solver!r}")
-    delta = given.get("delta", 1.0 if game or solver == "apdac" else 0.62)
+    beta = _family_beta(problem, given)
+    delta = given.get("delta", 1.0 if game or accelerated else 0.62)
     # the headline alpha = 1.27 is admissible only for delta < 1/1.27^2; a
     # delta that is not positive is left for validate to name
-    headline = solver == "pdac" and delta > 0 and 1.27 < 1.0 / math.sqrt(delta)
+    headline = not accelerated and delta > 0 and 1.27 < 1.0 / math.sqrt(delta)
     n_hat = given.get("n_hat", 40000 if game else 5000)
-    settings = dict(
-        delta=delta,
-        alpha=1.27 if headline else 0.99,
-        beta0=beta,
-        gamma=problem.gamma,
-        lambda0=default_lambda0(problem, beta),
-        n_hat=n_hat,
-        n_zero=2 * n_hat,
-        nonmonotone=solver == "pdac",
-    )
+    cfg = SolverConfig(delta=delta, alpha=1.27 if headline else 0.99, beta0=beta,
+                       gamma=problem.gamma, lambda0=default_lambda0(problem, beta),
+                       n_hat=n_hat, n_zero=2 * n_hat, nonmonotone=not accelerated)
     names = {f.name for f in fields(SolverConfig)}
-    settings.update((name, value) for name, value in given.items() if name in names)
-    cfg = SolverConfig(**settings)
-    read = {"delta", "alpha", "beta", "lambda0", "nonmonotone"}
-    if solver == "apdac":
-        read.add("gamma")
-    if cfg.delta < 1.0:
-        read |= {"rho", "mu_corr", "nu_corr"}
-    if cfg.nonmonotone:
-        read |= {"n_hat", "n_zero", "lambda_cap"}
-    return cfg, set(given) - read
+    return replace(cfg, **{name: value for name, value in given.items() if name in names})
+
+
+def _pd_reads(cfg):
+    """The overrides a pdac run with ``cfg`` reads (see ``default_config``)."""
+    return ({"delta", "alpha", "beta", "lambda0", "nonmonotone"}
+            | ({"rho", "mu_corr", "nu_corr"} if cfg.delta < 1.0 else set())
+            | ({"n_hat", "n_zero", "lambda_cap"} if cfg.nonmonotone else set()))
+
+
+def _pda_config(problem, given):
+    L = problem.K.operator_norm()
+    scale = 20.0 if isinstance(problem.g, ScaledL1) else 1.0
+    return BaselineConfig(tau=scale / L, sigma=1.0 / (scale * L))
+
+
+def _pdal_config(problem, given):
+    fro = problem.K.frobenius_norm()
+    if fro == 0.0:
+        raise ValueError("operator_norm: zero operator")
+    return BaselineConfig(tau=math.sqrt(min(problem.K.shape)) / fro,
+                          beta=_family_beta(problem, given))
+
+
+def _pgm_config(problem, given):
+    L = problem.K.operator_norm()
+    # 1/L^2 leaves the float range when L*L under- or overflows
+    return BaselineConfig(step=1.0 / (L * L) if L * L > 0.0 else math.inf).validate()
 
 
 def _checked_vector(v, length, name):
@@ -472,14 +484,20 @@ def predict_step(dy_norm, kdy_norm, lam_next, phi, cfg, beta):
 def correction_pass(state, problem, cfg, x_candidate, zeta_candidate, phi_n):
     """Shrink lambda_n until ||x_{n+1} - x_n|| <= min(nu*zeta_0, mu*zeta_n).
 
-    nu caps the displacement against its starting value (zeta_n <= nu*zeta_0
-    for all n) while mu >= nu allows generous growth relative to the previous
-    displacement, so the loop fires rarely. Each shrink multiplies lambda_n
-    by rho, caps lambda_{n+1} at min(phi_n*lambda_n, lambda_{n+1}) (phi_n = 1
-    in monotone mode), and recomputes the primal candidate from the cached
-    adjoint image - no new matrix applications. Returns the accepted
-    candidate and its displacement; mutates the step sizes and the backtrack
-    counter in place.
+    zeta_n = max(||x_n - x_{n-1}||, ||y_n - y_{n-1}||) measures the last
+    step in the same two quantities as zeta_0, the larger of the primal and
+    dual prox residuals at the start. It vanishes only when neither iterate
+    moved, so the bound is positive away from a fixed point: a primal
+    displacement alone would be 0 after any step that leaves x in place,
+    and the loop would then reject every later move of x. nu caps the
+    primal displacement against its starting value while mu >= nu allows
+    generous growth relative to the previous step, so the loop fires
+    rarely. Each shrink multiplies lambda_n by rho, caps lambda_{n+1} at
+    min(phi_n*lambda_n, lambda_{n+1}) (phi_n = 1 in monotone mode), and
+    recomputes the primal candidate from the cached adjoint image - no new
+    matrix applications. Returns the accepted candidate and its
+    displacement; mutates the step sizes and the backtrack counter in
+    place.
     """
     bound = min(cfg.nu_corr * state.zeta0, cfg.mu_corr * state.zeta_cur)
     shrinks = 0
@@ -538,7 +556,7 @@ def _pd_iterate(state, problem, cfg, accelerated):
     state.lam = state.lam_next
     state.lam_next = lam_after
     state.beta = beta_next
-    state.zeta_cur = zeta_next
+    state.zeta_cur = max(zeta_next, dy)
     state.iter = n + 1
     return state
 
@@ -655,27 +673,24 @@ def pdal_iterate(state, problem, bcfg):
     return state
 
 
-def _smooth_shift(problem):
-    fstar = problem.fstar
-    if not isinstance(fstar, QuadShift) or problem.objective_var != "x":
-        raise ConfigError(
-            "gradient baselines need a least-squares objective 0.5||Kx - b||^2"
-        )
-    return fstar.shift
+def _smooth_start(problem, x0, bcfg):
+    """``x0`` checked by ``_checked_vector``, after ``bcfg`` is validated; a
+    problem that is not least squares in x raises ConfigError."""
+    bcfg.validate()
+    if not isinstance(problem.fstar, QuadShift) or problem.objective_var != "x":
+        raise ConfigError("gradient baselines need a least-squares objective 0.5||Kx - b||^2")
+    return _checked_vector(x0, problem.K.cols, "x0")
 
 
 def init_pgm(problem, x0, bcfg):
-    bcfg.validate()
-    _smooth_shift(problem)
-    x0 = _checked_vector(x0, problem.K.cols, "x0")
+    x0 = _smooth_start(problem, x0, bcfg)
     return PgmState(x=x0.copy(), Kx=problem.K.apply(x0), lam=bcfg.step)
 
 
 def pgm_iterate(state, problem, bcfg):
     """Proximal gradient step with the fixed step size ``bcfg.step``; the
     image K x is cached."""
-    b = _smooth_shift(problem)
-    grad = problem.K.adjoint_apply(state.Kx - b)
+    grad = problem.K.adjoint_apply(state.Kx - problem.fstar.shift)
     state.x = problem.g.prox(state.x - bcfg.step * grad, bcfg.step)
     state.Kx = problem.K.apply(state.x)
     return state
@@ -683,9 +698,7 @@ def pgm_iterate(state, problem, bcfg):
 
 def init_fista(problem, x0, bcfg):
     """FISTA state at x0; the first trial step is 1 and backtracks from there."""
-    bcfg.validate()
-    _smooth_shift(problem)
-    x0 = _checked_vector(x0, problem.K.cols, "x0")
+    x0 = _smooth_start(problem, x0, bcfg)
     Kx0 = problem.K.apply(x0)
     return FistaState(x=x0.copy(), v=x0.copy(), t=1.0, lam=1.0, Kx=Kx0, Kv=Kx0)
 
@@ -702,7 +715,7 @@ def fista_iterate(state, problem, bcfg):
     K once per trial and K* once.
     """
     K = problem.K
-    b = _smooth_shift(problem)
+    b = problem.fstar.shift
     rv = state.Kv - b
     hv = 0.5 * float(rv @ rv)
     grad = K.adjoint_apply(rv)
@@ -782,36 +795,56 @@ class IterationTrace:
         return trace
 
 
-def _driver(kind, problem, cfg, x0, y0):
-    """The only dispatch on the solver kind: (state, iterate, sample, head).
+@dataclass(frozen=True)
+class SolverKind:
+    """One run kind, as ``SOLVERS`` holds it.
 
-    ``sample`` maps a primal-dual state to the (weight, z, y) the ergodic
-    average takes, and the average's head weight is ``head`` * w_1 on x_0;
-    it is None for pgm and fista. Iterates are looked up as module
-    attributes here, when a run starts, so a wrapped ``<kind>_iterate`` is
-    the one that runs.
+    ``config(problem, given)`` is the kind's config at the family defaults
+    with the overrides ``given`` applied, and ``reads(cfg)`` the override
+    names a run with that config reads. ``init(problem, x0, y0, cfg)``
+    validates the config and builds the start state. On a matrix game the
+    ergodic average takes ``sample(state, cfg)`` = (weight, z, y) after
+    every iteration, and its head weight is ``head(cfg)`` * w_1 on x_0;
+    both are None for pgm and fista, whose init rejects a game. The iterate
+    is not held here: ``run`` looks ``<kind>_iterate`` up as a module
+    attribute when a run starts, so a wrapped iterate is the one that runs.
     """
-    if kind in ("pdac", "apdac"):
-        accelerated = kind == "apdac"
-        return (
-            init_state(problem, x0, y0, cfg, kind=kind),
-            apdac_iterate if accelerated else pdac_iterate,
-            lambda st: (
-                st.beta * st.lam if accelerated else st.lam,
-                st.x + cfg.delta * (st.x - st.x_prev),
-                st.y,
-            ),
-            cfg.delta,
-        )
-    if kind == "pda":
-        return init_pda(problem, x0, y0, cfg), pda_iterate, lambda st: (1.0, st.x, st.y), 1.0
-    if kind == "pdal":
-        return init_pdal(problem, x0, y0, cfg), pdal_iterate, attrgetter("lam", "x", "y"), 1.0
-    if kind == "pgm":
-        return init_pgm(problem, x0, cfg), pgm_iterate, None, 1.0
-    if kind == "fista":
-        return init_fista(problem, x0, cfg), fista_iterate, None, 1.0
-    raise ConfigError(f"unknown solver kind {kind!r}")
+
+    config: Callable
+    init: Callable
+    reads: Callable = lambda cfg: set()
+    sample: Callable | None = None
+    head: Callable | None = None
+
+
+class _Kinds(dict):
+    """A dict whose missing key raises ConfigError."""
+
+    def __missing__(self, kind):
+        raise ConfigError(f"unknown solver kind {kind!r}")
+
+
+def _pd_sample(weight):
+    return lambda st, cfg: (weight(st), st.x + cfg.delta * (st.x - st.x_prev), st.y)
+
+
+# every run kind by name; a name not in it raises ConfigError
+SOLVERS = _Kinds(
+    pdac=SolverKind(config=_pd_config, init=init_state, reads=_pd_reads,
+                    sample=_pd_sample(attrgetter("lam")), head=attrgetter("delta")),
+    apdac=SolverKind(config=partial(_pd_config, accelerated=True),
+                     init=partial(init_state, kind="apdac"),
+                     reads=lambda cfg: _pd_reads(cfg) | {"gamma"},
+                     sample=_pd_sample(lambda st: st.beta * st.lam), head=attrgetter("delta")),
+    pda=SolverKind(config=_pda_config, init=init_pda,
+                   sample=lambda st, cfg: (1.0, st.x, st.y), head=lambda cfg: 1.0),
+    pdal=SolverKind(config=_pdal_config, init=init_pdal, reads=lambda cfg: {"beta"},
+                    sample=lambda st, cfg: (st.lam, st.x, st.y), head=lambda cfg: 1.0),
+    pgm=SolverKind(config=_pgm_config,
+                   init=lambda problem, x0, y0, cfg: init_pgm(problem, x0, cfg)),
+    fista=SolverKind(config=lambda problem, given: BaselineConfig(fista_beta=0.7),
+                     init=lambda problem, x0, y0, cfg: init_fista(problem, x0, cfg)),
+)
 
 
 def run(
@@ -828,9 +861,12 @@ def run(
 ):
     """Drive one solver for a budget and collect an IterationTrace.
 
-    ``solver_kind`` is one of pdac, apdac, pda, pdal, pgm, fista. ``cfg`` is a
-    SolverConfig for the first two and a BaselineConfig otherwise; the
-    iteration budget ``max_iter`` is required. Every state is read by the
+    ``solver_kind`` names a kind in ``SOLVERS`` (pdac, apdac, pda, pdal, pgm,
+    fista); any other name raises ConfigError. ``cfg`` is a SolverConfig for
+    the first two and a BaselineConfig otherwise; the iteration budget
+    ``max_iter`` is required. The kind's record builds the start state and
+    the matrix game's ergodic sample, and ``<kind>_iterate`` is looked up as
+    a module attribute when the run starts. Every state is read by the
     same names: the ``lambda, beta, corrections`` columns are its ``lam``,
     ``beta`` and ``corrections``, and the objective reads its
     ``problem.objective_var`` (``x`` or ``y``) and that point's image (``Kx``
@@ -857,11 +893,13 @@ def run(
     if trace_every < 1:
         raise ValueError("trace_every must be at least 1")
     x0, y0 = _checked_start(problem, x0, y0)
-    state, step, sample, head = _driver(solver_kind, problem, cfg, x0, y0)
+    kind = SOLVERS[solver_kind]
+    state = kind.init(problem, x0, y0, cfg)
+    step = globals()[f"{solver_kind}_iterate"]
     var = problem.objective_var
     point_of = attrgetter(var, "K" + var)
     columns = attrgetter("lam", "beta", "corrections")
-    ergodic = ErgodicAverage(x0, head) if problem.is_matrix_game else None
+    ergodic = ErgodicAverage(x0, kind.head(cfg)) if problem.is_matrix_game else None
 
     def metric(point, image):
         if ergodic is not None:
@@ -888,7 +926,7 @@ def run(
             err.trace = trace
             raise
         if ergodic is not None:
-            ergodic.update(*sample(state))
+            ergodic.update(*kind.sample(state, cfg))
         out_of_time = max_seconds is not None and time.perf_counter() - t0 > max_seconds
         if n % trace_every == 0 or n == max_iter or out_of_time:
             trace.append(n, time.perf_counter() - t0, metric(point, image), *columns(state))

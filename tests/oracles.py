@@ -4,6 +4,9 @@ Enumeration-based projections, naive multiply checks, a characteristic-
 polynomial norm oracle, candidate or grid-search proxes and a line-by-line
 Matrix Market reader. Each computes its value by a route independent of the
 production code it validates; the enumeration oracles are dimension-capped.
+The gap functions P and D against a reference saddle point, the Lyapunov
+pair (a_n, b_n) of the convergence analysis with the combined gap eta_n,
+and empirical burn-in detection check the solvers against that analysis.
 """
 
 import math
@@ -266,3 +269,149 @@ def read_matrix_market_oracle(path):
         if seen != declared:
             raise MatrixMarketError(f"expected {declared} entries, found {seen}", line_no)
     return SparseMatrix.from_coo(rows, cols, ri, ci, vv)
+
+
+def gap_P(problem, ref, x):
+    """Primal gap P(x) = g(x) - g(x_bar) + <K* y_bar, x - x_bar>.
+
+    Nonnegative for every x when the reference is a true saddle point.
+    Returns +inf when an indicator g is violated at x.
+    """
+    gx = problem.g.value(x)
+    if math.isinf(gx):
+        return float("inf")
+    kty = problem.K.adjoint_apply(ref.y_bar)
+    x = np.asarray(x, dtype=float)
+    return gx - problem.g.value(ref.x_bar) + float(kty @ (x - ref.x_bar))
+
+
+def gap_D(problem, ref, y):
+    """Dual gap D(y) = fstar(y) - fstar(y_bar) - <K x_bar, y - y_bar>."""
+    fy = problem.fstar.value(y)
+    if math.isinf(fy):
+        return float("inf")
+    kx = problem.K.apply(ref.x_bar)
+    y = np.asarray(y, dtype=float)
+    return fy - problem.fstar.value(ref.y_bar) - float(kx @ (y - ref.y_bar))
+
+
+@dataclass
+class LyapunovSample:
+    n: int
+    a_n: float
+    b_n: float
+    eta_n: float
+
+
+@dataclass
+class IterateWindow:
+    """Three consecutive primal iterates, two dual iterates, and the three
+    step sizes around index n, as produced by the solver loop."""
+
+    n: int
+    x_m1: np.ndarray  # x_{n-1}
+    x_0: np.ndarray  # x_n
+    x_p1: np.ndarray  # x_{n+1}
+    y_m1: np.ndarray  # y_{n-1}
+    y_0: np.ndarray  # y_n
+    lam_m1: float
+    lam_0: float
+    lam_p1: float
+
+
+def lyapunov_sample(window, ref, problem, cfg):
+    """Evaluate (a_n, b_n, eta_n) on one iterate window with eps = 1/sqrt(delta).
+
+    a_n = ||x_n - x_bar||^2 + (1/beta)||y_{n-1} - y_bar||^2
+          + 2 lam_{n-1} (1 + delta) P(x_{n-1}),
+    b_n collects the four squared-difference terms whose nonnegativity kicks
+    in after burn-in, and eta_n = (1+delta) P(x_n) - delta P(x_{n-1}) + D(y_n).
+    """
+    if window is None:
+        raise ValueError("insufficient history: need three iterates around n")
+    if ref.quality > 1e-6:
+        raise ValueError(
+            f"reference quality {ref.quality:.3e} too poor for Lyapunov sampling (need <= 1e-6)"
+        )
+    d = cfg.delta
+    eps = 1.0 / math.sqrt(d)
+    beta = cfg.beta0
+    P_m1 = gap_P(problem, ref, window.x_m1)
+    P_0 = gap_P(problem, ref, window.x_0)
+    D_0 = gap_D(problem, ref, window.y_0)
+    dx_bar = window.x_0 - ref.x_bar
+    dy_bar = window.y_m1 - ref.y_bar
+    a_n = (
+        float(dx_bar @ dx_bar)
+        + float(dy_bar @ dy_bar) / beta
+        + 2.0 * window.lam_m1 * (1.0 + d) * P_m1
+    )
+    z_0 = window.x_0 + d * (window.x_0 - window.x_m1)
+    xz = window.x_p1 - z_0
+    xx = window.x_p1 - window.x_0
+    xm = window.x_0 - window.x_m1
+    yy = window.y_0 - window.y_m1
+    r = window.lam_0 / (d * window.lam_m1)
+    b_n = (
+        (r - cfg.alpha * eps * window.lam_0 / window.lam_p1) * float(xz @ xz)
+        + (1.0 - r) * float(xx @ xx)
+        + (d * window.lam_0 / window.lam_m1) * float(xm @ xm)
+        + (1.0 - cfg.alpha * window.lam_0 / (eps * window.lam_p1)) * float(yy @ yy) / beta
+    )
+    eta_n = (1.0 + d) * P_0 - d * P_m1 + D_0
+    return LyapunovSample(n=window.n, a_n=a_n, b_n=b_n, eta_n=eta_n)
+
+
+def lyapunov_series(xs, ys, lams, ref, problem, cfg, every=10):
+    """Samples over a recorded run history.
+
+    ``xs``/``ys`` hold x_0..x_T and y_0..y_T; ``lams`` holds lambda_0..
+    lambda_{T+1}. Valid sample indices are 1 <= n <= T-1. The default stride
+    of 10 bounds overhead; pass every=1 when adjacent samples are needed
+    (e.g. checking a_{n+1} <= a_n - b_n).
+    """
+    T = len(xs) - 1
+    out = []
+    for n in range(1, T, every):
+        window = IterateWindow(
+            n=n,
+            x_m1=xs[n - 1],
+            x_0=xs[n],
+            x_p1=xs[n + 1],
+            y_m1=ys[n - 1],
+            y_0=ys[n],
+            lam_m1=lams[n - 1],
+            lam_0=lams[n],
+            lam_p1=lams[n + 1],
+        )
+        out.append(lyapunov_sample(window, ref, problem, cfg))
+    return out
+
+
+def find_burn_in(lams, cfg, consecutive=50):
+    """First index after which the three step-ratio expressions from the
+    analysis stay positive for ``consecutive`` samples; None if never.
+
+    The expressions (with eps = 1/sqrt(delta)):
+    lam_n/(delta lam_{n-1}) - alpha eps lam_n / lam_{n+1} > 0,
+    1 - alpha lam_n / (eps lam_{n+1}) > 0,
+    1 - 1/delta + delta lam_{n+1} / lam_n > 0.
+    """
+    d = cfg.delta
+    eps = 1.0 / math.sqrt(d)
+    run_start = None
+    count = 0
+    for n in range(1, len(lams) - 1):
+        e1 = lams[n] / (d * lams[n - 1]) - cfg.alpha * eps * lams[n] / lams[n + 1]
+        e2 = 1.0 - cfg.alpha * lams[n] / (eps * lams[n + 1])
+        e3 = 1.0 - 1.0 / d + d * lams[n + 1] / lams[n]
+        if e1 > 0 and e2 > 0 and e3 > 0:
+            if run_start is None:
+                run_start = n
+            count += 1
+            if count >= consecutive:
+                return run_start
+        else:
+            run_start = None
+            count = 0
+    return None

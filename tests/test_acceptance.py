@@ -13,9 +13,10 @@ import numpy as np
 import pytest
 
 from saddlesolve.cli import DATA_ENV, reference_solve_cmd, run_experiment
-from saddlesolve.diagnostics import ErgodicAverage, lyapunov_series
+from saddlesolve.diagnostics import ErgodicAverage
 from saddlesolve.linop import SparseMatrix, read_matrix_market
 from oracles import (
+    lyapunov_series,
     prox_l1_oracle,
     prox_quad_shift_oracle,
     qp_project_nonneg_oracle,

@@ -1,16 +1,15 @@
 import numpy as np
 import pytest
 
-from saddlesolve.diagnostics import (
-    ErgodicAverage,
+from oracles import (
     IterateWindow,
-    ReferencePoint,
     find_burn_in,
     gap_D,
     gap_P,
     lyapunov_sample,
     lyapunov_series,
 )
+from saddlesolve.diagnostics import ErgodicAverage, ReferencePoint
 from saddlesolve.linop import LinearOperator
 from saddlesolve.problems import ProblemSpec, SaddleProblem, gen_lasso
 from saddlesolve.prox import IndSimplex, QuadShift, ScaledL1, Zero

@@ -17,6 +17,7 @@ from saddlesolve.problems import (
 )
 from saddlesolve.prox import IndSimplex, QuadShift, Zero
 from saddlesolve.solvers import (
+    SOLVERS,
     BaselineConfig,
     ConfigError,
     DivergenceError,
@@ -649,7 +650,7 @@ def test_run_pgm_divergence_error_carries_trace():
     assert exc.value.trace.rows[-1][0] == exc.value.iteration - 1
 
 
-@pytest.mark.parametrize("kind", ["pdac", "apdac", "pda", "pdal", "pgm", "fista"])
+@pytest.mark.parametrize("kind", list(SOLVERS))
 def test_run_checks_every_kind_for_divergence(kind, monkeypatch):
     # the iterate itself checks nothing; run() raises at the first step
     # that leaves a non-finite point
@@ -901,7 +902,7 @@ _EXTREME_SCALE_REJECTIONS = {
 
 
 @pytest.mark.parametrize("scale", [0.0, 1e-200, 1e160])
-@pytest.mark.parametrize("kind", ["pdac", "apdac", "pda", "pdal", "pgm", "fista"])
+@pytest.mark.parametrize("kind", list(SOLVERS))
 def test_default_config_at_extreme_scales(kind, scale):
     # the suite turns RuntimeWarnings into errors, so an over- or underflow
     # that numpy reports fails here too
@@ -1040,18 +1041,20 @@ def test_run_game_ergodic_gap_decreases(kind):
     assert gaps == expect
 
 
-def test_run_time_budget_ends_on_final_row(monkeypatch):
-    prob, _ = gen_lasso(ProblemSpec("lasso1", seed=2, m=8, n=12, s=2))
-    cfg = _cfg(delta=0.62, alpha=1.27, lambda0=0.1, beta0=1.0)
+@pytest.mark.parametrize("kind", list(SOLVERS))
+def test_run_time_budget_ends_on_final_row(kind, monkeypatch):
+    # run looks the iterate up by name when it starts, so a wrapped one runs
+    prob = _budget_problem("lasso")
     calls = []
-    iterate = solvers.pdac_iterate
+    iterate = getattr(solvers, f"{kind}_iterate")
 
     def counted(*args):
         calls.append(1)
         return iterate(*args)
 
-    monkeypatch.setattr(solvers, "pdac_iterate", counted)
-    trace = run("pdac", prob, cfg, *prob.start, max_iter=100, max_seconds=0.0, trace_every=1000)
+    monkeypatch.setattr(solvers, f"{kind}_iterate", counted)
+    trace = run(kind, prob, _budget_config(kind, prob), *prob.start, max_iter=100,
+                max_seconds=0.0, trace_every=1000)
     assert 1 <= len(calls) < 100
     assert trace.rows[-1][0] == len(calls)
 

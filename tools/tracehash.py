@@ -2,8 +2,8 @@
 run`` calls, the operator norms of their problems and the results of a fixed
 set of ``saddle-solve reference`` solves.
 
-Runs the six solvers on lasso1, lasso2, game1, game3, nnls-well and
-nnls-well ``--swapped`` at the default settings, and on lasso1
+Runs every kind in ``solvers.SOLVERS`` on lasso1, lasso2, game1, game3,
+nnls-well and nnls-well ``--swapped`` at the default settings, and on lasso1
 ``--monotone``, game1 ``--delta 0.8`` and lasso1 ``--beta 0.01``, at
 ITERS = 400 iterations through ``run_experiment`` (a solver that does not
 read a given flag exits 1 and writes no trace, which is hashed too), and
@@ -71,13 +71,9 @@ import numpy as np  # noqa: E402
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
-from saddlesolve.cli import (  # noqa: E402
-    SOLVER_NAMES,
-    _build_problem,
-    reference_solve_cmd,
-    run_experiment,
-)
+from saddlesolve.cli import _build_problem, reference_solve_cmd, run_experiment  # noqa: E402
 from saddlesolve.linop import LinearOperator, read_matrix_market  # noqa: E402
+from saddlesolve.solvers import SOLVERS  # noqa: E402
 from workloads import write_c12_matrix  # noqa: E402
 
 PROBLEMS = (
@@ -151,7 +147,7 @@ def run_all(tmp, matrix):
             runs[f"{problem} L"] = operator_norm_entry(family, swapped, matrix)
         if family.startswith("nnls"):
             extra = extra + ["--matrix-file", str(matrix)]
-        for solver in SOLVER_NAMES:
+        for solver in SOLVERS:
             out = tmp / "trace.csv"
             out.unlink(missing_ok=True)
             argv = ["--problem", family, "--solver", solver, "--max-iters", str(ITERS),
