@@ -7,10 +7,13 @@ immutable after construction and safe to share.
 
 The products are bound once per operator: a dense backing multiplies with
 its entries and their transposed view, and a CSR backing calls scipy's
-``csr_matvec``/``csc_matvec`` kernels on the arrays of its matrix and of the
-matrix's transposed view, the code ``csr @ x`` runs after its dispatch. The
-input checks and the application counters stay in ``LinearOperator.apply``
-and ``adjoint_apply``, the names that a tracer wraps.
+``csr_matvec`` kernel, the code ``csr @ x`` runs after its dispatch, on the
+arrays of its matrix and on those of a stored CSR copy of its transpose.
+That kernel sums each entry of K* y over ascending row index from 0.0, as
+the ``csc_matvec`` of ``csr.T @ y`` does, so the adjoint has the bits of
+``csr.T @ y``. The input checks and the application counters stay in
+``LinearOperator.apply`` and ``adjoint_apply``, the names that a tracer
+wraps.
 """
 
 from __future__ import annotations
@@ -62,18 +65,12 @@ def vector_norm(v):
     return math.sqrt(v.dot(v))
 
 
-def _compressed_matvec(kernel, rows, cols, indptr, indices, data, x):
+def _csr_matvec(rows, cols, indptr, indices, data, x):
+    """A @ x for the rows x cols CSR matrix A with these arrays, through the
+    sparsetools kernel that ``csr @ x`` calls."""
     out = np.zeros(rows)
-    kernel(rows, cols, indptr, indices, data, x, out)
+    _sparsetools.csr_matvec(rows, cols, indptr, indices, data, x, out)
     return out
-
-
-def _compressed_product(mat):
-    """The product x -> mat @ x of a scipy CSR or CSC matrix, through the
-    sparsetools kernel that ``mat @ x`` calls, bound to the matrix's arrays
-    (a partial, so the operator pickles)."""
-    kernel = getattr(_sparsetools, mat.format + "_matvec")
-    return partial(_compressed_matvec, kernel, *mat.shape, mat.indptr, mat.indices, mat.data)
 
 
 class MatrixMarketError(ValueError):
@@ -197,19 +194,30 @@ class SparseMatrix:
     def to_dense(self):
         return self._csr.toarray()
 
+    def _transpose_arrays(self):
+        """(row offsets, column indices, values) of the CSR transpose, built
+        by the sparsetools kernel that ``csr.T.tocsr()`` calls, without its
+        dispatch: the columns in ascending row order."""
+        indptr = np.empty(self.cols + 1, dtype=np.int64)
+        indices = np.empty(self.nnz, dtype=np.int64)
+        values = np.empty(self.nnz)
+        _sparsetools.csr_tocsc(self.rows, self.cols, self.row_offsets, self.col_indices,
+                               self.values, indptr, indices, values)
+        return indptr, indices, values
+
     def transposed(self, negate=False):
         """CSR matrix of the (optionally negated) transpose."""
-        t = self._csr.T.tocsr()
-        values = -t.data if negate else t.data
-        return SparseMatrix(self.cols, self.rows, t.indptr, t.indices, values)
+        indptr, indices, values = self._transpose_arrays()
+        return SparseMatrix(self.cols, self.rows, indptr, indices, -values if negate else values)
 
 
 class LinearOperator:
     """Matrix-backed linear operator with forward and adjoint application.
 
-    The adjoint of CSR storage is applied by a transposed traversal of the
-    backing's CSR matrix (no stored transpose). Both products are bound at
-    construction (see the module docstring). ``apply`` and
+    The adjoint of CSR storage is applied as the forward product of a CSR
+    copy of the transpose, built at construction; it holds as many entries
+    as the backing. Both products are bound at construction (see the module
+    docstring). ``apply`` and
     ``adjoint_apply`` take the input as a C-contiguous float array, so a
     list, an integer or a strided vector gives the bits of its contiguous
     float copy; they check its length against shapes cached at
@@ -225,9 +233,11 @@ class LinearOperator:
             self._product = backing.entries.__matmul__
             self._adjoint_product = backing.entries.T.__matmul__
         elif isinstance(backing, SparseMatrix):
-            self._product = _compressed_product(backing._csr)
-            # CSC view over the same values
-            self._adjoint_product = _compressed_product(backing._csr.T)
+            m, n = backing.rows, backing.cols
+            # partials of a module function, so the operator pickles
+            self._product = partial(_csr_matvec, m, n, backing.row_offsets,
+                                    backing.col_indices, backing.values)
+            self._adjoint_product = partial(_csr_matvec, n, m, *backing._transpose_arrays())
         else:
             raise TypeError("backing must be a DenseMatrix or SparseMatrix")
         self.backing = backing

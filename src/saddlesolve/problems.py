@@ -94,7 +94,9 @@ class SaddleProblem:
     "y"; given, it spares the objective its matrix application, and left
     out, the objective applies K itself. ``run`` always passes the image, so
     an objective set by hand must accept it as a second argument. ``start``
-    is the conventional initial point pair for the family.
+    is the conventional initial point pair for the family. The ``prox`` of
+    g and of fstar must return a new array, not its input or a view of it:
+    the corrected solver hands them scratch vectors that it overwrites.
 
     The kind of problem follows from g and fstar alone. It is a matrix game
     when both are ``IndSimplex``, and ``run`` then measures the primal-dual
@@ -200,8 +202,9 @@ def build_nnls(sparse, b, swapped=False, label="nnls"):
     coupling operator becomes the negated adjoint, and g picks up strong
     convexity gamma = 1/2. The swapped problem's dual iterate is the original
     primal variable, so its objective, which consumes "y", is
-    ``primal_objective`` of the unswapped problem; its image K_sw* y = -K y
-    maps back to K y by negation.
+    ``primal_objective`` of the unswapped problem; from its image
+    K_sw* y = -K y it forms the residual as K_sw* y + b, which is -(K y - b)
+    bit for bit, so the objective keeps the bits of ``primal_objective``.
     """
     if not isinstance(sparse, SparseMatrix):
         sparse = SparseMatrix.from_dense(np.asarray(sparse, dtype=float))
@@ -226,9 +229,7 @@ def build_nnls(sparse, b, swapped=False, label="nnls"):
         K=LinearOperator(sparse.transposed(negate=True)),
         gamma=0.5,
         label=f"{label}-swapped",
-        objective=lambda y, image=None: primal_objective(
-            prob, y, None if image is None else -image
-        ),
+        objective=lambda y, image=None: _swapped_objective(prob, y, image),
         objective_var="y",
         start=(np.zeros(m), np.zeros(n)),
     )
@@ -255,13 +256,28 @@ def primal_objective(problem, x, Kx=None):
     when given, stands in for ``problem.K.apply(x)``, so the objective
     applies no matrix.
     """
+    _check_least_squares(problem)
+    x = np.asarray(x, dtype=float)
+    r = (problem.K.apply(x) if Kx is None else Kx) - problem.fstar.shift
+    return 0.5 * float(r @ r) + problem.g.value(x)
+
+
+def _swapped_objective(problem, y, image=None):
+    """``primal_objective(problem, y)`` of the unswapped ``problem``, given the
+    swapped image -K y: its residual image + b has the bits of -(K y - b),
+    so no negated copy of the image is made."""
+    if image is None:
+        return primal_objective(problem, y)
+    _check_least_squares(problem)
+    r = image + problem.fstar.shift
+    return 0.5 * float(r @ r) + problem.g.value(y)
+
+
+def _check_least_squares(problem):
     if not problem.is_least_squares:
         raise UnsupportedMetricError(
             f"problem {problem.label!r} has no primal objective in this form"
         )
-    x = np.asarray(x, dtype=float)
-    r = (problem.K.apply(x) if Kx is None else Kx) - problem.fstar.shift
-    return 0.5 * float(r @ r) + problem.g.value(x)
 
 
 def _check_simplex_point(name, v, n):

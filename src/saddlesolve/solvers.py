@@ -110,7 +110,9 @@ class SolverConfig:
     0 < rho < 1, lambda0 and beta0 positive and finite, gamma finite and
     nonnegative, lambda_cap positive, where lambda_cap = inf means no cap.
     The accelerated variant additionally needs delta >= 1 and the monotone
-    step rule. ``gamma`` is read only by the accelerated variant.
+    step rule. ``gamma`` is read only by the accelerated variant. ``validate``
+    takes the kind the config is for, ``"pdac"`` or ``"apdac"``; any other
+    kind raises ConfigError.
     """
 
     delta: float = 0.62
@@ -127,6 +129,8 @@ class SolverConfig:
     nonmonotone: bool = False
 
     def validate(self, kind="pdac"):
+        if kind not in ("pdac", "apdac"):
+            raise ConfigError(f"SolverConfig configures pdac and apdac, not {kind!r}")
         if not (self.delta > DELTA_LOWER and math.isfinite(self.delta)):
             raise ConfigError(
                 f"delta must be finite and exceed (sqrt(5)-1)/2 = {DELTA_LOWER:.12f}; "
@@ -212,7 +216,9 @@ class SolverState:
     two quantities zeta_0 measures as prox residuals at the start;
     ``corrections`` counts the correction loop's shrinks. The cached images
     make each outer iteration spend exactly one forward and one adjoint
-    application and the objective none.
+    application and the objective none. ``scratch`` holds two vectors, of
+    x's and of y's length, that each iteration forms its temporaries in;
+    they never leave the iteration.
     """
 
     x_prev: np.ndarray
@@ -227,6 +233,10 @@ class SolverState:
     corrections: int
     Ky: np.ndarray
     Kx: np.ndarray
+    scratch: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.scratch = (np.empty(self.x.shape), np.empty(self.y.shape))
 
 
 @dataclass
@@ -528,23 +538,37 @@ def _pd_iterate(state, problem, cfg, accelerated):
     reduces bitwise to the monotone base solver. The extrapolated image is
     recombined, K z_{n+1} = K x_{n+1} + delta*(K x_{n+1} - K x_n), so K is
     applied to x_{n+1} only.
+
+    The prox arguments x_n - lambda_n K*y_n and y_n + s K z_{n+1}, K z_{n+1}
+    and the differences whose norms are taken are formed in place in
+    ``state.scratch``; IEEE + and * commute, so they keep the bits of the
+    expressions above, and at delta = 1 the product delta*(K x_{n+1} - K x_n)
+    is skipped.
     """
     n = state.iter
     K = problem.K
     gamma = cfg.gamma if accelerated else 0.0
     phi_n = phi_schedule(n, cfg)
-    x_next = problem.g.prox(state.x - state.lam * state.Ky, state.lam)
-    zeta_next = vector_norm(x_next - state.x)
+    xs, ys = state.scratch
+    np.multiply(state.Ky, state.lam, out=xs)
+    np.subtract(state.x, xs, out=xs)
+    x_next = problem.g.prox(xs, state.lam)
+    zeta_next = vector_norm(np.subtract(x_next, state.x, out=xs))
     if cfg.delta < 1.0:
         x_next, zeta_next = correction_pass(state, problem, cfg, x_next, zeta_next, phi_n)
     Kx_next = K.apply(x_next)
-    Kz_next = Kx_next + cfg.delta * (Kx_next - state.Kx)
+    np.subtract(Kx_next, state.Kx, out=ys)
+    if cfg.delta != 1.0:  # 1.0 * d is d bit for bit
+        np.multiply(ys, cfg.delta, out=ys)
+    np.add(ys, Kx_next, out=ys)  # K z_{n+1}
     beta_next = state.beta * (1.0 + gamma * state.lam_next)
     s = beta_next * state.lam_next
-    y_next = problem.fstar.prox(state.y + s * Kz_next, s)
+    np.multiply(ys, s, out=ys)
+    np.add(ys, state.y, out=ys)
+    y_next = problem.fstar.prox(ys, s)
     Ky_next = K.adjoint_apply(y_next)
-    dy = vector_norm(y_next - state.y)
-    kdy = vector_norm(Ky_next - state.Ky)
+    dy = vector_norm(np.subtract(y_next, state.y, out=ys))
+    kdy = vector_norm(np.subtract(Ky_next, state.Ky, out=xs))
     cap = math.sqrt(state.beta / beta_next) * state.lam_next
     lam_after = predict_step(dy, kdy, cap, phi_n, cfg, beta_next)
 
@@ -898,6 +922,8 @@ def run(
     step = globals()[f"{solver_kind}_iterate"]
     var = problem.objective_var
     point_of = attrgetter(var, "K" + var)
+    # the divergence check writes its verdicts here, so it allocates nothing
+    point_finite, image_finite = (np.empty(v.shape, bool) for v in point_of(state))
     columns = attrgetter("lam", "beta", "corrections")
     ergodic = ErgodicAverage(x0, kind.head(cfg)) if problem.is_matrix_game else None
 
@@ -920,7 +946,8 @@ def run(
         try:
             step(state, problem, cfg)
             point, image = point_of(state)
-            if not (np.isfinite(point).all() and np.isfinite(image).all()):
+            if (np.count_nonzero(np.isfinite(point, out=point_finite)) != point.size
+                    or np.count_nonzero(np.isfinite(image, out=image_finite)) != image.size):
                 raise DivergenceError(f"non-finite iterate at iteration {n}", n)
         except (DivergenceError, LinesearchStallError) as err:
             err.trace = trace

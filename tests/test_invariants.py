@@ -1,7 +1,8 @@
 """The paper's invariants on random small instances (m, n <= 12): the bitwise
 reduction of the accelerated solver at gamma = 0, deterministic traces, the
 correction bound on the primal displacement, a correction that does not stall
-from the all-zero start, and one K and one K* per iteration."""
+from the all-zero start, one K and one K* per iteration, and an objective
+that has the same bits whether it is given the point's image or applies K."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -132,3 +133,24 @@ def test_correction_moves_on_after_a_zero_displacement():
     prob = gen_lasso(ProblemSpec("lasso1", seed=14, m=1, n=1, s=1))[0]
     cfg, _ = default_config(prob, "pdac", delta=0.75, nonmonotone=False)
     assert run("pdac", prob, cfg, *prob.start, max_iter=40).rows[-1][0] == 40
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(("lasso", "nnls", "nnls-swapped")), _SEED, _SIZE, _SIZE,
+       st.integers(-3, 3), st.booleans())
+def test_objective_of_the_cached_image_has_the_bits_of_the_objective(
+        family, seed, m, n, exponent, clip):
+    # run() passes the image the state caches; the swapped NNLS objective
+    # gets -K y from the swapped operator's adjoint
+    prob = _instance(family, seed, m, n)
+    K, rng = prob.K, np.random.default_rng(seed)
+    if prob.objective_var == "x":
+        p, image_of = rng.standard_normal(K.cols), K.apply
+    else:
+        p, image_of = rng.standard_normal(K.rows), K.adjoint_apply
+    p *= 10.0**exponent
+    if clip:
+        # a point of the orthant, where the NNLS objective is finite
+        p = np.maximum(p, 0.0)
+    got, want = prob.objective(p, image_of(p)), prob.objective(p)
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()

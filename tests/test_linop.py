@@ -86,6 +86,31 @@ def test_products_have_the_bits_of_scipy_and_numpy(rng):
         assert _same_bits(dense.adjoint_apply(y), entries.T @ y)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 40), st.integers(1, 40), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
+@example(1, 40, 0.5, 0)
+@example(40, 1, 0.5, 1)
+@example(1, 1, 1.0, 2)
+@example(30, 25, 0.0, 3)
+def test_sparse_products_have_the_bits_of_scipy_on_random_matrices(rows, cols, density, seed):
+    # the adjoint runs the stored transpose, which must sum each entry in the
+    # order csr.T @ y does, empty rows and columns included
+    rng = np.random.default_rng(seed)
+    K = rng.standard_normal((rows, cols)) * 10.0 ** rng.uniform(-3, 3, (rows, cols))
+    K[rng.random((rows, cols)) >= density] = 0.0
+    if rows > 1:
+        K[rng.integers(rows)] = 0.0
+    if cols > 1:
+        K[:, rng.integers(cols)] = 0.0
+    op = LinearOperator(SparseMatrix.from_dense(K))
+    csr = op.backing._csr
+    for _ in range(3):
+        x = rng.standard_normal(cols) * 10.0 ** rng.uniform(-3, 3, cols)
+        y = rng.standard_normal(rows) * 10.0 ** rng.uniform(-3, 3, rows)
+        assert _same_bits(op.adjoint_apply(y), csr.T @ y)
+        assert _same_bits(op.apply(x), csr @ x)
+
+
 @pytest.mark.parametrize("sparse", [False, True])
 def test_products_convert_inputs_to_contiguous_floats(rng, sparse):
     K = rng.standard_normal((6, 9))

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -99,6 +100,18 @@ def test_config_apdac_needs_delta_ge_one():
     with pytest.raises(ConfigError, match="monotone"):
         _cfg(delta=1.0, alpha=0.9, nonmonotone=True).validate("apdac")
     _cfg(delta=1.0, alpha=0.9).validate("apdac")
+
+
+@pytest.mark.parametrize("kind", ["apdca", "PDAC", "pda", ""])
+def test_config_rejects_a_kind_it_does_not_configure(kind):
+    # a misspelt kind used to pass validate and build a pdac state
+    cfg = _cfg(delta=0.7, alpha=0.9, nonmonotone=True)
+    named = re.escape(repr(kind))
+    with pytest.raises(ConfigError, match=named):
+        cfg.validate(kind)
+    prob = _budget_problem("lasso")
+    with pytest.raises(ConfigError, match=named):
+        init_state(prob, *prob.start, cfg, kind=kind)
 
 
 def test_config_schedule_ordering():
@@ -664,6 +677,37 @@ def test_run_checks_every_kind_for_divergence(kind, monkeypatch):
             for value in vars(state).values():
                 if isinstance(value, np.ndarray):
                     value[0] = np.nan
+        calls.append(1)
+        return state
+
+    monkeypatch.setattr(solvers, f"{kind}_iterate", poisoned)
+    with pytest.raises(DivergenceError) as exc:
+        run(kind, prob, _budget_config(kind, prob), *prob.start, max_iter=10)
+    assert exc.value.iteration == 3
+    assert [row[0] for row in exc.value.trace.rows] == [0, 1, 2]
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", ["point", "image"])
+@pytest.mark.parametrize(
+    "family, kind",
+    [("lasso", kind) for kind in SOLVERS]
+    + [("nnls-swapped", kind) for kind in ("pdac", "apdac", "pda", "pdal")],
+)
+def test_run_checks_the_point_and_its_image_apart(family, kind, where, value, monkeypatch):
+    # one non-finite entry, in the last place of the point the objective
+    # reads or of its image only, ends the run at the step that wrote it;
+    # on swapped NNLS the point is y and the image K*y
+    prob = _budget_problem(family)
+    var = prob.objective_var
+    name = var if where == "point" else "K" + var
+    iterate = getattr(solvers, f"{kind}_iterate")
+    calls = []
+
+    def poisoned(state, problem, cfg):
+        iterate(state, problem, cfg)
+        if len(calls) == 2:
+            getattr(state, name)[-1] = value
         calls.append(1)
         return state
 
