@@ -257,8 +257,10 @@ def primal_objective(problem, x, Kx=None):
     applies no matrix.
     """
     _check_least_squares(problem)
-    x = np.asarray(x, dtype=float)
-    r = (problem.K.apply(x) if Kx is None else Kx) - problem.fstar.shift
+    if Kx is None:
+        x = np.asarray(x, dtype=float)
+        Kx = problem.K.apply(x)
+    r = Kx - problem.fstar.shift
     return 0.5 * float(r @ r) + problem.g.value(x)
 
 

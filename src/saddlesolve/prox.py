@@ -42,8 +42,12 @@ def prox_quad_shift(v, s, b):
     b = np.asarray(b, dtype=float)
     if v.shape != b.shape:
         raise ValueError(f"shape mismatch: v {v.shape} vs shift {b.shape}")
-    # the operations of (v - s*b) / (1 + s) in their order, so its bits,
-    # in one buffer
+    return _quad_shift_step(v, s, b)
+
+
+def _quad_shift_step(v, s, b):
+    """(v - s*b) / (1 + s) for float arrays of one shape: its operations in
+    their order, so its bits, in one buffer."""
     out = s * b
     np.subtract(v, out, out=out)
     out /= 1.0 + s
@@ -87,7 +91,7 @@ class ScaledL1:
         return prox_l1(v, t * self.mu)
 
     def value(self, v):
-        return self.mu * float(np.sum(np.abs(v)))
+        return self.mu * float(np.abs(v).sum())
 
     def __repr__(self):
         return f"ScaledL1(mu={self.mu})"
@@ -103,7 +107,13 @@ class QuadShift:
         self.shift = shift
 
     def prox(self, v, t):
-        return prox_quad_shift(v, t, self.shift)
+        # prox_quad_shift without its conversions: the shift was checked at
+        # construction, and v is the solver's float vector
+        if t <= 0:
+            raise ValueError("prox step must be positive")
+        if v.shape != self.shift.shape:
+            raise ValueError(f"shape mismatch: v {v.shape} vs shift {self.shift.shape}")
+        return _quad_shift_step(v, t, self.shift)
 
     def value(self, v):
         d = np.asarray(v, dtype=float) + self.shift

@@ -1,7 +1,9 @@
+import mmap
 import os
 import pickle
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import hypothesis.extra.numpy as hnp
@@ -137,6 +139,93 @@ def test_operator_pickles_with_its_products(rng, sparse):
     x, y = rng.standard_normal(9), rng.standard_normal(6)
     assert _same_bits(copy.apply(x), op.apply(x))
     assert _same_bits(copy.adjoint_apply(y), op.adjoint_apply(y))
+
+
+# shapes on both sides of the placement threshold (1 MiB = 131072 floats)
+_PLACEMENT_SHAPES = [(6, 9), (127, 1024), (128, 1024), (200, 1000)]
+
+
+def _dense_inputs(rng, shape):
+    """The same matrix as C-ordered, F-ordered, integer and list input, each
+    with its plain ``np.array(given, dtype=float, order="C")`` copy."""
+    K = rng.standard_normal(shape)
+    ints = rng.integers(-5, 6, size=shape)
+    for given in (K, np.asfortranarray(K), ints, K.tolist()):
+        yield given, np.array(given, dtype=float, order="C")
+
+
+def _assert_products_of(op, plain, rng):
+    assert _same_bits(op.backing.entries, plain)
+    for _ in range(2):
+        x, y = rng.standard_normal(plain.shape[1]), rng.standard_normal(plain.shape[0])
+        assert _same_bits(op.apply(x), plain @ x)
+        assert _same_bits(op.adjoint_apply(y), plain.T @ y)
+
+
+@pytest.mark.parametrize("shape", _PLACEMENT_SHAPES)
+def test_dense_products_keep_their_bits_across_the_placement_threshold(rng, shape):
+    for given, plain in _dense_inputs(rng, shape):
+        _assert_products_of(LinearOperator(DenseMatrix(given)), plain, rng)
+
+
+@pytest.mark.skipif(not hasattr(mmap, "MADV_HUGEPAGE"), reason="no MADV_HUGEPAGE here")
+def test_large_dense_entries_start_at_a_huge_page_boundary(rng):
+    for shape in _PLACEMENT_SHAPES:
+        entries = DenseMatrix(rng.standard_normal(shape)).entries
+        placed = entries.nbytes >= 1 << 20
+        assert entries.flags.owndata is not placed
+        assert entries.flags.c_contiguous and entries.flags.writeable
+        if placed:
+            assert entries.ctypes.data % (2 << 20) == 0
+
+
+class _RefusedAdvice(mmap.mmap):
+    def madvise(self, *args):
+        raise OSError("madvise refused")
+
+
+@pytest.mark.parametrize("fault", ["madvise", "no-advice"])
+def test_dense_matrix_without_huge_pages_keeps_the_plain_copy(rng, monkeypatch, fault):
+    if fault == "madvise":
+        monkeypatch.setattr(mmap, "mmap", _RefusedAdvice)
+    else:
+        monkeypatch.delattr(mmap, "MADV_HUGEPAGE", raising=False)
+    for given, plain in _dense_inputs(rng, (200, 1000)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            op = LinearOperator(DenseMatrix(given))
+        assert op.backing.entries.flags.owndata
+        _assert_products_of(op, plain, rng)
+
+
+def test_placed_operator_pickles_with_its_products(rng):
+    op = LinearOperator(rng.standard_normal((200, 1000)))
+    copy = pickle.loads(pickle.dumps(op))
+    for _ in range(2):
+        x, y = rng.standard_normal(1000), rng.standard_normal(200)
+        assert _same_bits(copy.apply(x), op.apply(x))
+        assert _same_bits(copy.adjoint_apply(y), op.adjoint_apply(y))
+
+
+def _no_mapping(*args, **kwargs):
+    raise AssertionError("a mapping was made for input that fails the checks")
+
+
+@pytest.mark.parametrize(
+    "make, match",
+    [
+        (lambda: np.ones(200_000), "2-D"),
+        (lambda: np.ones((2, 100, 1000)), "2-D"),
+        (lambda: np.full((200, 1000), np.nan), "finite"),
+        (lambda: np.pad(np.ones((200, 999)), ((0, 0), (0, 1)), constant_values=np.inf), "finite"),
+    ],
+)
+def test_large_dense_matrix_validation(monkeypatch, make, match):
+    entries = make()
+    if match == "2-D":
+        monkeypatch.setattr(mmap, "mmap", _no_mapping)
+    with pytest.raises(ValueError, match=match):
+        DenseMatrix(entries)
 
 
 def test_vector_norm_is_numpy_norm_bitwise(rng):

@@ -54,12 +54,16 @@ def test_prox_quad_shift_bits_of_the_closed_form(rng):
     for n in (1, 7, 1000):
         v, b = rng.standard_normal(n), rng.standard_normal(n)
         for s in (1e-3, 0.37, 1.0, 250.0):
-            assert prox_quad_shift(v, s, b).tobytes() == ((v - s * b) / (1.0 + s)).tobytes()
+            closed_form = ((v - s * b) / (1.0 + s)).tobytes()
+            assert prox_quad_shift(v, s, b).tobytes() == closed_form
+            assert QuadShift(b).prox(v, s).tobytes() == closed_form
 
 
 def test_prox_quad_shift_dim_mismatch():
     with pytest.raises(ValueError, match="mismatch"):
         prox_quad_shift(np.zeros(2), 1.0, np.zeros(3))
+    with pytest.raises(ValueError, match="mismatch"):
+        QuadShift(np.zeros(3)).prox(np.zeros(2), 1.0)
 
 
 @pytest.mark.parametrize(
@@ -68,6 +72,8 @@ def test_prox_quad_shift_dim_mismatch():
         (lambda: prox_l1(np.ones(2), -0.1), "nonnegative"),
         (lambda: prox_quad_shift(np.ones(2), 0.0, np.zeros(2)), "positive"),
         (lambda: prox_quad_shift(np.ones(2), -1.0, np.zeros(2)), "positive"),
+        (lambda: QuadShift(np.zeros(2)).prox(np.ones(2), 0.0), "positive"),
+        (lambda: QuadShift(np.zeros(2)).prox(np.ones(2), -1.0), "positive"),
         (lambda: ScaledL1(-0.5), "nonnegative"),
         (lambda: QuadShift(np.array([1.0, np.nan])), "finite"),
         (lambda: QuadShift(np.array([np.inf])), "finite"),
