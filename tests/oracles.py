@@ -85,8 +85,12 @@ def qp_project_simplex_oracle(v):
     """Simplex projection by enumerating all nonempty free sets.
 
     For each candidate free set S the equality-constrained minimizer shifts
-    v_S by tau = (sum v_S - 1)/|S| and zeroes the rest; the feasible candidate
-    closest to v wins. The certificate is the KKT residual at the winner.
+    v_S by tau = (sum v_S - 1)/|S| and zeroes the rest. The projection is the
+    candidate that meets the KKT conditions: v_S - tau >= 0 on the free set
+    and multipliers tau - v_i >= 0 off it. The candidate with the smallest
+    violation wins, so roundoff cannot hand the choice to a wrong set, as a
+    smallest distance can when the candidates' distances tie. The
+    certificate is the KKT residual at the winner.
     """
     v = np.asarray(v, dtype=float)
     d = v.size
@@ -95,19 +99,19 @@ def qp_project_simplex_oracle(v):
     if d == 0:
         raise ValueError("empty input")
     best = None
-    best_dist = math.inf
+    best_violation = math.inf
     best_tau = 0.0
     for mask in range(1, 1 << d):
-        S = [i for i in range(d) if mask >> i & 1]
-        tau = (v[S].sum() - 1.0) / len(S)
-        y = np.zeros(d)
-        y[S] = v[S] - tau
-        if y[S].min() < -1e-12:
-            continue
-        dist = float((y - v) @ (y - v))
-        if dist < best_dist:
-            best = np.maximum(y, 0.0)
-            best_dist = dist
+        free = np.array([mask >> i & 1 for i in range(d)], dtype=bool)
+        tau = (v[free].sum() - 1.0) / free.sum()
+        violation = max(
+            0.0,
+            float(tau - v[free].min()),
+            float((v[~free] - tau).max(initial=-math.inf)),
+        )
+        if violation < best_violation:
+            best = np.maximum(np.where(free, v - tau, 0.0), 0.0)
+            best_violation = violation
             best_tau = tau
     # KKT: y - v + tau*1 = mu, mu >= 0, mu^T y = 0, sum y = 1
     mu = best - v + best_tau

@@ -1,3 +1,4 @@
+import json
 import mmap
 import os
 import pickle
@@ -130,12 +131,46 @@ def test_products_convert_inputs_to_contiguous_floats(rng, sparse):
             assert _same_bits(product(given), product(plain))
 
 
+def test_sparse_products_run_no_import(rng, monkeypatch):
+    # the kernel is bound at construction: with scipy.sparse made
+    # unimportable, both products still run and keep their bits
+    K = rng.standard_normal((6, 9))
+    K[np.abs(K) < 0.6] = 0.0
+    op = LinearOperator(SparseMatrix.from_dense(K))
+    x, y = rng.standard_normal(9), rng.standard_normal(6)
+    Kx, Kty = op.apply(x), op.adjoint_apply(y)
+    for name in ("scipy.sparse", "scipy.sparse._sparsetools"):
+        monkeypatch.setitem(sys.modules, name, None)
+    assert _same_bits(op.apply(x), Kx)
+    assert _same_bits(op.adjoint_apply(y), Kty)
+
+
+def _pickled_copy(op, entries_nbytes):
+    """An unpickled copy of ``op``, after checking that the pickle holds the
+    entries once and that the copy keeps the norm and the counters."""
+    op.operator_norm()
+    op.apply(np.zeros(op.cols))
+    blob = pickle.dumps(op)
+    assert len(blob) <= entries_nbytes + 2048
+    copy = pickle.loads(blob)
+    assert copy.cached_norm == op.cached_norm
+    assert (copy.apply_calls, copy.adjoint_calls) == (op.apply_calls, op.adjoint_calls)
+    if isinstance(copy.backing, DenseMatrix):
+        # both products run on the copy's own entries, not on a second copy
+        assert copy._product.__self__ is copy.backing.entries
+        assert np.shares_memory(copy._adjoint_product.__self__, copy.backing.entries)
+    else:
+        own = (copy.backing.row_offsets, copy.backing.col_indices, copy.backing.values)
+        assert all(a is b for a, b in zip(copy._product.args[3:], own, strict=True))
+    return copy
+
+
 @pytest.mark.parametrize("sparse", [False, True])
 def test_operator_pickles_with_its_products(rng, sparse):
     K = rng.standard_normal((6, 9))
     K[np.abs(K) < 0.6] = 0.0
     op = LinearOperator(SparseMatrix.from_dense(K) if sparse else K)
-    copy = pickle.loads(pickle.dumps(op))
+    copy = _pickled_copy(op, K.nbytes)
     x, y = rng.standard_normal(9), rng.standard_normal(6)
     assert _same_bits(copy.apply(x), op.apply(x))
     assert _same_bits(copy.adjoint_apply(y), op.adjoint_apply(y))
@@ -200,7 +235,9 @@ def test_dense_matrix_without_huge_pages_keeps_the_plain_copy(rng, monkeypatch, 
 
 def test_placed_operator_pickles_with_its_products(rng):
     op = LinearOperator(rng.standard_normal((200, 1000)))
-    copy = pickle.loads(pickle.dumps(op))
+    copy = _pickled_copy(op, op.backing.entries.nbytes)
+    if hasattr(mmap, "MADV_HUGEPAGE"):
+        assert copy.backing.entries.ctypes.data % (2 << 20) == 0
     for _ in range(2):
         x, y = rng.standard_normal(1000), rng.standard_normal(200)
         assert _same_bits(copy.apply(x), op.apply(x))
@@ -424,23 +461,73 @@ def test_operator_norm_redraws_a_start_in_the_null_space(monkeypatch):
     assert op.apply_calls == 3
 
 
-def test_operator_norm_loads_no_scipy_linear_algebra():
-    code = (
-        "import sys, numpy as np\n"
-        "from saddlesolve.linop import LinearOperator, SparseMatrix\n"
-        "from saddlesolve.problems import ProblemSpec, gen_lasso\n"
-        "gen_lasso(ProblemSpec('lasso1'))[0].K.operator_norm()\n"
-        "LinearOperator(SparseMatrix.from_dense(np.eye(3))).operator_norm()\n"
-        "print(sorted(m for m in sys.modules\n"
-        "             if m.split('.')[:2] == ['scipy', 'linalg']\n"
-        "             or m.split('.')[:3] == ['scipy', 'sparse', 'linalg']))\n"
-    )
+_LOADS_SCRIPT = """
+import json, sys
+import numpy as np
+import saddlesolve
+from saddlesolve import cli
+from saddlesolve.linop import read_matrix_market
+from saddlesolve.oracle import solve_reference
+from saddlesolve.problems import ProblemSpec, build_nnls, gen_lasso, gen_matrix_game
+from saddlesolve.solvers import default_config, run
+
+def loaded(*names):
+    return sorted(m for m in sys.modules for name in names
+                  if m == name or m.startswith(name + "."))
+
+def solve(problem, kind):
+    cfg, _ = default_config(problem, kind)
+    run(kind, problem, cfg, *problem.start, max_iter=20)
+
+steps = []
+def step(name):
+    steps.append([name, loaded("scipy.sparse"),
+                  loaded("scipy.linalg", "scipy.sparse.linalg")])
+
+step("import")
+lasso = gen_lasso(ProblemSpec("lasso1"))[0]
+for kind in ("pdac", "pda", "pdal", "fista"):
+    solve(lasso, kind)
+step("lasso")
+solve_reference(gen_lasso(ProblemSpec("lasso1", m=20, n=50, s=3))[0])
+step("reference")
+solve(gen_matrix_game(ProblemSpec("game1")), "pdac")
+step("game")
+cli.run_experiment(["--problem", "lasso1", "--solver", "pdac", "--max-iters", "20",
+                    "--output", sys.argv[2]])
+step("cli")
+sparse = read_matrix_market(sys.argv[1])
+K = build_nnls(sparse, np.ones(sparse.rows), swapped=True).K
+K.operator_norm()
+step("nnls")
+csr, rng = K.backing._csr, np.random.default_rng(0)
+x, y = rng.standard_normal(K.cols), rng.standard_normal(K.rows)
+same = [K.apply(x).tobytes() == (csr @ x).tobytes(),
+        K.adjoint_apply(y).tobytes() == (csr.T @ y).tobytes()]
+print(json.dumps({"steps": steps, "same_bits": same}))
+"""
+
+
+def test_dense_paths_load_no_scipy_sparse_and_no_path_loads_scipy_linalg(tmp_path):
+    # one interpreter for every path, so the suite pays for one start
+    mtx = tmp_path / "k.mtx"
+    mtx.write_text("%%MatrixMarket matrix coordinate real general\n"
+                   "3 4 5\n1 1 2.0\n1 3 -1.5\n2 2 0.5\n3 1 4.0\n3 4 -3.0\n")
     src = str(Path(linop.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    out = subprocess.run(
+        [sys.executable, "-c", _LOADS_SCRIPT, str(mtx), str(tmp_path / "trace.csv")],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    report = json.loads(out.stdout.strip().splitlines()[-1])
+    steps = report["steps"]
+    assert [name for name, _, _ in steps] == ["import", "lasso", "reference", "game", "cli",
+                                              "nnls"]
+    for name, sparse, linalg in steps:
+        assert linalg == [], name
+        assert ("scipy.sparse" in sparse) == (name == "nnls"), (name, sparse)
+    assert report["same_bits"] == [True, True]
 
 
 def test_frobenius(fixtures):
