@@ -5,19 +5,21 @@ Frobenius norms, the Euclidean norm ``vector_norm`` that the
 solvers use, and a Matrix Market coordinate-file reader. Operators are
 immutable after construction and safe to share.
 
-The products are bound once per operator: a dense backing multiplies with
-its entries and their transposed view, and a CSR backing calls scipy's
-``csr_matvec`` kernel, the code ``csr @ x`` runs after its dispatch, on the
-arrays of its matrix and on those of a stored CSR copy of its transpose.
-That kernel sums each entry of K* y over ascending row index from 0.0, as
-the ``csc_matvec`` of ``csr.T @ y`` does, so the adjoint has the bits of
-``csr.T @ y``. The input checks and the application counters stay in
-``LinearOperator.apply`` and ``adjoint_apply``, the names that a tracer
-wraps.
+Each backing binds its own ``product`` and ``adjoint_product`` once, at
+construction, and ``LinearOperator`` calls them without asking which
+backing it holds: a dense backing multiplies with its entries and their
+transposed view, and a CSR backing calls scipy's ``csr_matvec`` kernel, the
+code ``csr @ x`` runs after its dispatch, on its own arrays and on those of
+a stored CSR copy of its transpose. That kernel sums each entry of K* y
+over ascending row index from 0.0, as the ``csc_matvec`` of ``csr.T @ y``
+does, so the adjoint has the bits of ``csr.T @ y``. Both backings hold
+their stored entries in ``values``, which the norms read. The input checks
+and the application counters stay in ``LinearOperator.apply`` and
+``adjoint_apply``, the names that a tracer wraps.
 
 scipy is loaded only where a CSR matrix comes into being: ``SparseMatrix``
 and its builders import ``scipy.sparse`` when first called, and a CSR
-operator binds the ``csr_matvec`` kernel into its products once, at
+backing binds the ``csr_matvec`` kernel into its products once, at
 construction, so no product runs an import. A dense run never loads
 ``scipy.sparse``: with scipy 1.17 and numpy 2.4, ``import saddlesolve``
 peaks at 30 MB of RSS instead of 51 MB and takes half the time.
@@ -140,10 +142,12 @@ class DenseMatrix:
     holds, and its pair of products took 37-44 us against 67-75 us. Such a
     copy keeps a whole 2 MiB page resident (lasso1: about 0.4 MB more than
     its entries). Smaller inputs, and every input where ``MADV_HUGEPAGE`` is
-    missing or ``madvise`` fails, get the plain ``np.array`` copy. The
-    products are numpy's matmul of the same entries either way, so the
-    placement never changes a bit. A copy unpickles through the
-    constructor, so its entries are placed again.
+    missing or ``madvise`` fails, get the plain ``np.array`` copy.
+
+    ``product`` and ``adjoint_product`` are numpy's matmul of the entries and
+    of their ``.T`` view, so the placement never changes a bit. ``values``
+    is ``entries`` itself, and ``to_dense()`` a read-only view of it. A copy
+    unpickles through the constructor, so its entries are placed again.
     """
 
     def __init__(self, entries):
@@ -153,7 +157,9 @@ class DenseMatrix:
         arr = _placed_copy(arr)
         if not np.all(np.isfinite(arr)):
             raise ValueError("dense matrix entries must all be finite")
-        self.entries = arr
+        self.entries = self.values = arr
+        self.product = arr.__matmul__
+        self.adjoint_product = arr.T.__matmul__
 
     def __reduce__(self):
         # through the constructor, so large entries are placed again
@@ -168,15 +174,21 @@ class DenseMatrix:
         return self.entries.shape[1]
 
     def to_dense(self):
-        return self.entries.copy()
+        view = self.entries.view()
+        view.flags.writeable = False
+        return view
 
 
 class SparseMatrix:
     """CSR-format sparse matrix over one ``scipy.sparse`` CSR matrix.
 
     ``row_offsets``, ``col_indices`` (both int64) and ``values`` are the
-    arrays of that matrix, and ``LinearOperator`` multiplies with it. Its
-    construction, ``from_coo``, ``from_dense`` and ``transposed`` are where
+    arrays of that matrix. ``product`` runs the ``csr_matvec`` kernel on
+    them, and ``adjoint_product`` on the arrays of the transpose, which
+    construction builds with the ``csr_tocsc`` kernel and which hold as many
+    entries again. A copy unpickles through the constructor, so a pickle
+    holds the three arrays and not the transpose. Its construction,
+    ``from_coo``, ``from_dense`` and ``transposed`` are where
     ``scipy.sparse`` is first imported; nothing dense loads it.
     Invariants enforced at construction: nondecreasing row offsets, strictly
     increasing column indices within each row, finite nonzero values.
@@ -202,6 +214,7 @@ class SparseMatrix:
         if len(col_indices) and (col_indices.min() < 0 or col_indices.max() >= cols):
             raise ValueError("column index out of range")
         from scipy.sparse import csr_matrix
+        from scipy.sparse._sparsetools import csr_matvec
 
         csr = csr_matrix((values, col_indices, row_offsets), shape=(rows, cols))
         # scipy narrows small index arrays to int32; keep the int64 ones
@@ -220,6 +233,15 @@ class SparseMatrix:
         self.row_offsets = row_offsets
         self.col_indices = col_indices
         self.values = csr.data
+        self.product = partial(_csr_matvec, csr_matvec, rows, cols, row_offsets, col_indices,
+                               self.values)
+        self.adjoint_product = partial(_csr_matvec, csr_matvec, cols, rows,
+                                       *self._transpose_arrays())
+
+    def __reduce__(self):
+        # through the constructor, so the transpose is built again, not stored
+        return (type(self), (self.rows, self.cols, self.row_offsets, self.col_indices,
+                             self.values))
 
     @property
     def rows(self):
@@ -278,18 +300,16 @@ class SparseMatrix:
 class LinearOperator:
     """Matrix-backed linear operator with forward and adjoint application.
 
-    The adjoint of CSR storage is applied as the forward product of a CSR
-    copy of the transpose, built at construction; it holds as many entries
-    as the backing. Both products are bound at construction (see the module
-    docstring). ``apply`` and
-    ``adjoint_apply`` take the input as a C-contiguous float array, so a
-    list, an integer or a strided vector gives the bits of its contiguous
-    float copy; they check its length against shapes cached at
-    construction and count the call in ``apply_calls`` and
-    ``adjoint_calls``, so tests can pin per-iteration budgets. They stay
-    methods of the class, so a wrapper set on the class sees every product.
-    An operator pickles as its backing, norm and counters, and binds its
-    products again when unpickled, so the copy holds K once.
+    ``apply`` and ``adjoint_apply`` call the products that the backing bound
+    at its construction (see the module docstring). They take the input as
+    a C-contiguous float array, so a list, an integer or a strided vector
+    gives the bits of its contiguous float copy; they check its length
+    against shapes cached at construction and count the call in
+    ``apply_calls`` and ``adjoint_calls``, so tests can pin per-iteration
+    budgets. They stay methods of the class, so a wrapper set on the class
+    sees every product. An operator pickles as its backing, norm and
+    counters; the backing unpickles through its constructor, so the pickle
+    holds K once and the copy's products run on its own arrays.
     """
 
     def __init__(self, backing):
@@ -303,34 +323,6 @@ class LinearOperator:
         self.cached_norm = None
         self.apply_calls = 0
         self.adjoint_calls = 0
-        self._bind_products()
-
-    def _bind_products(self):
-        """Bind ``_product`` and ``_adjoint_product`` to the backing; a CSR
-        backing loads the sparsetools kernel here, once per operator."""
-        backing = self.backing
-        if isinstance(backing, DenseMatrix):
-            self._product = backing.entries.__matmul__
-            self._adjoint_product = backing.entries.T.__matmul__
-            return
-        from scipy.sparse._sparsetools import csr_matvec
-
-        m, n = backing.rows, backing.cols
-        self._product = partial(_csr_matvec, csr_matvec, m, n, backing.row_offsets,
-                                backing.col_indices, backing.values)
-        self._adjoint_product = partial(_csr_matvec, csr_matvec, n, m,
-                                        *backing._transpose_arrays())
-
-    def __getstate__(self):
-        # The products are bound to views of the backing (and, for CSR, to a
-        # transposed copy); pickled as they are, they would store K twice.
-        state = self.__dict__.copy()
-        del state["_product"], state["_adjoint_product"]
-        return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        self._bind_products()
 
     @property
     def rows(self):
@@ -350,7 +342,7 @@ class LinearOperator:
         if x.shape != self._x_shape:
             raise ValueError(f"apply: expected vector of length {self.cols}, got shape {x.shape}")
         self.apply_calls += 1
-        return self._product(x)
+        return self.backing.product(x)
 
     def adjoint_apply(self, y):
         """Adjoint product K* y."""
@@ -360,22 +352,17 @@ class LinearOperator:
                 f"adjoint_apply: expected vector of length {self.rows}, got shape {y.shape}"
             )
         self.adjoint_calls += 1
-        return self._adjoint_product(y)
+        return self.backing.adjoint_product(y)
 
     def reset_counters(self):
         self.apply_calls = 0
         self.adjoint_calls = 0
 
-    def _entries(self):
-        """The stored entries: the dense array or the CSR values."""
-        backing = self.backing
-        return backing.entries if isinstance(backing, DenseMatrix) else backing.values
-
     def frobenius_norm(self):
         """The root of the sum of the squared entries. When that sum under-
         or overflows on a nonzero K, the norm is taken of K divided by its
         largest |entry| and scaled back."""
-        entries = self._entries()
+        entries = self.backing.values
         with np.errstate(over="ignore"):
             fro = float(np.linalg.norm(entries))
         scale = _largest_abs(entries) if fro == 0.0 or fro == math.inf else 0.0
@@ -400,7 +387,7 @@ class LinearOperator:
         """
         if self.cached_norm is not None:
             return self.cached_norm
-        scale = _largest_abs(self._entries())
+        scale = _largest_abs(self.backing.values)
         if scale == 0.0:
             raise ValueError("operator_norm: zero operator")
         if self.cols <= self.rows:

@@ -15,7 +15,6 @@ import numpy as np
 from .diagnostics import ReferencePoint
 from .linop import vector_norm
 from .problems import primal_objective
-from .prox import ScaledL1
 from .solvers import BaselineConfig, fista_iterate, init_fista
 
 __all__ = ["saddle_residual", "solve_reference"]
@@ -32,18 +31,11 @@ def saddle_residual(problem, x, y, Kx=None):
     return max(vector_norm(rx), vector_norm(ry))
 
 
-def _dense_columns(problem):
-    backing = problem.K.backing
-    if hasattr(backing, "entries"):
-        return backing.entries
-    return backing.to_dense()
-
-
 def _polish_lasso(problem, x, threshold):
     """Refine a near-solution by solving the stationarity system on the
     detected support; returns None when the sign pattern, stationarity on
     the support or the off-support KKT check fails."""
-    K = _dense_columns(problem)
+    K = problem.K.backing.to_dense()
     mu = problem.g.mu
     b = problem.fstar.shift
     S = np.nonzero(np.abs(x) > threshold)[0]
@@ -73,7 +65,7 @@ def _polish_lasso(problem, x, threshold):
 
 
 def _polish_nnls(problem, x, threshold):
-    K = _dense_columns(problem)
+    K = problem.K.backing.to_dense()
     b = problem.fstar.shift
     S = np.nonzero(x > threshold)[0]
     if S.size == 0:
@@ -117,7 +109,7 @@ def _polish(problem, x, quality, tried):
     already polished to its (candidate, residual), or to None when the KKT
     checks rejected it, and a repeated support costs no solve.
     """
-    polish_support = _polish_lasso if isinstance(problem.g, ScaledL1) else _polish_nnls
+    polish_support = _polish_lasso if problem.family == "lasso" else _polish_nnls
     b = problem.fstar.shift
     scale = max(1.0, float(np.abs(x).max(initial=0.0)))
     best = None
@@ -172,7 +164,7 @@ def solve_reference(problem, *, max_iter=1_000_000):
     y_bar = K x_bar - b and the quality field holds the measured saddle
     residual. A negative ``max_iter`` raises ValueError.
     """
-    if not problem.is_least_squares:
+    if problem.family not in ("lasso", "nnls"):
         raise ValueError("reference solves support LASSO and unswapped NNLS only")
     if max_iter < 0:
         raise ValueError("max_iter must be nonnegative")

@@ -98,11 +98,9 @@ class SaddleProblem:
     g and of fstar must return a new array, not its input or a view of it:
     the corrected solver hands them scratch vectors that it overwrites.
 
-    The kind of problem follows from g and fstar alone. It is a matrix game
-    when both are ``IndSimplex``, and ``run`` then measures the primal-dual
-    gap of the ergodic average; it is a least-squares problem, with the
-    objective ``primal_objective``, when fstar is a ``QuadShift`` and g a
-    ``ScaledL1`` or ``IndNonneg``.
+    ``family`` names the kind of problem, worked out from the types of g
+    and fstar alone, however the problem was built; the solvers' defaults,
+    ``run``'s metric, ``primal_objective`` and ``solve_reference`` read it.
     """
 
     g: object
@@ -115,16 +113,22 @@ class SaddleProblem:
     start: Optional[tuple] = field(default=None, repr=False)
 
     @property
-    def is_matrix_game(self):
-        """Both g and fstar are simplex indicators: the only case in which
-        ``pd_gap_game`` is the saddle gap."""
-        return isinstance(self.g, IndSimplex) and isinstance(self.fstar, IndSimplex)
-
-    @property
-    def is_least_squares(self):
-        """min 0.5||Kx - b||^2 + g(x) with g an l1 weight or the orthant
-        indicator: the form of ``primal_objective`` and ``solve_reference``."""
-        return isinstance(self.fstar, QuadShift) and isinstance(self.g, (ScaledL1, IndNonneg))
+    def family(self):
+        """The kind of problem: "lasso" or "nnls" for min 0.5||Kx - b||^2 +
+        g(x), that is fstar a ``QuadShift`` and g a ``ScaledL1`` or an
+        ``IndNonneg``, the form of ``primal_objective`` and
+        ``solve_reference``; "game" when g and fstar are both
+        ``IndSimplex``, the only case in which ``pd_gap_game`` is the saddle
+        gap and ``run`` measures it on the ergodic average; None for
+        anything else, swapped NNLS included."""
+        if isinstance(self.fstar, QuadShift):
+            if isinstance(self.g, ScaledL1):
+                return "lasso"
+            if isinstance(self.g, IndNonneg):
+                return "nnls"
+        elif isinstance(self.g, IndSimplex) and isinstance(self.fstar, IndSimplex):
+            return "game"
+        return None
 
 
 def gen_lasso(spec):
@@ -276,7 +280,7 @@ def _swapped_objective(problem, y, image=None):
 
 
 def _check_least_squares(problem):
-    if not problem.is_least_squares:
+    if problem.family not in ("lasso", "nnls"):
         raise UnsupportedMetricError(
             f"problem {problem.label!r} has no primal objective in this form"
         )

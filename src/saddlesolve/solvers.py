@@ -32,7 +32,7 @@ import numpy as np
 from .diagnostics import ErgodicAverage
 from .linop import vector_norm
 from .problems import pd_gap_game
-from .prox import QuadShift, ScaledL1
+from .prox import QuadShift
 
 __all__ = [
     "DELTA_LOWER",
@@ -324,11 +324,11 @@ def default_config(problem, solver, **overrides):
     The ``SOLVERS`` record of ``solver`` builds the config and names the
     overrides it reads, so ``unread`` is the set of given override names the
     run never reads, any name it does not know included; a ``solver`` that
-    is not in ``SOLVERS`` raises ConfigError. The family follows from the
-    problem: a matrix game when ``problem.is_matrix_game``, LASSO when g is
-    ``ScaledL1``, NNLS (swapped or not) otherwise. Overrides take the CLI's
-    flag names, which are the ``SolverConfig`` field names except that
-    ``beta`` sets ``beta0`` (and pdal's ``beta``).
+    is not in ``SOLVERS`` raises ConfigError. The family is
+    ``problem.family``: "game" and "lasso" take their own settings, and
+    every other problem, swapped NNLS included, takes those of NNLS.
+    Overrides take the CLI's flag names, which are the ``SolverConfig``
+    field names except that ``beta`` sets ``beta0`` (and pdal's ``beta``).
 
     pdac and apdac get a ``SolverConfig``. Both take beta0 = 1/400 on LASSO
     and 1 otherwise, lambda0 = ``default_lambda0(problem, beta0)``, gamma =
@@ -358,11 +358,11 @@ def default_config(problem, solver, **overrides):
 
 def _family_beta(problem, given):
     """The ``beta`` override, else 1/400 on LASSO and 1 otherwise."""
-    return given.get("beta", 1.0 / 400.0 if isinstance(problem.g, ScaledL1) else 1.0)
+    return given.get("beta", 1.0 / 400.0 if problem.family == "lasso" else 1.0)
 
 
 def _pd_config(problem, given, accelerated=False):
-    game = problem.is_matrix_game
+    game = problem.family == "game"
     beta = _family_beta(problem, given)
     delta = given.get("delta", 1.0 if game or accelerated else 0.62)
     # the headline alpha = 1.27 is admissible only for delta < 1/1.27^2; a
@@ -385,7 +385,7 @@ def _pd_reads(cfg):
 
 def _pda_config(problem, given):
     L = problem.K.operator_norm()
-    scale = 20.0 if isinstance(problem.g, ScaledL1) else 1.0
+    scale = 20.0 if problem.family == "lasso" else 1.0
     return BaselineConfig(tau=scale / L, sigma=1.0 / (scale * L))
 
 
@@ -897,7 +897,7 @@ def run(
     or ``Ky``). The metric column holds the
     problem objective (minus ``reference_value`` when given), evaluated with
     the K-image the solver state caches, so an objective row applies no
-    matrix; for a matrix game (``problem.is_matrix_game``) it holds the
+    matrix; for a matrix game (``problem.family == "game"``) it holds the
     primal-dual gap of the running ergodic average. A start whose lengths
     do not match ``problem.K``, or with a non-finite entry, raises
     ValueError, whatever the kind. After every iteration the point the
@@ -925,7 +925,7 @@ def run(
     # the divergence check writes its verdicts here, so it allocates nothing
     point_finite, image_finite = (np.empty(v.shape, bool) for v in point_of(state))
     columns = attrgetter("lam", "beta", "corrections")
-    ergodic = ErgodicAverage(x0, kind.head(cfg)) if problem.is_matrix_game else None
+    ergodic = ErgodicAverage(x0, kind.head(cfg)) if problem.family == "game" else None
 
     def metric(point, image):
         if ergodic is not None:

@@ -4,6 +4,8 @@ Enumeration-based projections, naive multiply checks, a characteristic-
 polynomial norm oracle, candidate or grid-search proxes and a line-by-line
 Matrix Market reader. Each computes its value by a route independent of the
 production code it validates; the enumeration oracles are dimension-capped.
+The synthetic 1033x320 matrix of acceptance criterion C12 is generated here
+once, in memory and as Matrix Market text.
 The gap functions P and D against a reference saddle point, the Lyapunov
 pair (a_n, b_n) of the convergence analysis with the combined gap eta_n,
 and empirical burn-in detection check the solvers against that analysis.
@@ -273,6 +275,30 @@ def read_matrix_market_oracle(path):
         if seen != declared:
             raise MatrixMarketError(f"expected {declared} entries, found {seen}", line_no)
     return SparseMatrix.from_coo(rows, cols, ri, ci, vv)
+
+
+def _c12_draws():
+    """(rows, columns, values) of the 4,500 entries of the synthetic 1033x320
+    matrix of C12, 0-based, in draw order; duplicates sum."""
+    rng = np.random.default_rng(1033)
+    return (rng.integers(0, 1033, size=4500), rng.integers(0, 320, size=4500),
+            rng.standard_normal(4500))
+
+
+def c12_matrix():
+    """The synthetic C12 matrix as the SparseMatrix that ``read_matrix_market``
+    parses from ``c12_matrix_market_text()``, built in memory."""
+    from saddlesolve.linop import SparseMatrix
+
+    return SparseMatrix.from_coo(1033, 320, *_c12_draws())
+
+
+def c12_matrix_market_text():
+    """The synthetic C12 matrix as a Matrix Market file: 1-based indices and
+    each value's shortest round-trip repr, one draw a line."""
+    lines = ["%%MatrixMarket matrix coordinate real general", "1033 320 4500"]
+    lines += [f"{i + 1} {j + 1} {float(v)!r}" for i, j, v in zip(*_c12_draws())]
+    return "\n".join(lines) + "\n"
 
 
 def gap_P(problem, ref, x):

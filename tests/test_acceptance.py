@@ -16,6 +16,7 @@ from saddlesolve.cli import DATA_ENV, reference_solve_cmd, run_experiment
 from saddlesolve.diagnostics import ErgodicAverage
 from saddlesolve.linop import SparseMatrix, read_matrix_market
 from oracles import (
+    c12_matrix_market_text,
     lyapunov_series,
     prox_l1_oracle,
     prox_quad_shift_oracle,
@@ -428,18 +429,6 @@ def _naive_dense_parse(path):
     return dense
 
 
-def _synthetic_1033x320(path):
-    rng = np.random.default_rng(1033)
-    m, n = 1033, 320
-    count = 4500
-    ii = rng.integers(1, m + 1, size=count)
-    jj = rng.integers(1, n + 1, size=count)
-    vv = rng.standard_normal(count)
-    lines = ["%%MatrixMarket matrix coordinate real general", f"{m} {n} {count}"]
-    lines += [f"{int(i)} {int(j)} {float(v)!r}" for i, j, v in zip(ii, jj, vv)]
-    path.write_text("\n".join(lines) + "\n")
-
-
 def test_c12_matrix_market_round_trip(tmp_path):
     data_dir = os.environ.get(DATA_ENV)
     reports = []
@@ -449,7 +438,7 @@ def test_c12_matrix_market_round_trip(tmp_path):
             path, source = real, "real"
         else:
             path = tmp_path / name
-            _synthetic_1033x320(path)
+            path.write_text(c12_matrix_market_text())
             path, source = str(path), "synthetic"
         sp = read_matrix_market(path)
         assert (sp.rows, sp.cols) == (1033, 320)

@@ -55,7 +55,7 @@ def _ending(kind, prob, cfg):
        st.floats(0.05, 0.99), st.floats(1e-3, 10.0))
 def test_apdac_at_gamma_zero_is_monotone_pdac_bitwise(family, seed, m, n, delta, alpha, beta):
     prob = _instance(family, seed, m, n)
-    if prob.is_matrix_game:
+    if prob.family == "game":
         # the ergodic weights are lambda and beta*lambda: equal bits at beta = 1
         beta = 1.0
     cfg = SolverConfig(delta=delta, alpha=alpha / delta**0.5, beta0=beta, gamma=0.0,

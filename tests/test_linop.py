@@ -14,7 +14,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import saddlesolve.linop as linop
-from oracles import read_matrix_market_oracle
+from oracles import c12_matrix, read_matrix_market_oracle
 from saddlesolve.linop import (
     DenseMatrix,
     LinearOperator,
@@ -59,13 +59,7 @@ def test_apply_dimension_mismatch():
 
 
 def _c12_operator():
-    """The synthetic 1033x320 CSR matrix of acceptance criterion C12, built
-    in memory from the draws its Matrix Market file holds."""
-    rng = np.random.default_rng(1033)
-    ii = rng.integers(0, 1033, size=4500)
-    jj = rng.integers(0, 320, size=4500)
-    vv = rng.standard_normal(4500)
-    return LinearOperator(SparseMatrix.from_coo(1033, 320, ii, jj, vv))
+    return LinearOperator(c12_matrix())
 
 
 def _lasso1_operator():
@@ -157,11 +151,11 @@ def _pickled_copy(op, entries_nbytes):
     assert (copy.apply_calls, copy.adjoint_calls) == (op.apply_calls, op.adjoint_calls)
     if isinstance(copy.backing, DenseMatrix):
         # both products run on the copy's own entries, not on a second copy
-        assert copy._product.__self__ is copy.backing.entries
-        assert np.shares_memory(copy._adjoint_product.__self__, copy.backing.entries)
+        assert copy.backing.product.__self__ is copy.backing.entries
+        assert np.shares_memory(copy.backing.adjoint_product.__self__, copy.backing.entries)
     else:
         own = (copy.backing.row_offsets, copy.backing.col_indices, copy.backing.values)
-        assert all(a is b for a, b in zip(copy._product.args[3:], own, strict=True))
+        assert all(a is b for a, b in zip(copy.backing.product.args[3:], own, strict=True))
     return copy
 
 
@@ -174,6 +168,17 @@ def test_operator_pickles_with_its_products(rng, sparse):
     x, y = rng.standard_normal(9), rng.standard_normal(6)
     assert _same_bits(copy.apply(x), op.apply(x))
     assert _same_bits(copy.adjoint_apply(y), op.adjoint_apply(y))
+
+
+def test_sparse_matrix_pickles_without_its_transpose(rng):
+    sp = c12_matrix()
+    blob = pickle.dumps(sp)
+    assert len(blob) <= sp.row_offsets.nbytes + sp.col_indices.nbytes + sp.values.nbytes + 2048
+    copy = pickle.loads(blob)
+    for _ in range(2):
+        x, y = rng.standard_normal(320), rng.standard_normal(1033)
+        assert _same_bits(copy.product(x), sp.product(x))
+        assert _same_bits(copy.adjoint_product(y), sp.adjoint_product(y))
 
 
 # shapes on both sides of the placement threshold (1 MiB = 131072 floats)
@@ -212,6 +217,16 @@ def test_large_dense_entries_start_at_a_huge_page_boundary(rng):
         assert entries.flags.c_contiguous and entries.flags.writeable
         if placed:
             assert entries.ctypes.data % (2 << 20) == 0
+
+
+@pytest.mark.parametrize("shape", [(6, 9), (200, 1000)])
+def test_dense_to_dense_is_a_read_only_view_of_the_entries(rng, shape):
+    dense = DenseMatrix(rng.standard_normal(shape))
+    view = dense.to_dense()
+    assert np.shares_memory(view, dense.entries) and _same_bits(view, dense.entries)
+    with pytest.raises(ValueError, match="read-only"):
+        view[0, 0] = 1.0
+    assert dense.entries.flags.writeable
 
 
 class _RefusedAdvice(mmap.mmap):

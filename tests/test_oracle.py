@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from saddlesolve.linop import LinearOperator, SparseMatrix
+from saddlesolve.linop import LinearOperator
 from saddlesolve.oracle import (
     _polish_lasso,
     _polish_nnls,
@@ -18,6 +18,7 @@ from saddlesolve.prox import QuadShift, ScaledL1, Zero, proj_simplex
 from saddlesolve.solvers import BaselineConfig, init_fista
 from make_fixtures import build_records, FIXTURE_PATH
 from oracles import (
+    c12_matrix,
     gram_norm_oracle,
     naive_matvec,
     prox_l1_oracle,
@@ -171,15 +172,9 @@ def _small_nnls():
 
 
 def _c12_nnls():
-    """The benchmark's nnls-sparse instance: the synthetic 1033x320 matrix of
-    acceptance criterion C12, built in memory from the draws its Matrix
-    Market file holds, with b from seed 1."""
-    rng = np.random.default_rng(1033)
-    ii = rng.integers(0, 1033, size=4500)
-    jj = rng.integers(0, 320, size=4500)
-    vv = rng.standard_normal(4500)
-    b = np.random.default_rng(1).standard_normal(1033)
-    return build_nnls(SparseMatrix.from_coo(1033, 320, ii, jj, vv), b)
+    """The benchmark's nnls-sparse instance: the synthetic matrix of
+    acceptance criterion C12, with b from seed 1."""
+    return build_nnls(c12_matrix(), np.random.default_rng(1).standard_normal(1033))
 
 
 @pytest.mark.parametrize(

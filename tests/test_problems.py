@@ -5,6 +5,7 @@ from saddlesolve.linop import LinearOperator, SparseMatrix
 from saddlesolve.problems import (
     FeasibilityError,
     ProblemSpec,
+    SaddleProblem,
     UnsupportedMetricError,
     build_nnls,
     gen_lasso,
@@ -13,7 +14,7 @@ from saddlesolve.problems import (
     pd_gap_game,
     primal_objective,
 )
-from saddlesolve.prox import IndNonneg, QuadShift, ScaledL1
+from saddlesolve.prox import IndNonneg, IndSimplex, QuadShift, ScaledL1, Zero
 from saddlesolve.oracle import solve_reference
 
 
@@ -79,11 +80,15 @@ def test_problem_kind_follows_from_g_and_fstar():
     game = gen_matrix_game(ProblemSpec("game1", seed=1, m=4, n=3))
     lasso, _ = gen_lasso(ProblemSpec("lasso1", seed=1, m=4, n=6, s=2))
     sp, b = _toy_sparse()
-    kinds = [
-        (p.is_matrix_game, p.is_least_squares)
-        for p in (game, lasso, build_nnls(sp, b), build_nnls(sp, b, swapped=True))
+    problems = [
+        game,
+        lasso,
+        build_nnls(sp, b),
+        build_nnls(sp, b, swapped=True),
+        SaddleProblem(g=IndSimplex(), fstar=IndSimplex(), K=game.K, start=game.start),
+        SaddleProblem(g=Zero(), fstar=Zero(), K=game.K),
     ]
-    assert kinds == [(True, False), (False, True), (False, True), (False, False)]
+    assert [p.family for p in problems] == ["game", "lasso", "nnls", None, "game", None]
 
 
 def test_game_instances():

@@ -163,6 +163,19 @@ def test_prox_variational_characterization(fn, rng):
             assert lhs >= rhs - 1e-9
 
 
+@pytest.mark.parametrize("fn", _CATALOG, ids=lambda f: repr(f))
+def test_prox_returns_a_new_array(fn, rng):
+    # SaddleProblem's contract: the corrected solver overwrites the vectors
+    # it hands to a prox, so the result may share no memory with its input
+    wide = rng.uniform(-2, 2, size=6)
+    for v in (wide[:3].copy(), wide[::2]):
+        before = v.copy()
+        p = fn.prox(v, 0.8)
+        assert not np.shares_memory(p, v)
+        assert not np.shares_memory(p, wide)
+        assert v.tobytes() == before.tobytes()
+
+
 def test_prox_eval_dispatch():
     v = np.array([2.0])
     assert Zero().prox(v, 3.0)[0] == 2.0

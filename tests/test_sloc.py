@@ -45,3 +45,21 @@ def test_main_prints_each_file_and_the_total(tmp_path, capsys):
         "     7  b.py",
         "    10  total",
     ]
+
+
+def test_main_prints_the_delta_of_two_package_dirs(tmp_path, capsys):
+    old, new = tmp_path / "old", tmp_path / "new"
+    old.mkdir()
+    new.mkdir()
+    (old / "a.py").write_text("x = 1\ny = 2\n", encoding="utf-8")
+    (new / "a.py").write_text("x = 1\n", encoding="utf-8")
+    (old / "b.py").write_text(_SOURCE, encoding="utf-8")
+    (new / "b.py").write_text(_SOURCE, encoding="utf-8")
+    (new / "c.py").write_text("z = 3\n", encoding="utf-8")
+    sloc.main([str(old), str(new)])
+    assert capsys.readouterr().out.splitlines() == [
+        "     2      1     -1  a.py",
+        "     7      7     +0  b.py",
+        "     0      1     +1  c.py",
+        "     9      9     +0  total",
+    ]

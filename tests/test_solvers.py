@@ -739,7 +739,7 @@ def test_run_hand_built_game_is_measured_by_ergodic_gap():
     # a matrix game, however the problem was built
     game = gen_matrix_game(ProblemSpec("game1", seed=3, m=30, n=30))
     hand = SaddleProblem(g=IndSimplex(), fstar=IndSimplex(), K=game.K, start=game.start)
-    assert hand.is_matrix_game and not hand.is_least_squares
+    assert hand.family == "game"
     cfg = _cfg(delta=1.0, alpha=0.99, beta0=1.0, lambda0=default_lambda0(game, 1.0))
     gaps = run("pdac", hand, cfg, *hand.start, max_iter=300, trace_every=100).column("metric")
     assert gaps == run("pdac", game, cfg, *game.start, max_iter=300, trace_every=100).column(

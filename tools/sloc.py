@@ -5,8 +5,13 @@ lines and docstrings (the string that opens a module, class or function) do
 not count. Standard library only.
 
     python3 tools/sloc.py [PACKAGE_DIR]
+    python3 tools/sloc.py OLD_DIR NEW_DIR
 
 PACKAGE_DIR defaults to ``src/saddlesolve`` next to this script's parent.
+With two directories, each module of either is listed with its count in
+OLD_DIR, its count in NEW_DIR (0 where it is missing) and the difference,
+then the totals. The old tree can come from ``git archive REV src | tar -x
+-C DIR``, which needs no network.
 """
 
 from __future__ import annotations
@@ -51,15 +56,25 @@ def code_lines(path):
     return len(lines - _docstring_lines(ast.parse(source)))
 
 
+def _counts(package):
+    """{module file name: code lines} of the package directory ``package``."""
+    return {path.name: code_lines(path) for path in Path(package).glob("*.py")}
+
+
 def main(argv):
+    if len(argv) == 2:
+        old, new = _counts(argv[0]), _counts(argv[1])
+        for name in sorted(old.keys() | new.keys()):
+            a, b = old.get(name, 0), new.get(name, 0)
+            print(f"{a:6d} {b:6d} {b - a:+6d}  {name}")
+        a, b = sum(old.values()), sum(new.values())
+        print(f"{a:6d} {b:6d} {b - a:+6d}  total")
+        return
     default = Path(__file__).resolve().parent.parent / "src" / "saddlesolve"
-    package = Path(argv[0]) if argv else default
-    total = 0
-    for path in sorted(package.glob("*.py")):
-        count = code_lines(path)
-        total += count
-        print(f"{count:6d}  {path.name}")
-    print(f"{total:6d}  total")
+    counts = _counts(argv[0] if argv else default)
+    for name in sorted(counts):
+        print(f"{counts[name]:6d}  {name}")
+    print(f"{sum(counts.values()):6d}  total")
 
 
 if __name__ == "__main__":
