@@ -13,9 +13,12 @@ code ``csr @ x`` runs after its dispatch, on its own arrays and on those of
 a stored CSR copy of its transpose. That kernel sums each entry of K* y
 over ascending row index from 0.0, as the ``csc_matvec`` of ``csr.T @ y``
 does, so the adjoint has the bits of ``csr.T @ y``. Both backings hold
-their stored entries in ``values``, which the norms read. The input checks
-and the application counters stay in ``LinearOperator.apply`` and
-``adjoint_apply``, the names that a tracer wraps.
+their stored entries in ``values``, which the norms read, and the cache of
+their spectral norm in ``norm_cache``, which a CSR matrix shares with the
+(negated) transpose that ``transposed`` makes of it, so the two take one
+Lanczos between them. The input checks and the application counters stay
+in ``LinearOperator.apply`` and ``adjoint_apply``, the names that a tracer
+wraps.
 
 scipy is loaded only where a CSR matrix comes into being: ``SparseMatrix``
 and its builders import ``scipy.sparse`` when first called, and a CSR
@@ -35,7 +38,7 @@ from __future__ import annotations
 import math
 import mmap
 import re
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -147,7 +150,8 @@ class DenseMatrix:
     ``product`` and ``adjoint_product`` are numpy's matmul of the entries and
     of their ``.T`` view, so the placement never changes a bit. ``values``
     is ``entries`` itself, and ``to_dense()`` a read-only view of it. A copy
-    unpickles through the constructor, so its entries are placed again.
+    unpickles through the constructor, so its entries are placed again, and
+    keeps the ``norm_cache``.
     """
 
     def __init__(self, entries):
@@ -158,12 +162,13 @@ class DenseMatrix:
         if not np.all(np.isfinite(arr)):
             raise ValueError("dense matrix entries must all be finite")
         self.entries = self.values = arr
+        self.norm_cache = _NormCache()
         self.product = arr.__matmul__
         self.adjoint_product = arr.T.__matmul__
 
     def __reduce__(self):
         # through the constructor, so large entries are placed again
-        return (type(self), (self.entries,))
+        return (type(self), (self.entries,), {"norm_cache": self.norm_cache})
 
     @property
     def rows(self):
@@ -186,12 +191,15 @@ class SparseMatrix:
     arrays of that matrix. ``product`` runs the ``csr_matvec`` kernel on
     them, and ``adjoint_product`` on the arrays of the transpose, which
     construction builds with the ``csr_tocsc`` kernel and which hold as many
-    entries again. A copy unpickles through the constructor, so a pickle
-    holds the three arrays and not the transpose. Its construction,
-    ``from_coo``, ``from_dense`` and ``transposed`` are where
-    ``scipy.sparse`` is first imported; nothing dense loads it.
-    Invariants enforced at construction: nondecreasing row offsets, strictly
-    increasing column indices within each row, finite nonzero values.
+    entries again. ``transposed`` builds the (negated) transpose from those
+    held arrays, so it runs no kernel, and the new matrix takes this one's
+    arrays as its transpose and shares its ``norm_cache``. A copy unpickles
+    through the constructor, so a pickle holds the three arrays and the
+    norm, not the transpose. Its construction, ``from_coo``, ``from_dense``
+    and ``to_dense`` are where ``scipy.sparse`` is first imported; nothing
+    dense loads it. Invariants enforced at construction: nondecreasing row
+    offsets, strictly increasing column indices within each row, finite
+    nonzero values.
     """
 
     def __init__(self, rows, cols, row_offsets, col_indices, values):
@@ -213,12 +221,7 @@ class SparseMatrix:
             raise ValueError("col_indices and values must have equal length")
         if len(col_indices) and (col_indices.min() < 0 or col_indices.max() >= cols):
             raise ValueError("column index out of range")
-        from scipy.sparse import csr_matrix
-        from scipy.sparse._sparsetools import csr_matvec
-
-        csr = csr_matrix((values, col_indices, row_offsets), shape=(rows, cols))
-        # scipy narrows small index arrays to int32; keep the int64 ones
-        csr.indptr, csr.indices = row_offsets, col_indices
+        csr = _csr_matrix(rows, cols, row_offsets, col_indices, values)
         if not csr.has_canonical_format:
             row_of = np.repeat(np.arange(rows), np.diff(row_offsets))
             bad = (np.diff(col_indices) <= 0) & (np.diff(row_of) == 0)
@@ -230,26 +233,30 @@ class SparseMatrix:
         if np.any(values == 0.0):
             raise ValueError("sparse values must be nonzero (drop explicit zeros)")
         self._csr = csr
-        self.row_offsets = row_offsets
-        self.col_indices = col_indices
-        self.values = csr.data
-        self.product = partial(_csr_matvec, csr_matvec, rows, cols, row_offsets, col_indices,
-                               self.values)
-        self.adjoint_product = partial(_csr_matvec, csr_matvec, cols, rows,
-                                       *self._transpose_arrays())
+        arrays = (row_offsets, col_indices, csr.data)
+        self._bind(rows, cols, arrays, _transpose_arrays(rows, cols, *arrays), _NormCache())
+
+    def _bind(self, rows, cols, arrays, transpose, norm_cache):
+        """Hold the CSR ``arrays`` and the CSR ``transpose`` arrays of a rows x
+        cols matrix and bind both products to them."""
+        from scipy.sparse._sparsetools import csr_matvec
+
+        self.rows, self.cols = rows, cols
+        self.row_offsets, self.col_indices, self.values = arrays
+        self._transpose = transpose
+        self.norm_cache = norm_cache
+        self.product = partial(_csr_matvec, csr_matvec, rows, cols, *arrays)
+        self.adjoint_product = partial(_csr_matvec, csr_matvec, cols, rows, *transpose)
 
     def __reduce__(self):
         # through the constructor, so the transpose is built again, not stored
         return (type(self), (self.rows, self.cols, self.row_offsets, self.col_indices,
-                             self.values))
+                             self.values), {"norm_cache": self.norm_cache})
 
-    @property
-    def rows(self):
-        return self._csr.shape[0]
-
-    @property
-    def cols(self):
-        return self._csr.shape[1]
+    @cached_property
+    def _csr(self):
+        return _csr_matrix(self.rows, self.cols, self.row_offsets, self.col_indices,
+                           self.values)
 
     @property
     def nnz(self):
@@ -278,23 +285,50 @@ class SparseMatrix:
     def to_dense(self):
         return self._csr.toarray()
 
-    def _transpose_arrays(self):
-        """(row offsets, column indices, values) of the CSR transpose, built
-        by the sparsetools kernel that ``csr.T.tocsr()`` calls, without its
-        dispatch: the columns in ascending row order."""
-        from scipy.sparse._sparsetools import csr_tocsc
-
-        indptr = np.empty(self.cols + 1, dtype=np.int64)
-        indices = np.empty(self.nnz, dtype=np.int64)
-        values = np.empty(self.nnz)
-        csr_tocsc(self.rows, self.cols, self.row_offsets, self.col_indices, self.values,
-                  indptr, indices, values)
-        return indptr, indices, values
-
     def transposed(self, negate=False):
-        """CSR matrix of the (optionally negated) transpose."""
-        indptr, indices, values = self._transpose_arrays()
-        return SparseMatrix(self.cols, self.rows, indptr, indices, -values if negate else values)
+        """CSR matrix of the (optionally negated) transpose, made of the
+        transpose arrays this matrix holds, with this matrix's arrays as its
+        own transpose; the values of both are negated when ``negate`` is set.
+        It shares this matrix's ``norm_cache``, since ||-K^T|| = ||K||."""
+        indptr, indices, values = self._transpose
+        source = self.values
+        if negate:
+            values, source = -values, -source
+        matrix = SparseMatrix.__new__(SparseMatrix)
+        matrix._bind(self.cols, self.rows, (indptr, indices, values),
+                     (self.row_offsets, self.col_indices, source), self.norm_cache)
+        return matrix
+
+
+def _csr_matrix(rows, cols, row_offsets, col_indices, values):
+    """The ``scipy.sparse`` CSR matrix over these arrays, keeping the int64
+    index arrays that scipy would narrow to int32."""
+    from scipy.sparse import csr_matrix
+
+    csr = csr_matrix((values, col_indices, row_offsets), shape=(rows, cols))
+    csr.indptr, csr.indices = row_offsets, col_indices
+    return csr
+
+
+def _transpose_arrays(rows, cols, row_offsets, col_indices, values):
+    """(row offsets, column indices, values) of the CSR transpose of a rows x
+    cols CSR matrix, built by the sparsetools kernel that ``csr.T.tocsr()``
+    calls, without its dispatch: the columns in ascending row order."""
+    from scipy.sparse._sparsetools import csr_tocsc
+
+    indptr = np.empty(cols + 1, dtype=np.int64)
+    indices = np.empty(len(values), dtype=np.int64)
+    transposed = np.empty(len(values))
+    csr_tocsc(rows, cols, row_offsets, col_indices, values, indptr, indices, transposed)
+    return indptr, indices, transposed
+
+
+class _NormCache:
+    """The spectral norm of a matrix (``value``, None until computed). The
+    matrix data holds it, not the operator, so a matrix and the (negated)
+    transpose made from it share one: ||-K^T|| = ||K||."""
+
+    value = None
 
 
 class LinearOperator:
@@ -307,9 +341,9 @@ class LinearOperator:
     against shapes cached at construction and count the call in
     ``apply_calls`` and ``adjoint_calls``, so tests can pin per-iteration
     budgets. They stay methods of the class, so a wrapper set on the class
-    sees every product. An operator pickles as its backing, norm and
-    counters; the backing unpickles through its constructor, so the pickle
-    holds K once and the copy's products run on its own arrays.
+    sees every product. An operator pickles as its backing and counters;
+    the backing unpickles through its constructor with its norm cache, so
+    the pickle holds K once and the copy's products run on its own arrays.
     """
 
     def __init__(self, backing):
@@ -320,9 +354,14 @@ class LinearOperator:
         self.backing = backing
         self._x_shape = (backing.cols,)
         self._y_shape = (backing.rows,)
-        self.cached_norm = None
         self.apply_calls = 0
         self.adjoint_calls = 0
+
+    @property
+    def cached_norm(self):
+        """The spectral norm once ``operator_norm`` has computed it for this
+        matrix or for the transpose it was made from, else None."""
+        return self.backing.norm_cache.value
 
     @property
     def rows(self):
@@ -373,7 +412,9 @@ class LinearOperator:
     def operator_norm(self):
         """Spectral norm by the Lanczos iteration on the smaller Gram
         operator (K*K when cols <= rows, K K* otherwise), computed once and
-        cached.
+        cached in the backing's ``norm_cache``: an operator over the
+        transpose that ``SparseMatrix.transposed`` made, or over the matrix
+        it was made from, then finds it there.
 
         Starts from a seeded Gaussian vector and keeps only the last two
         Lanczos vectors and the entries of the tridiagonal T_k. Every few
@@ -385,8 +426,9 @@ class LinearOperator:
         neither overflows nor underflows. A start vector in the null space
         is drawn again.
         """
-        if self.cached_norm is not None:
-            return self.cached_norm
+        cache = self.backing.norm_cache
+        if cache.value is not None:
+            return cache.value
         scale = _largest_abs(self.backing.values)
         if scale == 0.0:
             raise ValueError("operator_norm: zero operator")
@@ -415,8 +457,8 @@ class LinearOperator:
                     k = 0
                     continue
                 if beta * abs(s_k) <= _LANCZOS_TOL * theta or k == dim:
-                    self.cached_norm = scale * math.sqrt(theta)
-                    return self.cached_norm
+                    cache.value = scale * math.sqrt(theta)
+                    return cache.value
                 # eigh costs O(k^3): look less often as T_k grows
                 check = k + max(_LANCZOS_CHECK, k // 16)
             betas.append(beta)

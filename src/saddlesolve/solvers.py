@@ -3,13 +3,14 @@
 The main algorithm alternates a primal prox step with step size lambda_n, an
 extrapolation z = x + delta*(x_new - x), and a dual prox step with step size
 beta*lambda_{n+1}; the next step size is predicted from the local inverse
-Lipschitz ratio alpha*||dy|| / (sqrt(beta)*||K* dy||) so the operator norm is
-never needed. For delta < 1 a correction loop shrinks lambda_n until the
-primal displacement satisfies ||x_{n+1} - x_n|| <= min(nu*zeta_0, mu*zeta_n),
-with zeta_n the larger of the last primal and dual displacements, a
-condition weak enough that it fires only a handful of times per run.
-The accelerated variant grows beta geometrically using the strong-convexity
-constant gamma of g.
+Lipschitz ratio alpha*||dy|| / (sqrt(beta)*||K* dy||), so no iteration needs
+the operator norm; only the default start step (``default_lambda0``) reads
+it, once per matrix. For delta < 1 a correction loop shrinks lambda_n until
+the primal displacement satisfies
+||x_{n+1} - x_n|| <= min(nu*zeta_0, mu*zeta_n), with zeta_n the larger of
+the last primal and dual displacements, a condition weak enough that it
+fires only a handful of times per run. The accelerated variant grows beta
+geometrically using the strong-convexity constant gamma of g.
 
 Baselines: fixed-step PDA, the linesearch PDA, the proximal gradient method,
 and FISTA with backtracking.
@@ -302,18 +303,27 @@ class FistaState:
 
 
 def default_lambda0(problem, beta):
-    """Norm-free-ish default start step: 1 / (sqrt(beta) * ||K||_F).
+    """The spectral start step 0.99 / (sqrt(beta) * L), with L the spectral
+    norm of K (``operator_norm()``, computed once per matrix and cached), and
+    1 for a zero K.
 
-    The Frobenius norm upper-bounds the operator norm, so the implied first
-    step stays on the safe side without a spectral estimate. A ``beta`` that
-    is not positive and finite raises ConfigError.
+    The first dual step is then sigma = beta * lambda0, so tau sigma L^2 =
+    0.99^2 < 1: the start lies inside the fixed-step bound of Chambolle and
+    Pock (2011). 0.99 is the smallest alpha of any default config, so the
+    start also meets the step rule's own test, lambda0 sqrt(beta) ||K* dy||
+    <= alpha ||dy|| for every dy. In monotone mode lambda_{n+1} sqrt(beta_n)
+    never rises above its start, so the start bounds every step a monotone
+    or accelerated run takes; a Frobenius-norm start (||K||_F >= L) held
+    swapped C12 at lambda sqrt(beta) L = 0.10 for its whole run. A ``beta``
+    that is not positive and finite raises ConfigError.
     """
     if not (beta > 0 and math.isfinite(beta)):
         raise ConfigError(f"beta must be positive and finite; got {beta}")
-    fro = problem.K.frobenius_norm()
-    if fro == 0.0:
+    try:
+        L = problem.K.operator_norm()
+    except ValueError:  # a zero K, which bounds no step
         return 1.0
-    return 1.0 / (math.sqrt(beta) * fro)
+    return 0.99 / (math.sqrt(beta) * L)
 
 
 def default_config(problem, solver, **overrides):
@@ -331,13 +341,17 @@ def default_config(problem, solver, **overrides):
     field names except that ``beta`` sets ``beta0`` (and pdal's ``beta``).
 
     pdac and apdac get a ``SolverConfig``. Both take beta0 = 1/400 on LASSO
-    and 1 otherwise, lambda0 = ``default_lambda0(problem, beta0)``, gamma =
-    ``problem.gamma``, n_hat = 40000 on games and 5000 otherwise, and n_zero
-    = 2 n_hat; rho, mu_corr, nu_corr and lambda_cap keep their
-    ``SolverConfig`` defaults. pdac runs nonmonotone with delta = 1 on games
-    and 0.62 otherwise, and alpha = 1.27 where that is admissible (delta <
-    1/1.27^2) and 0.99 elsewhere; apdac runs monotone with delta = 1 and
-    alpha = 0.99. Both read delta, alpha, beta, lambda0 and nonmonotone.
+    and 1 otherwise, lambda0 = ``default_lambda0(problem, beta0)``, the
+    spectral start 0.99 / (sqrt(beta0) L), gamma = ``problem.gamma``, n_hat
+    = 40000 on games and 5000 otherwise, and n_zero = 2 n_hat; rho, mu_corr,
+    nu_corr and lambda_cap keep their ``SolverConfig`` defaults. The config
+    is validated for its kind before L is asked for, so one that ``validate``
+    rejects raises ConfigError here and spends no product, and a given
+    ``lambda0`` spends none either: L is computed only for the start. pdac
+    runs nonmonotone with delta = 1 on games and 0.62 otherwise, and alpha =
+    1.27 where that is admissible (delta < 1/1.27^2) and 0.99 elsewhere;
+    apdac runs monotone with delta = 1 and alpha = 0.99. Both read delta,
+    alpha, beta, lambda0 and nonmonotone.
     Only apdac reads gamma. rho, mu_corr and nu_corr drive the correction,
     which runs only for delta < 1, and n_hat, n_zero and lambda_cap shape the
     step growth, which applies only in nonmonotone mode.
@@ -370,10 +384,14 @@ def _pd_config(problem, given, accelerated=False):
     headline = not accelerated and delta > 0 and 1.27 < 1.0 / math.sqrt(delta)
     n_hat = given.get("n_hat", 40000 if game else 5000)
     cfg = SolverConfig(delta=delta, alpha=1.27 if headline else 0.99, beta0=beta,
-                       gamma=problem.gamma, lambda0=default_lambda0(problem, beta),
-                       n_hat=n_hat, n_zero=2 * n_hat, nonmonotone=not accelerated)
+                       gamma=problem.gamma, n_hat=n_hat, n_zero=2 * n_hat,
+                       nonmonotone=not accelerated)
     names = {f.name for f in fields(SolverConfig)}
-    return replace(cfg, **{name: value for name, value in given.items() if name in names})
+    cfg = replace(cfg, **{name: value for name, value in given.items() if name in names})
+    cfg.validate("apdac" if accelerated else "pdac")
+    if "lambda0" not in given:
+        cfg.lambda0 = default_lambda0(problem, beta)
+    return cfg
 
 
 def _pd_reads(cfg):

@@ -1,8 +1,9 @@
 """The paper's invariants on random small instances (m, n <= 12): the bitwise
 reduction of the accelerated solver at gamma = 0, deterministic traces, the
 correction bound on the primal displacement, a correction that does not stall
-from the all-zero start, one K and one K* per iteration, and an objective
-that has the same bits whether it is given the point's image or applies K."""
+from the all-zero start, one K and one K* per iteration, an objective that
+has the same bits whether it is given the point's image or applies K, and a
+monotone step ratio that never rises above the spectral start."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -125,6 +126,25 @@ def test_each_iteration_applies_k_and_its_adjoint_once(kind_family, seed, m, n, 
     f0, a0 = _products(kind, prob, cfg, 0)
     f, a = _products(kind, prob, cfg, budget)
     assert (f - f0, a - a0) == (budget, budget)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([(kind, family) for kind in ("pdac", "apdac") for family in _FAMILIES]),
+       _SEED, _SIZE, _SIZE)
+def test_monotone_step_ratio_stays_under_the_spectral_start(kind_family, seed, m, n):
+    # monotone mode caps lambda_{k+1} at sqrt(beta_{k-1} / beta_k) lambda_k,
+    # so lambda_{k+1} sqrt(beta_k) L, the ratio the step rule bounds, never
+    # rises above lambda_0 sqrt(beta_0) L = 0.99; the bound allows the
+    # rounding of that product, a few ulps per iteration
+    kind, family = kind_family
+    prob = _instance(family, seed, m, n)
+    cfg, _ = default_config(prob, kind, nonmonotone=False)
+    L = prob.K.operator_norm()
+    rows, _ = _ending(kind, prob, cfg)
+    lam, beta = np.array([row[2] for row in rows]), np.array([row[3] for row in rows])
+    start = lam[0] * np.sqrt(beta[0]) * L
+    assert start <= 0.99 * (1.0 + 1e-15)
+    assert np.all(lam[1:] * np.sqrt(beta[:-1]) * L <= start * (1.0 + 1e-13))
 
 
 def test_correction_moves_on_after_a_zero_displacement():

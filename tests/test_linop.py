@@ -14,7 +14,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import saddlesolve.linop as linop
-from oracles import c12_matrix, read_matrix_market_oracle
+from oracles import c12_matrix, c12_matrix_market_text, read_matrix_market_oracle
 from saddlesolve.linop import (
     DenseMatrix,
     LinearOperator,
@@ -179,6 +179,53 @@ def test_sparse_matrix_pickles_without_its_transpose(rng):
         x, y = rng.standard_normal(320), rng.standard_normal(1033)
         assert _same_bits(copy.product(x), sp.product(x))
         assert _same_bits(copy.adjoint_product(y), sp.adjoint_product(y))
+
+
+
+def test_swapped_nnls_reuses_the_transpose_it_holds(rng, monkeypatch, tmp_path):
+    # parsing runs the csr_tocsc kernel once, for the adjoint; the swapped
+    # problem's -K^T is made of those arrays, and its own transpose is -K
+    # over the parsed arrays
+    import scipy.sparse._sparsetools as sparsetools
+
+    path = tmp_path / "c12.mtx"
+    path.write_text(c12_matrix_market_text())
+    calls, kernel = [], sparsetools.csr_tocsc
+
+    def counted(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(sparsetools, "csr_tocsc", counted)
+    sparse = read_matrix_market(path)
+    swapped = build_nnls(sparse, rng.standard_normal(1033), swapped=True)
+    back = swapped.K.backing.transposed(negate=True)
+    assert len(calls) == 1
+    assert back.row_offsets is sparse.row_offsets and back.col_indices is sparse.col_indices
+    assert _same_bits(back.values, sparse.values)
+    neg = -sparse._csr
+    for op in (swapped.K, pickle.loads(pickle.dumps(swapped.K))):
+        assert _same_bits(op.backing.to_dense(), neg.T.toarray())
+        for _ in range(2):
+            x, y = rng.standard_normal(1033), rng.standard_normal(320)
+            assert _same_bits(op.apply(x), neg.T @ x)
+            assert _same_bits(op.adjoint_apply(y), neg @ y)
+
+
+@pytest.mark.parametrize("first", ["plain", "swapped"])
+def test_a_matrix_and_its_negated_transpose_share_one_lanczos(first):
+    # ||-K^T|| = ||K||: whichever operator asks first runs the Lanczos, and
+    # the other finds its bits in the shared cache without a product
+    sparse = c12_matrix()
+    ops = {"plain": LinearOperator(sparse),
+           "swapped": LinearOperator(sparse.transposed(negate=True))}
+    other = ops["swapped" if first == "plain" else "plain"]
+    L = ops[first].operator_norm()
+    assert other.cached_norm == L and other.operator_norm() == L
+    assert other.apply_calls == other.adjoint_calls == 0
+    assert L == _c12_operator().operator_norm()  # the same bits in either order
+    copy = pickle.loads(pickle.dumps(other))
+    assert copy.cached_norm == L
 
 
 # shapes on both sides of the placement threshold (1 MiB = 131072 floats)

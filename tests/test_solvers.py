@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 import saddlesolve.solvers as solvers
+from oracles import c12_matrix
 from saddlesolve.diagnostics import ErgodicAverage
 from saddlesolve.linop import LinearOperator, SparseMatrix
+from saddlesolve.oracle import solve_reference
 from saddlesolve.problems import (
     ProblemSpec,
     SaddleProblem,
@@ -745,7 +747,7 @@ def test_run_hand_built_game_is_measured_by_ergodic_gap():
     assert gaps == run("pdac", game, cfg, *game.start, max_iter=300, trace_every=100).column(
         "metric"
     )
-    assert gaps == pytest.approx([0.36048, 0.034451, 0.016456, 0.011001], rel=1e-4)
+    assert gaps == pytest.approx([0.36048, 0.010263, 0.0053427, 0.0035687], rel=1e-4)
 
 
 def test_run_pdal_linesearch_stall_carries_trace():
@@ -966,8 +968,35 @@ def test_default_config_at_extreme_scales(kind, scale):
 def test_default_lambda0_scales_with_k_at_extreme_scales(scale):
     K = np.random.default_rng(6).standard_normal((6, 4))
     prob = build_nnls(K * scale, np.ones(6))
-    assert default_lambda0(prob, 1.0) == pytest.approx(1.0 / (np.linalg.norm(K) * scale),
-                                                       rel=1e-14, abs=0.0)
+    L = np.linalg.svd(K, compute_uv=False)[0]
+    assert default_lambda0(prob, 1.0) == pytest.approx(0.99 / (L * scale), rel=1e-14, abs=0.0)
+
+
+
+def test_default_config_spends_no_product_on_a_start_it_does_not_use():
+    # L is asked for only to form the default start: a given lambda0, or a
+    # config that validate rejects, costs no product and no Lanczos
+    game = gen_matrix_game(ProblemSpec("game1", seed=3, m=30, n=30))
+    for kind in ("pdac", "apdac"):
+        assert default_config(game, kind, lambda0=0.5)[0].lambda0 == 0.5
+    with pytest.raises(ConfigError, match="delta >= 1"):
+        default_config(game, "apdac", delta=0.8)
+    with pytest.raises(ConfigError, match="alpha"):
+        default_config(game, "pdac", alpha=2.0)
+    assert game.K.apply_calls == game.K.adjoint_calls == 0
+    assert game.K.cached_norm is None
+
+
+def test_default_apdac_reaches_the_c12_target_within_600_iterations():
+    # the spectral start lets the accelerated run take full steps; from the
+    # Frobenius start, 1 / ||K||_F, it held lambda sqrt(beta) L at 0.10 and
+    # needed 11,547 iterations
+    b = np.random.default_rng(1).standard_normal(1033)
+    _, phi_star, _ = solve_reference(build_nnls(c12_matrix(), b))
+    swapped = build_nnls(c12_matrix(), b, swapped=True)
+    cfg, _ = default_config(swapped, "apdac")
+    trace = run("apdac", swapped, cfg, *swapped.start, max_iter=600, reference_value=phi_star)
+    assert min(trace.column("metric")) <= 1e-8
 
 
 def test_init_pda_accepts_the_bound_at_extreme_scales():
