@@ -14,8 +14,9 @@ number, as ``saddle-solve reference`` writes it.
 Exit codes of the installed ``saddle-solve`` command (``console_main``), of
 ``run_experiment`` and of ``reference_solve_cmd``: 0 ok; 1 usage,
 configuration or bad input (unknown flag, a solver flag the run does not read
-at the chosen solver and settings, inadmissible parameter, a negative or NaN
-budget, missing data, a reference file without a finite ``phi_star``); 2
+at the chosen solver and settings, ``--swapped`` or ``--matrix-file`` on a
+LASSO or game problem, inadmissible parameter, a negative or NaN budget,
+missing data, a reference file without a finite ``phi_star``); 2
 diverged (non-finite iterate); 3 stalled (a backtracking loop hit its shrink
 cap). On 2 and 3 the trace recorded so far is still written to the output
 file.
@@ -101,6 +102,8 @@ def _read_phi_star(path):
 
 def _build_problem(problem_name, seed, swapped, matrix_file):
     kind = _family_kind(problem_name)
+    if kind != "nnls" and (swapped or matrix_file):
+        raise click.UsageError("--swapped and --matrix-file apply to NNLS problems only")
     if seed is None:
         seed = _default_seed(kind)
     if kind == "lasso":

@@ -14,18 +14,20 @@ a stored CSR copy of its transpose. That kernel sums each entry of K* y
 over ascending row index from 0.0, as the ``csc_matvec`` of ``csr.T @ y``
 does, so the adjoint has the bits of ``csr.T @ y``. Both backings hold
 their stored entries in ``values``, which the norms read, and the cache of
-their spectral norm in ``norm_cache``, which a CSR matrix shares with the
-(negated) transpose that ``transposed`` makes of it, so the two take one
-Lanczos between them. The input checks and the application counters stay
-in ``LinearOperator.apply`` and ``adjoint_apply``, the names that a tracer
+their spectral norm in ``norm_cache``, which a CSR matrix K shares with the
+-K^T that ``negated_transpose`` makes of it, so the two take one Lanczos
+between them. The input checks and the application counters stay in
+``LinearOperator.apply`` and ``adjoint_apply``, the names that a tracer
 wraps.
 
-scipy is loaded only where a CSR matrix comes into being: ``SparseMatrix``
-and its builders import ``scipy.sparse`` when first called, and a CSR
-backing binds the ``csr_matvec`` kernel into its products once, at
-construction, so no product runs an import. A dense run never loads
-``scipy.sparse``: with scipy 1.17 and numpy 2.4, ``import saddlesolve``
-peaks at 30 MB of RSS instead of 51 MB and takes half the time.
+A CSR matrix is stored only as its arrays; no ``scipy.sparse`` matrix
+object is kept. scipy serves as a kernel library, loaded only where a CSR
+matrix comes into being: ``from_coo`` builds with ``coo_matrix``, and a
+``SparseMatrix`` is constructed with the ``csr_tocsc`` kernel and binds
+the ``csr_matvec`` kernel into its products once, so no product runs an
+import. A dense run never loads ``scipy.sparse``: with scipy 1.17 and
+numpy 2.4, ``import saddlesolve`` peaks at 30 MB of RSS instead of 51 MB
+and takes half the time.
 
 Dense entries of 1 MiB or more live at the start of a 2 MiB-aligned
 anonymous mapping advised ``MADV_HUGEPAGE`` (``DenseMatrix``), so a K that
@@ -38,7 +40,7 @@ from __future__ import annotations
 import math
 import mmap
 import re
-from functools import cached_property, partial
+from functools import partial
 
 import numpy as np
 
@@ -87,7 +89,7 @@ def vector_norm(v):
     return math.sqrt(v.dot(v))
 
 
-def _csr_matvec(kernel, rows, cols, indptr, indices, data, x):
+def _matvec(kernel, rows, cols, indptr, indices, data, x):
     """A @ x for the rows x cols CSR matrix A with these arrays, through
     ``kernel``, the sparsetools ``csr_matvec`` that ``csr @ x`` calls."""
     out = np.zeros(rows)
@@ -185,21 +187,23 @@ class DenseMatrix:
 
 
 class SparseMatrix:
-    """CSR-format sparse matrix over one ``scipy.sparse`` CSR matrix.
+    """CSR-format sparse matrix, stored as its three CSR arrays.
 
     ``row_offsets``, ``col_indices`` (both int64) and ``values`` are the
-    arrays of that matrix. ``product`` runs the ``csr_matvec`` kernel on
-    them, and ``adjoint_product`` on the arrays of the transpose, which
-    construction builds with the ``csr_tocsc`` kernel and which hold as many
-    entries again. ``transposed`` builds the (negated) transpose from those
-    held arrays, so it runs no kernel, and the new matrix takes this one's
-    arrays as its transpose and shares its ``norm_cache``. A copy unpickles
-    through the constructor, so a pickle holds the three arrays and the
-    norm, not the transpose. Its construction, ``from_coo``, ``from_dense``
-    and ``to_dense`` are where ``scipy.sparse`` is first imported; nothing
-    dense loads it. Invariants enforced at construction: nondecreasing row
-    offsets, strictly increasing column indices within each row, finite
-    nonzero values.
+    whole matrix; no ``scipy.sparse`` matrix object is kept. ``product``
+    runs the ``csr_matvec`` kernel on them, and ``adjoint_product`` on the
+    arrays of the transpose, which construction builds with the
+    ``csr_tocsc`` kernel and which hold as many entries again.
+    ``negated_transpose`` builds -K^T from those held arrays, so it runs no
+    kernel, and the new matrix takes this one's negated arrays as its
+    transpose and shares its ``norm_cache``. ``to_dense`` places the
+    entries with one numpy assignment. A copy unpickles through the
+    constructor, so a pickle holds the three arrays and the norm, not the
+    transpose. Its construction and ``from_coo`` (so ``from_dense``) are
+    where ``scipy.sparse`` is first imported; nothing dense loads it.
+    Invariants enforced at construction: nondecreasing row offsets,
+    strictly increasing column indices within each row, finite nonzero
+    values.
     """
 
     def __init__(self, rows, cols, row_offsets, col_indices, values):
@@ -221,10 +225,9 @@ class SparseMatrix:
             raise ValueError("col_indices and values must have equal length")
         if len(col_indices) and (col_indices.min() < 0 or col_indices.max() >= cols):
             raise ValueError("column index out of range")
-        csr = _csr_matrix(rows, cols, row_offsets, col_indices, values)
-        if not csr.has_canonical_format:
-            row_of = np.repeat(np.arange(rows), np.diff(row_offsets))
-            bad = (np.diff(col_indices) <= 0) & (np.diff(row_of) == 0)
+        row_of = _row_of(row_offsets)
+        bad = (np.diff(col_indices) <= 0) & (np.diff(row_of) == 0)
+        if bad.any():
             raise ValueError(
                 f"column indices not strictly increasing in row {row_of[np.argmax(bad)]}"
             )
@@ -232,8 +235,7 @@ class SparseMatrix:
             raise ValueError("sparse values must be finite")
         if np.any(values == 0.0):
             raise ValueError("sparse values must be nonzero (drop explicit zeros)")
-        self._csr = csr
-        arrays = (row_offsets, col_indices, csr.data)
+        arrays = (row_offsets, col_indices, values)
         self._bind(rows, cols, arrays, _transpose_arrays(rows, cols, *arrays), _NormCache())
 
     def _bind(self, rows, cols, arrays, transpose, norm_cache):
@@ -245,18 +247,13 @@ class SparseMatrix:
         self.row_offsets, self.col_indices, self.values = arrays
         self._transpose = transpose
         self.norm_cache = norm_cache
-        self.product = partial(_csr_matvec, csr_matvec, rows, cols, *arrays)
-        self.adjoint_product = partial(_csr_matvec, csr_matvec, cols, rows, *transpose)
+        self.product = partial(_matvec, csr_matvec, rows, cols, *arrays)
+        self.adjoint_product = partial(_matvec, csr_matvec, cols, rows, *transpose)
 
     def __reduce__(self):
         # through the constructor, so the transpose is built again, not stored
         return (type(self), (self.rows, self.cols, self.row_offsets, self.col_indices,
                              self.values), {"norm_cache": self.norm_cache})
-
-    @cached_property
-    def _csr(self):
-        return _csr_matrix(self.rows, self.cols, self.row_offsets, self.col_indices,
-                           self.values)
 
     @property
     def nnz(self):
@@ -283,31 +280,25 @@ class SparseMatrix:
         return cls.from_coo(arr.shape[0], arr.shape[1], rr, cc, arr[rr, cc])
 
     def to_dense(self):
-        return self._csr.toarray()
+        """The dense matrix, each stored entry placed once into zeros."""
+        dense = np.zeros((self.rows, self.cols))
+        dense[_row_of(self.row_offsets), self.col_indices] = self.values
+        return dense
 
-    def transposed(self, negate=False):
-        """CSR matrix of the (optionally negated) transpose, made of the
-        transpose arrays this matrix holds, with this matrix's arrays as its
-        own transpose; the values of both are negated when ``negate`` is set.
-        It shares this matrix's ``norm_cache``, since ||-K^T|| = ||K||."""
+    def negated_transpose(self):
+        """CSR matrix of -K^T: the negated transpose arrays this matrix holds,
+        with this matrix's negated arrays as its own transpose. It shares this
+        matrix's ``norm_cache``, since ||-K^T|| = ||K||."""
         indptr, indices, values = self._transpose
-        source = self.values
-        if negate:
-            values, source = -values, -source
         matrix = SparseMatrix.__new__(SparseMatrix)
-        matrix._bind(self.cols, self.rows, (indptr, indices, values),
-                     (self.row_offsets, self.col_indices, source), self.norm_cache)
+        matrix._bind(self.cols, self.rows, (indptr, indices, -values),
+                     (self.row_offsets, self.col_indices, -self.values), self.norm_cache)
         return matrix
 
 
-def _csr_matrix(rows, cols, row_offsets, col_indices, values):
-    """The ``scipy.sparse`` CSR matrix over these arrays, keeping the int64
-    index arrays that scipy would narrow to int32."""
-    from scipy.sparse import csr_matrix
-
-    csr = csr_matrix((values, col_indices, row_offsets), shape=(rows, cols))
-    csr.indptr, csr.indices = row_offsets, col_indices
-    return csr
+def _row_of(row_offsets):
+    """The row of each stored entry of a CSR matrix with these row offsets."""
+    return np.repeat(np.arange(len(row_offsets) - 1), np.diff(row_offsets))
 
 
 def _transpose_arrays(rows, cols, row_offsets, col_indices, values):
@@ -325,7 +316,7 @@ def _transpose_arrays(rows, cols, row_offsets, col_indices, values):
 
 class _NormCache:
     """The spectral norm of a matrix (``value``, None until computed). The
-    matrix data holds it, not the operator, so a matrix and the (negated)
+    matrix data holds it, not the operator, so a matrix and the negated
     transpose made from it share one: ||-K^T|| = ||K||."""
 
     value = None
@@ -412,9 +403,9 @@ class LinearOperator:
     def operator_norm(self):
         """Spectral norm by the Lanczos iteration on the smaller Gram
         operator (K*K when cols <= rows, K K* otherwise), computed once and
-        cached in the backing's ``norm_cache``: an operator over the
-        transpose that ``SparseMatrix.transposed`` made, or over the matrix
-        it was made from, then finds it there.
+        cached in the backing's ``norm_cache``: an operator over the -K^T
+        that ``SparseMatrix.negated_transpose`` made, or over the matrix it
+        was made from, then finds it there.
 
         Starts from a seeded Gaussian vector and keeps only the last two
         Lanczos vectors and the entries of the tridiagonal T_k. Every few

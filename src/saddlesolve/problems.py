@@ -230,7 +230,7 @@ def build_nnls(sparse, b, swapped=False, label="nnls"):
     return SaddleProblem(
         g=QuadShift(b),
         fstar=IndNonneg(),
-        K=LinearOperator(sparse.transposed(negate=True)),
+        K=LinearOperator(sparse.negated_transpose()),
         gamma=0.5,
         label=f"{label}-swapped",
         objective=lambda y, image=None: _swapped_objective(prob, y, image),

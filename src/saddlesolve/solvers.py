@@ -793,7 +793,13 @@ TRACE_HEADER = "iter,seconds,metric,lambda,beta,corrections"
 
 @dataclass
 class IterationTrace:
-    """Per-iteration records of one run plus summary accessors."""
+    """Per-iteration records of one run plus summary accessors.
+
+    Row n holds the state after n iterations, so it pairs lambda_n with
+    beta_n. The monotone step rule bounds lambda_{n+1} sqrt(beta_n), which
+    pairs a row's lambda with the previous row's beta; where beta grows
+    (apdac), one row's lambda sqrt(beta) can exceed the start.
+    """
 
     rows: list = field(default_factory=list)  # (iter, seconds, metric, lam, beta, corr)
 

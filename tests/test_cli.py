@@ -346,6 +346,23 @@ def test_reference_cmd_and_gap_metric(tmp_path):
     assert metrics[-1] >= -1e-9
 
 
+@pytest.mark.parametrize(
+    "command, argv",
+    [
+        (run_experiment, ["--problem", "lasso1", "--solver", "pdac", "--swapped"]),
+        (run_experiment, ["--problem", "game1", "--solver", "pdac", "--matrix-file",
+                          "/nonexistent.mtx"]),
+        (reference_solve_cmd, ["--problem", "lasso1", "--matrix-file", "/nonexistent.mtx"]),
+    ],
+)
+def test_nnls_flags_on_generated_problems_are_usage_errors(tmp_path, capsys, command, argv):
+    # a LASSO or game run would ignore them and solve another problem than asked
+    out = tmp_path / "out"
+    assert command(argv + ["--max-iters", "3", "--output", str(out)]) == 1
+    assert "apply to NNLS problems only" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_reference_rejects_games(tmp_path):
     code = reference_solve_cmd(
         ["--problem", "game1", "--output", str(tmp_path / "r.json")]

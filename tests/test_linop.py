@@ -70,10 +70,19 @@ def _same_bits(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def _scipy_csr(sparse):
+    """The scipy CSR matrix over the arrays of the SparseMatrix ``sparse``:
+    the reference its products and ``to_dense`` are checked against."""
+    from scipy.sparse import csr_matrix
+
+    return csr_matrix((sparse.values, sparse.col_indices, sparse.row_offsets),
+                      shape=(sparse.rows, sparse.cols))
+
+
 def test_products_have_the_bits_of_scipy_and_numpy(rng):
     # apply/adjoint_apply call the kernels that csr @ x and entries @ x run
     sparse, dense = _c12_operator(), _lasso1_operator()
-    csr, entries = sparse.backing._csr, dense.backing.entries
+    csr, entries = _scipy_csr(sparse.backing), dense.backing.entries
     for _ in range(3):
         x, y = rng.standard_normal(320), rng.standard_normal(1033)
         assert _same_bits(sparse.apply(x), csr @ x)
@@ -91,7 +100,8 @@ def test_products_have_the_bits_of_scipy_and_numpy(rng):
 @example(30, 25, 0.0, 3)
 def test_sparse_products_have_the_bits_of_scipy_on_random_matrices(rows, cols, density, seed):
     # the adjoint runs the stored transpose, which must sum each entry in the
-    # order csr.T @ y does, empty rows and columns included
+    # order csr.T @ y does, empty rows and columns included; to_dense must
+    # place the entries as toarray() does
     rng = np.random.default_rng(seed)
     K = rng.standard_normal((rows, cols)) * 10.0 ** rng.uniform(-3, 3, (rows, cols))
     K[rng.random((rows, cols)) >= density] = 0.0
@@ -100,7 +110,8 @@ def test_sparse_products_have_the_bits_of_scipy_on_random_matrices(rows, cols, d
     if cols > 1:
         K[:, rng.integers(cols)] = 0.0
     op = LinearOperator(SparseMatrix.from_dense(K))
-    csr = op.backing._csr
+    csr = _scipy_csr(op.backing)
+    assert _same_bits(op.backing.to_dense(), csr.toarray())
     for _ in range(3):
         x = rng.standard_normal(cols) * 10.0 ** rng.uniform(-3, 3, cols)
         y = rng.standard_normal(rows) * 10.0 ** rng.uniform(-3, 3, rows)
@@ -199,11 +210,11 @@ def test_swapped_nnls_reuses_the_transpose_it_holds(rng, monkeypatch, tmp_path):
     monkeypatch.setattr(sparsetools, "csr_tocsc", counted)
     sparse = read_matrix_market(path)
     swapped = build_nnls(sparse, rng.standard_normal(1033), swapped=True)
-    back = swapped.K.backing.transposed(negate=True)
+    back = swapped.K.backing.negated_transpose()
     assert len(calls) == 1
     assert back.row_offsets is sparse.row_offsets and back.col_indices is sparse.col_indices
     assert _same_bits(back.values, sparse.values)
-    neg = -sparse._csr
+    neg = -_scipy_csr(sparse)
     for op in (swapped.K, pickle.loads(pickle.dumps(swapped.K))):
         assert _same_bits(op.backing.to_dense(), neg.T.toarray())
         for _ in range(2):
@@ -218,7 +229,7 @@ def test_a_matrix_and_its_negated_transpose_share_one_lanczos(first):
     # the other finds its bits in the shared cache without a product
     sparse = c12_matrix()
     ops = {"plain": LinearOperator(sparse),
-           "swapped": LinearOperator(sparse.transposed(negate=True))}
+           "swapped": LinearOperator(sparse.negated_transpose())}
     other = ops["swapped" if first == "plain" else "plain"]
     L = ops[first].operator_norm()
     assert other.cached_norm == L and other.operator_norm() == L
@@ -434,7 +445,7 @@ def _repeated_top():
         lambda: gen_matrix_game(ProblemSpec("game1", seed=100)).K,
         lambda: gen_matrix_game(ProblemSpec("game3", seed=100)).K,
         _c12_operator,
-        lambda: LinearOperator(_c12_operator().backing.transposed(negate=True)),
+        lambda: LinearOperator(_c12_operator().backing.negated_transpose()),
         lambda: LinearOperator(np.arange(1.0, 8.0).reshape(1, 7)),
         lambda: LinearOperator(np.arange(1.0, 8.0).reshape(7, 1)),
         lambda: LinearOperator(np.eye(4)),
@@ -562,7 +573,10 @@ sparse = read_matrix_market(sys.argv[1])
 K = build_nnls(sparse, np.ones(sparse.rows), swapped=True).K
 K.operator_norm()
 step("nnls")
-csr, rng = K.backing._csr, np.random.default_rng(0)
+from scipy.sparse import csr_matrix
+b = K.backing
+csr = csr_matrix((b.values, b.col_indices, b.row_offsets), shape=(b.rows, b.cols))
+rng = np.random.default_rng(0)
 x, y = rng.standard_normal(K.cols), rng.standard_normal(K.rows)
 same = [K.apply(x).tobytes() == (csr @ x).tobytes(),
         K.adjoint_apply(y).tobytes() == (csr.T @ y).tobytes()]
@@ -696,9 +710,7 @@ def test_sparse_round_trip(rng):
     K[np.abs(K) < 0.5] = 0.0
     sp = SparseMatrix.from_dense(K)
     assert np.array_equal(sp.to_dense(), K)
-    spt = sp.transposed()
-    assert np.array_equal(spt.to_dense(), K.T)
-    sptn = sp.transposed(negate=True)
+    sptn = sp.negated_transpose()
     assert np.array_equal(sptn.to_dense(), -K.T)
 
 

@@ -14,9 +14,10 @@ matrix of ``bench/workloads.py`` (``write_c12_matrix``). Prints one line
 with the first 16 hex digits of the sha256 of the bits of that matrix as
 ``read_matrix_market`` parses it (its shape, ``row_offsets``,
 ``col_indices`` and ``values``); for each of the six problems, one line
-with the bits of ``operator_norm()`` (the L that pda and pgm step by) as 16
-hex digits and its relative distance to ``np.linalg.svd``'s top singular
-value; one line per solver run: its exit code, the first 16 hex digits of
+with the bits of ``operator_norm()`` (the L that pda and pgm step by, and
+that pdac and apdac take their spectral start step from) as 16 hex digits
+and its relative distance to ``np.linalg.svd``'s top singular value; one
+line per solver run: its exit code, the first 16 hex digits of
 the sha256 of its CSV trace without the ``seconds`` column ("-" when it
 wrote none), its forward (K) and adjoint (K*) application counts, setup,
 start and metric rows included, and its final metric; one line per
@@ -128,8 +129,10 @@ def matrix_entry(matrix):
 
 def operator_norm_entry(family, swapped, matrix):
     """{"L", "svd"}: ``operator_norm()`` of the problem a run builds and the
-    top singular value of its matrix."""
-    K = _build_problem(family, None, swapped, str(matrix)).K
+    top singular value of its matrix. The matrix file is passed, as a run
+    passes it, only to an NNLS family."""
+    matrix_file = str(matrix) if family.startswith("nnls") else None
+    K = _build_problem(family, None, swapped, matrix_file).K
     svd = np.linalg.svd(K.backing.to_dense(), compute_uv=False)[0]
     return {"L": K.operator_norm(), "svd": float(svd)}
 
