@@ -13,22 +13,22 @@ import math
 import numpy as np
 
 from .diagnostics import ReferencePoint
-from .linop import vector_norm
 from .problems import primal_objective
-from .solvers import BaselineConfig, fista_iterate, init_fista
+from .solvers import BaselineConfig, fista_iterate, init_fista, prox_residual
 
 __all__ = ["saddle_residual", "solve_reference"]
 
 
 def saddle_residual(problem, x, y, Kx=None):
-    """Max of the two prox fixed-point residuals at (x, y) with unit prox
-    steps; zero exactly at saddle points. ``Kx``, when given, stands in for
-    ``problem.K.apply(x)``, so the residual applies only K*."""
+    """``prox_residual`` at (x, y) with unit prox steps; zero exactly at
+    saddle points. ``Kx``, when given, stands in for ``problem.K.apply(x)``,
+    so the residual applies only K*."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    rx = x - problem.g.prox(x - problem.K.adjoint_apply(y), 1.0)
-    ry = y - problem.fstar.prox(y + (problem.K.apply(x) if Kx is None else Kx), 1.0)
-    return max(vector_norm(rx), vector_norm(ry))
+    Ky = problem.K.adjoint_apply(y)
+    if Kx is None:
+        Kx = problem.K.apply(x)
+    return prox_residual(problem, x, y, Kx, Ky, 1.0, 1.0)
 
 
 def _polish_lasso(problem, x, threshold):

@@ -92,7 +92,10 @@ class SaddleProblem:
     consumes, which matters for swapped formulations. ``image`` is the
     point's image under this problem's operator, K x for "x" and K* y for
     "y"; given, it spares the objective its matrix application, and left
-    out, the objective applies K itself. ``run`` always passes the image, so
+    out, the objective applies this problem's own K (or K*) itself. A
+    problem owns exactly one operator, ``K``: every builder makes one, and
+    no objective reaches another operator or problem, so ``K``'s counters
+    see every product the problem spends. ``run`` always passes the image, so
     an objective set by hand must accept it as a second argument. ``start``
     is the conventional initial point pair for the family. The ``prox`` of
     g and of fstar must return a new array, not its input or a view of it:
@@ -204,11 +207,12 @@ def build_nnls(sparse, b, swapped=False, label="nnls"):
     indicator and fstar the shifted quadratic. Swapped (for the accelerated
     solver, exploiting primal/dual symmetry): the roles trade places, the
     coupling operator becomes the negated adjoint, and g picks up strong
-    convexity gamma = 1/2. The swapped problem's dual iterate is the original
-    primal variable, so its objective, which consumes "y", is
-    ``primal_objective`` of the unswapped problem; from its image
-    K_sw* y = -K y it forms the residual as K_sw* y + b, which is -(K y - b)
-    bit for bit, so the objective keeps the bits of ``primal_objective``.
+    convexity gamma = 1/2. Either way the problem holds one operator and no
+    other problem: the swapped one builds only -K^T. Its dual iterate is the
+    original primal variable, so its objective, which consumes "y", is
+    ``primal_objective`` of the unswapped problem, formed from the swapped
+    image K_sw* y = -K y (applied through its own K* when not handed in)
+    as the residual K_sw* y + b, which is -(K y - b) bit for bit.
     """
     if not isinstance(sparse, SparseMatrix):
         sparse = SparseMatrix.from_dense(np.asarray(sparse, dtype=float))
@@ -216,27 +220,17 @@ def build_nnls(sparse, b, swapped=False, label="nnls"):
     b = np.asarray(b, dtype=float)
     if b.shape != (m,):
         raise ValueError(f"observation must have length {m}, got {b.shape}")
-    prob = SaddleProblem(
-        g=IndNonneg(),
-        fstar=QuadShift(b),
-        K=LinearOperator(sparse),
-        gamma=0.0,
-        label=label,
-        start=(np.zeros(n), -b.copy()),
-    )
-    prob.objective = lambda x, image=None: primal_objective(prob, x, image)
     if not swapped:
+        prob = SaddleProblem(g=IndNonneg(), fstar=QuadShift(b), K=LinearOperator(sparse),
+                             label=label, start=(np.zeros(n), -b.copy()))
+        prob.objective = lambda x, image=None: primal_objective(prob, x, image)
         return prob
-    return SaddleProblem(
-        g=QuadShift(b),
-        fstar=IndNonneg(),
-        K=LinearOperator(sparse.negated_transpose()),
-        gamma=0.5,
-        label=f"{label}-swapped",
-        objective=lambda y, image=None: _swapped_objective(prob, y, image),
-        objective_var="y",
-        start=(np.zeros(m), np.zeros(n)),
-    )
+    prob = SaddleProblem(g=QuadShift(b), fstar=IndNonneg(),
+                         K=LinearOperator(sparse.negated_transpose()), gamma=0.5,
+                         label=f"{label}-swapped", objective_var="y",
+                         start=(np.zeros(m), np.zeros(n)))
+    prob.objective = lambda y, image=None: _swapped_objective(prob, y, image)
+    return prob
 
 
 def load_nnls(spec, swapped=False):
@@ -269,14 +263,14 @@ def primal_objective(problem, x, Kx=None):
 
 
 def _swapped_objective(problem, y, image=None):
-    """``primal_objective(problem, y)`` of the unswapped ``problem``, given the
-    swapped image -K y: its residual image + b has the bits of -(K y - b),
-    so no negated copy of the image is made."""
+    """The unswapped objective 0.5||K y - b||^2 + [y >= 0] of the swapped NNLS
+    ``problem`` (g the shifted quadratic, fstar the orthant indicator) at its
+    dual iterate ``y``, from its image K_sw* y = -K y: the residual image + b
+    has the bits of -(K y - b), so no negated copy of the image is made."""
     if image is None:
-        return primal_objective(problem, y)
-    _check_least_squares(problem)
-    r = image + problem.fstar.shift
-    return 0.5 * float(r @ r) + problem.g.value(y)
+        image = problem.K.adjoint_apply(y)
+    r = image + problem.g.shift
+    return 0.5 * float(r @ r) + problem.fstar.value(y)
 
 
 def _check_least_squares(problem):
@@ -287,21 +281,21 @@ def _check_least_squares(problem):
 
 
 def _check_simplex_point(name, v, n):
-    """``v`` as a float array, checked to be a point of the unit simplex of
-    dimension ``n`` within ``IndSimplex``'s tolerances."""
+    """``v`` as a float array, checked by ``IndSimplex.contains`` to be a
+    point of the unit simplex of dimension ``n``; a NaN entry is infeasible."""
     v = np.asarray(v, dtype=float)
     if v.shape != (n,):
         raise ValueError(f"{name} must have length {n}, got shape {v.shape}")
+    if IndSimplex.contains(v):
+        return v
     tol = IndSimplex.entry_tol
-    if v.min() < -tol:
+    if not v.min() >= -tol:
         raise FeasibilityError(
             f"{name} infeasible: component {int(np.argmin(v))} is {v.min():.3e} < {-tol:g}"
         )
-    if abs(v.sum() - 1.0) > IndSimplex.sum_tol:
-        raise FeasibilityError(
-            f"{name} infeasible: sum is {v.sum():.12f}, not 1 within {IndSimplex.sum_tol:g}"
-        )
-    return v
+    raise FeasibilityError(
+        f"{name} infeasible: sum is {v.sum():.12f}, not 1 within {IndSimplex.sum_tol:g}"
+    )
 
 
 def pd_gap_game(K, x, y):

@@ -28,7 +28,7 @@ def prox_l1(x, t):
 
     Components with |x_i| <= t map to exactly 0.
     """
-    if t < 0:
+    if not t >= 0:
         raise ValueError("threshold must be nonnegative")
     x = np.asarray(x, dtype=float)
     return np.sign(x) * np.maximum(np.abs(x) - t, 0.0)
@@ -36,18 +36,17 @@ def prox_l1(x, t):
 
 def prox_quad_shift(v, s, b):
     """Prox of s * (0.5 ||. + b||^2), i.e. (v - s*b) / (1 + s)."""
-    if s <= 0:
-        raise ValueError("prox step must be positive")
-    v = np.asarray(v, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if v.shape != b.shape:
-        raise ValueError(f"shape mismatch: v {v.shape} vs shift {b.shape}")
-    return _quad_shift_step(v, s, b)
+    return _quad_shift_step(np.asarray(v, dtype=float), s, np.asarray(b, dtype=float))
 
 
 def _quad_shift_step(v, s, b):
-    """(v - s*b) / (1 + s) for float arrays of one shape: its operations in
-    their order, so its bits, in one buffer."""
+    """(v - s*b) / (1 + s) for float arrays ``v`` and ``b``: its operations in
+    their order, so its bits, in one buffer. A step that is not positive
+    (NaN included) or arrays of two shapes raise ValueError."""
+    if not s > 0:
+        raise ValueError("prox step must be positive")
+    if v.shape != b.shape:
+        raise ValueError(f"shape mismatch: v {v.shape} vs shift {b.shape}")
     out = s * b
     np.subtract(v, out, out=out)
     out /= 1.0 + s
@@ -82,7 +81,7 @@ class ScaledL1:
     """g(x) = mu * ||x||_1 with mu >= 0."""
 
     def __init__(self, mu):
-        if mu < 0:
+        if not mu >= 0:
             raise ValueError("l1 weight must be nonnegative")
         self.mu = float(mu)
 
@@ -109,10 +108,6 @@ class QuadShift:
     def prox(self, v, t):
         # prox_quad_shift without its conversions: the shift was checked at
         # construction, and v is the solver's float vector
-        if t <= 0:
-            raise ValueError("prox step must be positive")
-        if v.shape != self.shift.shape:
-            raise ValueError(f"shape mismatch: v {v.shape} vs shift {self.shift.shape}")
         return _quad_shift_step(v, t, self.shift)
 
     def value(self, v):
@@ -145,14 +140,18 @@ class IndSimplex:
     entry_tol = 1e-10
     sum_tol = 1e-8
 
+    @classmethod
+    def contains(cls, v):
+        """Whether the float array ``v`` is a point of the unit simplex: every
+        entry at least -entry_tol and the sum within sum_tol of 1. Only good
+        values pass, so a NaN entry is outside."""
+        return bool(v.min() >= -cls.entry_tol and abs(v.sum() - 1.0) <= cls.sum_tol)
+
     def prox(self, v, t):
         return proj_simplex(v)
 
     def value(self, v):
-        v = np.asarray(v, dtype=float)
-        if v.min() >= -self.entry_tol and abs(v.sum() - 1.0) <= self.sum_tol:
-            return 0.0
-        return float("inf")
+        return 0.0 if self.contains(np.asarray(v, dtype=float)) else float("inf")
 
     def __repr__(self):
         return "IndSimplex()"

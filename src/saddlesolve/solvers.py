@@ -54,6 +54,7 @@ __all__ = [
     "default_lambda0",
     "default_config",
     "init_state",
+    "prox_residual",
     "phi_schedule",
     "predict_step",
     "correction_pass",
@@ -313,9 +314,8 @@ def default_lambda0(problem, beta):
     start also meets the step rule's own test, lambda0 sqrt(beta) ||K* dy||
     <= alpha ||dy|| for every dy. In monotone mode lambda_{n+1} sqrt(beta_n)
     never rises above its start, so the start bounds every step a monotone
-    or accelerated run takes; a Frobenius-norm start (||K||_F >= L) held
-    swapped C12 at lambda sqrt(beta) L = 0.10 for its whole run. A ``beta``
-    that is not positive and finite raises ConfigError.
+    or accelerated run takes. A ``beta`` that is not positive and finite
+    raises ConfigError.
     """
     if not (beta > 0 and math.isfinite(beta)):
         raise ConfigError(f"beta must be positive and finite; got {beta}")
@@ -439,12 +439,22 @@ def _checked_start(problem, x0, y0):
             _checked_vector(y0, problem.K.rows, "y0"))
 
 
+def prox_residual(problem, x, y, Kx, Ky, tau, sigma):
+    """The larger of the two prox fixed-point residuals at (x, y) with steps
+    ``tau`` and ``sigma``, given the images ``Kx`` = K x and ``Ky`` = K* y:
+    max(||x - prox_{tau g}(x - tau K*y)||, ||y - prox_{sigma f*}(y + sigma K x)||).
+    It vanishes exactly at saddle points, and applies no matrix."""
+    rx = x - problem.g.prox(x - tau * Ky, tau)
+    ry = y - problem.fstar.prox(y + sigma * Kx, sigma)
+    return max(vector_norm(rx), vector_norm(ry))
+
+
 def init_state(problem, x0, y0, cfg, kind="pdac"):
     """Validate the configuration and build the initial solver state.
 
-    zeta_0 is the larger of the two prox fixed-point residuals at (x0, y0);
-    it vanishes exactly at saddle points. A start of the wrong length or
-    with a non-finite entry raises ValueError.
+    zeta_0 is ``prox_residual`` at (x0, y0) with the first steps lambda0
+    and beta0 lambda0; it vanishes exactly at saddle points. A start of the
+    wrong length or with a non-finite entry raises ValueError.
     """
     cfg.validate(kind)
     x0, y0 = _checked_start(problem, x0, y0)
@@ -452,10 +462,7 @@ def init_state(problem, x0, y0, cfg, kind="pdac"):
     beta = cfg.beta0
     Ky0 = problem.K.adjoint_apply(y0)
     Kx0 = problem.K.apply(x0)
-    px = problem.g.prox(x0 - lam * Ky0, lam)
-    s = beta * lam
-    py = problem.fstar.prox(y0 + s * Kx0, s)
-    zeta0 = max(vector_norm(x0 - px), vector_norm(y0 - py))
+    zeta0 = prox_residual(problem, x0, y0, Kx0, Ky0, lam, beta * lam)
     return SolverState(
         x_prev=x0.copy(),
         x=x0.copy(),
@@ -836,10 +843,10 @@ class IterationTrace:
             if header != TRACE_HEADER:
                 raise ValueError(f"unexpected trace header {header!r}")
             for line in fh:
-                it, sec, met, lam, beta, corr = line.strip().split(",")
-                trace.rows.append(
-                    (int(it), float(sec), float(met), float(lam), float(beta), int(corr))
-                )
+                row = line.strip().split(",")
+                if len(row) != 6:
+                    raise ValueError(f"trace row {line.strip()!r} does not hold 6 fields")
+                trace.append(*row)
         return trace
 
 
@@ -938,8 +945,8 @@ def run(
         raise ValueError("max_iter must be nonnegative")
     if max_seconds is not None and not max_seconds >= 0:
         raise ValueError(f"max_seconds must be nonnegative; got {max_seconds}")
-    if trace_every < 1:
-        raise ValueError("trace_every must be at least 1")
+    if not trace_every >= 1:
+        raise ValueError(f"trace_every must be at least 1; got {trace_every}")
     x0, y0 = _checked_start(problem, x0, y0)
     kind = SOLVERS[solver_kind]
     state = kind.init(problem, x0, y0, cfg)

@@ -35,8 +35,10 @@ def rng():
 
 @pytest.fixture
 def matvec_count(monkeypatch):
-    """[K, K*] applications made through any LinearOperator in the process,
-    so an operator a problem keeps to itself is counted too."""
+    """[K, K*] applications made through any LinearOperator in the process.
+    Every problem owns exactly one operator, its ``K``, so its counters
+    would do; counting on the class stays as the process-wide guard that
+    catches a product spent through any other operator."""
     count = [0, 0]
     apply, adjoint_apply = LinearOperator.apply, LinearOperator.adjoint_apply
 

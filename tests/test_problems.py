@@ -134,6 +134,45 @@ def test_nnls_swapped_structure():
     assert prob.objective_var == "y"
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda tmp: gen_lasso(ProblemSpec("lasso1", seed=1, m=4, n=6, s=2))[0],
+        lambda tmp: gen_matrix_game(ProblemSpec("game1", seed=1, m=3, n=2)),
+        lambda tmp: build_nnls(*_toy_sparse()),
+        lambda tmp: build_nnls(*_toy_sparse(), swapped=True),
+        lambda tmp: load_nnls(ProblemSpec("nnls-well", data_path=_nnls_file(tmp))),
+        lambda tmp: load_nnls(ProblemSpec("nnls-well", data_path=_nnls_file(tmp)), swapped=True),
+    ],
+    ids=["lasso", "game", "nnls", "nnls-swapped", "load-nnls", "load-nnls-swapped"],
+)
+def test_every_builder_makes_one_operator_and_no_other_problem(tmp_path, monkeypatch, build):
+    made, init = [], LinearOperator.__init__
+
+    def counted(op, backing):
+        made.append(op)
+        init(op, backing)
+
+    monkeypatch.setattr(LinearOperator, "__init__", counted)
+    prob = build(tmp_path)
+    assert made == [prob.K]
+    # the objective closes over the problem itself and nothing that owns K
+    cells = [c.cell_contents for c in getattr(prob.objective, "__closure__", None) or ()]
+    assert all(c is prob for c in cells if isinstance(c, (SaddleProblem, LinearOperator)))
+
+
+def test_swapped_objective_without_image_applies_its_own_adjoint_once(matvec_count):
+    sp, b = _toy_sparse()
+    swapped = build_nnls(sp, b, swapped=True)
+    rng = np.random.default_rng(5)
+    for v in (np.abs(rng.standard_normal(4)), rng.standard_normal(4)):
+        image = swapped.K.adjoint_apply(v)
+        before = list(matvec_count)
+        value = swapped.objective(v)
+        assert (matvec_count[0] - before[0], matvec_count[1] - before[1]) == (0, 1)
+        assert np.float64(value).tobytes() == np.float64(swapped.objective(v, image)).tobytes()
+
+
 def test_nnls_swapped_objective_evaluates_original():
     sp, b = _toy_sparse()
     swapped = build_nnls(sp, b, swapped=True)
@@ -242,11 +281,30 @@ def test_pd_gap_feasibility_errors():
         ([0.5, 0.5], [1.0], ValueError, "y must have length 2"),
         ([0.5, 0.5], [1.2, -0.2], FeasibilityError, "y infeasible: component 1"),
         ([0.5, 0.5], [0.5, 0.6], FeasibilityError, "y infeasible: sum"),
+        ([0.5, np.nan], [0.5, 0.5], FeasibilityError, "x infeasible: component 1"),
+        ([0.5, 0.5], [np.nan, 0.5], FeasibilityError, "y infeasible: component 0"),
     ],
 )
 def test_pd_gap_input_checks(x, y, error, match):
     with pytest.raises(error, match=match):
         pd_gap_game(LinearOperator(np.eye(2)), x, y)
+
+
+@pytest.mark.parametrize(
+    "v",
+    [[0.5, 0.5], [1.0, 0.0], [-1e-11, 1.0], [-1e-9, 1.0], [0.5, 0.5 + 1e-9], [0.5, 0.6],
+     [np.nan, 0.5], [np.nan, np.nan], [np.inf, 0.0], [-np.inf, np.inf]],
+)
+def test_pd_gap_and_simplex_indicator_share_one_membership(v):
+    # the gap accepts exactly the points whose simplex indicator is 0
+    op = LinearOperator(np.eye(2))
+    inside = IndSimplex().value(np.array(v)) == 0.0
+    for x, y in ((v, [0.5, 0.5]), ([0.5, 0.5], v)):
+        if inside:
+            assert np.isfinite(pd_gap_game(op, x, y))
+        else:
+            with pytest.raises(FeasibilityError):
+                pd_gap_game(op, x, y)
 
 
 def test_pd_gap_nonnegative_on_random_feasible(rng):

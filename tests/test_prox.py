@@ -75,6 +75,11 @@ def test_prox_quad_shift_dim_mismatch():
         (lambda: QuadShift(np.zeros(2)).prox(np.ones(2), 0.0), "positive"),
         (lambda: QuadShift(np.zeros(2)).prox(np.ones(2), -1.0), "positive"),
         (lambda: ScaledL1(-0.5), "nonnegative"),
+        # each check accepts only good values, so NaN fails it
+        (lambda: prox_l1(np.ones(2), np.nan), "nonnegative"),
+        (lambda: ScaledL1(np.nan), "nonnegative"),
+        (lambda: prox_quad_shift(np.ones(2), np.nan, np.zeros(2)), "positive"),
+        (lambda: QuadShift(np.zeros(2)).prox(np.ones(2), np.nan), "positive"),
         (lambda: QuadShift(np.array([1.0, np.nan])), "finite"),
         (lambda: QuadShift(np.array([np.inf])), "finite"),
     ],
@@ -192,4 +197,5 @@ def test_values():
     assert IndNonneg().value(np.array([-1.0, 1.0])) == np.inf
     assert IndSimplex().value(np.array([0.5, 0.5])) == 0.0
     assert IndSimplex().value(np.array([0.5, 0.2])) == np.inf
+    assert IndSimplex().value(np.array([0.5, np.nan, 0.5])) == np.inf
     assert Zero().value(np.array([9.0])) == 0.0

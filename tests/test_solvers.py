@@ -725,8 +725,9 @@ def test_run_input_checks():
     cfg = _cfg(delta=0.62, alpha=1.27, lambda0=0.1)
     with pytest.raises(ValueError, match="max_iter"):
         run("pdac", prob, cfg, *prob.start, max_iter=-1)
-    with pytest.raises(ValueError, match="trace_every"):
-        run("pdac", prob, cfg, *prob.start, max_iter=1, trace_every=0)
+    for trace_every in (0, math.nan):
+        with pytest.raises(ValueError, match="trace_every"):
+            run("pdac", prob, cfg, *prob.start, max_iter=1, trace_every=trace_every)
     for max_seconds in (math.nan, -1.0):
         with pytest.raises(ValueError, match="max_seconds"):
             run("pdac", prob, cfg, *prob.start, max_iter=1, max_seconds=max_seconds)
@@ -1059,6 +1060,9 @@ def test_trace_csv_rejects_wrong_header(tmp_path):
     path.write_text("iter,seconds,metric\n0,0.0,1.0\n")
     with pytest.raises(ValueError, match="header"):
         IterationTrace.from_csv(path)
+    path.write_text(solvers.TRACE_HEADER + "\n0,0.0,1.0,1.0,1.0\n")
+    with pytest.raises(ValueError, match="6 fields"):
+        IterationTrace.from_csv(path)
 
 
 def test_trace_csv_round_trip(tmp_path):
@@ -1069,6 +1073,20 @@ def test_trace_csv_round_trip(tmp_path):
     trace.to_csv(path)
     back = IterationTrace.from_csv(path)
     assert back.rows == trace.rows
+
+
+def test_trace_csv_reads_back_bit_for_bit(tmp_path):
+    trace = IterationTrace()
+    for row in [(0, 0.0, math.nan, 1.0, 1.0, 0), (1, 1e-7, -0.0, 5e-324, math.inf, 3),
+                (7, 0.1 + 0.2, 1.0 / 3.0, 2.0 ** -1074, 1.7976931348623157e308, 12)]:
+        trace.append(*row)
+    path = tmp_path / "t.csv"
+    trace.to_csv(path)
+    back = IterationTrace.from_csv(path).rows
+    assert [row[::5] for row in back] == [row[::5] for row in trace.rows]
+    assert all(type(v) is int for row in back for v in row[::5])
+    assert np.array([r[1:5] for r in back]).tobytes() == \
+        np.array([r[1:5] for r in trace.rows]).tobytes()
 
 
 def _game_run_pieces(kind, game):
