@@ -21,13 +21,17 @@ between them. The input checks and the application counters stay in
 wraps.
 
 A CSR matrix is stored only as its arrays; no ``scipy.sparse`` matrix
-object is kept. scipy serves as a kernel library, loaded only where a CSR
-matrix comes into being: ``from_coo`` builds with ``coo_matrix``, and a
+object is kept. scipy serves as a kernel library: ``from_coo`` builds the
+arrays in numpy with the steps and bits of ``coo_matrix``, and a
 ``SparseMatrix`` is constructed with the ``csr_tocsc`` kernel and binds
 the ``csr_matvec`` kernel into its products once, so no product runs an
-import. A dense run never loads ``scipy.sparse``: with scipy 1.17 and
-numpy 2.4, ``import saddlesolve`` peaks at 30 MB of RSS instead of 51 MB
-and takes half the time.
+import. Both kernels come from the compiled ``scipy.sparse._sparsetools``
+extension alone (``_sparsetools``), loaded where the first CSR matrix is
+built; the ``scipy.sparse`` package is imported only where that file is
+not found. With scipy 1.17 and numpy 2.4, ``import saddlesolve`` peaks at
+30 MB of RSS instead of 51 MB with the package, and a 300-iteration
+swapped apdac run on the 1033x320 C12 matrix through ``run_experiment``
+at 38.4 MB instead of 53.6.
 
 Dense entries of 1 MiB or more live at the start of a 2 MiB-aligned
 anonymous mapping advised ``MADV_HUGEPAGE`` (``DenseMatrix``), so a K that
@@ -37,10 +41,14 @@ other. Only where the entries live changes, never a bit of a product.
 
 from __future__ import annotations
 
+import importlib.util
 import math
 import mmap
+import os
 import re
+import sys
 from functools import partial
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 
 import numpy as np
 
@@ -79,6 +87,9 @@ _INDEX_MAX = np.iinfo(np.int64).max
 _HUGE_PAGE = 2 << 20
 _PLACE_MIN_BYTES = 1 << 20
 
+# scipy's compiled module of CSR kernels (see _sparsetools)
+_SPARSETOOLS = "scipy.sparse._sparsetools"
+
 
 def vector_norm(v):
     """Euclidean norm of a 1-D float array as a Python float.
@@ -87,6 +98,30 @@ def vector_norm(v):
     bitwise its result, without its argument handling.
     """
     return math.sqrt(v.dot(v))
+
+
+def _sparsetools():
+    """scipy's compiled ``_sparsetools`` extension, which holds the CSR
+    kernels, loaded from its file without running ``scipy/sparse/__init__.py``
+    and the whole package it imports.
+
+    A module already in ``sys.modules`` (``scipy.sparse`` imported it, or an
+    earlier call loaded it) is reused and never replaced: the extension
+    initializes in single phase and so registers itself there when loaded.
+    Where the file is not found in scipy's ``sparse`` directory, the plain
+    import loads the same kernels."""
+    if _SPARSETOOLS not in sys.modules:
+        scipy = importlib.util.find_spec("scipy")
+        for location in (scipy and scipy.submodule_search_locations) or ():
+            finder = FileFinder(os.path.join(location, "sparse"),
+                                (ExtensionFileLoader, EXTENSION_SUFFIXES))
+            spec = finder.find_spec(_SPARSETOOLS)
+            if spec is not None:
+                module = importlib.util.module_from_spec(spec)
+                spec.loader.exec_module(module)
+                sys.modules.setdefault(_SPARSETOOLS, module)
+                break
+    return importlib.import_module(_SPARSETOOLS)
 
 
 def _matvec(kernel, rows, cols, indptr, indices, data, x):
@@ -199,9 +234,9 @@ class SparseMatrix:
     transpose and shares its ``norm_cache``. ``to_dense`` places the
     entries with one numpy assignment. A copy unpickles through the
     constructor, so a pickle holds the three arrays and the norm, not the
-    transpose. Its construction and ``from_coo`` (so ``from_dense``) are
-    where ``scipy.sparse`` is first imported; nothing dense loads it.
-    Invariants enforced at construction: nondecreasing row offsets,
+    transpose. Its construction is where the ``_sparsetools`` extension is
+    first loaded, without the ``scipy.sparse`` package; nothing dense loads
+    it. Invariants enforced at construction: nondecreasing row offsets,
     strictly increasing column indices within each row, finite nonzero
     values.
     """
@@ -241,8 +276,7 @@ class SparseMatrix:
     def _bind(self, rows, cols, arrays, transpose, norm_cache):
         """Hold the CSR ``arrays`` and the CSR ``transpose`` arrays of a rows x
         cols matrix and bind both products to them."""
-        from scipy.sparse._sparsetools import csr_matvec
-
+        csr_matvec = _sparsetools().csr_matvec
         self.rows, self.cols = rows, cols
         self.row_offsets, self.col_indices, self.values = arrays
         self._transpose = transpose
@@ -262,16 +296,31 @@ class SparseMatrix:
     @classmethod
     def from_coo(cls, rows, cols, row_idx, col_idx, values):
         """Build CSR from coordinate triplets; duplicates are summed in input
-        order and entries whose sum is exactly zero are dropped."""
-        from scipy.sparse import coo_matrix
+        order and entries whose sum is exactly zero are dropped.
 
-        coo = coo_matrix(
-            (np.asarray(values, dtype=float), (row_idx, col_idx)), shape=(rows, cols)
-        )
-        coo.sum_duplicates()
-        coo.eliminate_zeros()
-        csr = coo.tocsr()
-        return cls(rows, cols, csr.indptr, csr.indices, csr.data)
+        The steps of scipy's ``coo_matrix`` ``sum_duplicates``,
+        ``eliminate_zeros`` and ``tocsr``, so the arrays have its bits: a
+        stable sort by (row, column), ``np.add.reduceat`` over each run of one
+        coordinate, and the row offsets counted from the rows kept."""
+        row_idx = np.asarray(row_idx, dtype=np.int64)
+        col_idx = np.asarray(col_idx, dtype=np.int64)
+        values = np.asarray(values, dtype=float)
+        if not row_idx.shape == col_idx.shape == values.shape or values.ndim != 1:
+            raise ValueError("row, column and value arrays must be 1-D of one length")
+        for idx, size, axis in ((row_idx, rows, "row"), (col_idx, cols, "column")):
+            if idx.size and (idx.min() < 0 or idx.max() >= size):
+                raise ValueError(f"{axis} index out of range for {rows}x{cols}")
+        order = np.lexsort((col_idx, row_idx))
+        row_idx, col_idx, values = row_idx[order], col_idx[order], values[order]
+        first = np.ones(len(values), dtype=bool)
+        first[1:] = (row_idx[1:] != row_idx[:-1]) | (col_idx[1:] != col_idx[:-1])
+        starts = np.flatnonzero(first)
+        values = np.add.reduceat(values, starts)
+        keep = values != 0.0
+        row_idx, col_idx, values = row_idx[starts][keep], col_idx[starts][keep], values[keep]
+        row_offsets = np.zeros(rows + 1, dtype=np.int64)
+        np.cumsum(np.bincount(row_idx, minlength=rows), out=row_offsets[1:])
+        return cls(rows, cols, row_offsets, col_idx, values)
 
     @classmethod
     def from_dense(cls, entries):
@@ -305,12 +354,11 @@ def _transpose_arrays(rows, cols, row_offsets, col_indices, values):
     """(row offsets, column indices, values) of the CSR transpose of a rows x
     cols CSR matrix, built by the sparsetools kernel that ``csr.T.tocsr()``
     calls, without its dispatch: the columns in ascending row order."""
-    from scipy.sparse._sparsetools import csr_tocsc
-
     indptr = np.empty(cols + 1, dtype=np.int64)
     indices = np.empty(len(values), dtype=np.int64)
     transposed = np.empty(len(values))
-    csr_tocsc(rows, cols, row_offsets, col_indices, values, indptr, indices, transposed)
+    _sparsetools().csr_tocsc(rows, cols, row_offsets, col_indices, values,
+                             indptr, indices, transposed)
     return indptr, indices, transposed
 
 

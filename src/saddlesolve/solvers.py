@@ -110,9 +110,9 @@ class SolverConfig:
     Admissible ranges (checked by ``validate``): finite delta >
     (sqrt(5)-1)/2, 0 < alpha < 1/sqrt(delta), 1 < nu_corr <= mu_corr < inf,
     0 < rho < 1, lambda0 and beta0 positive and finite, gamma finite and
-    nonnegative, lambda_cap positive, where lambda_cap = inf means no cap.
-    The accelerated variant additionally needs delta >= 1 and the monotone
-    step rule. ``gamma`` is read only by the accelerated variant. ``validate``
+    nonnegative, lambda_cap positive, where lambda_cap = inf means no cap,
+    and n_hat <= n_zero, neither of them NaN. The accelerated variant
+    additionally needs delta >= 1 and the monotone step rule. ``gamma`` is read only by the accelerated variant. ``validate``
     takes the kind the config is for, ``"pdac"`` or ``"apdac"``; any other
     kind raises ConfigError.
     """
@@ -162,7 +162,10 @@ class SolverConfig:
             raise ConfigError(f"lambda_cap must be positive; got {self.lambda_cap}")
         if not (self.gamma >= 0 and math.isfinite(self.gamma)):
             raise ConfigError(f"gamma must be finite and nonnegative; got {self.gamma}")
-        if self.n_hat > self.n_zero:
+        for name in ("n_hat", "n_zero"):
+            if math.isnan(getattr(self, name)):
+                raise ConfigError(f"{name} must be a number; got {getattr(self, name)}")
+        if not self.n_hat <= self.n_zero:
             raise ConfigError(
                 f"schedule needs n_hat <= n_zero; got n_hat={self.n_hat}, n_zero={self.n_zero}"
             )

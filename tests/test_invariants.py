@@ -154,7 +154,9 @@ def _pdac_steps(prob, cfg, iters):
     """(||y_{n+1} - y_n|| / ||y_n||, lambda_{n+2}, floor) for each of the
     first ``iters`` pdac iterations, with floor = min(alpha / (sqrt(beta) L),
     lambda_{n+1}, lambda_cap): the least step the rule can predict while the
-    cached difference K*y_{n+1} - K*y_n is at most L ||y_{n+1} - y_n||."""
+    cached difference K*y_{n+1} - K*y_n is at most L ||y_{n+1} - y_n||. A
+    move from y_n = 0 (the swapped NNLS start) is relative move inf: K*y_n
+    is then exactly 0, so the difference holds no cancellation."""
     L = prob.K.operator_norm()
     state, steps = init_state(prob, *prob.start, cfg), []
     for _ in range(iters):
@@ -162,12 +164,14 @@ def _pdac_steps(prob, cfg, iters):
         pdac_iterate(state, prob, cfg)
         move = vector_norm(state.y - y)
         floor = min(cfg.alpha / (math.sqrt(state.beta) * L), lam_next, cfg.lambda_cap)
-        steps.append((move / vector_norm(y) if move else 0.0, state.lam_next, floor))
+        size = vector_norm(y)
+        relative = move / size if size else math.inf
+        steps.append((relative if move else 0.0, state.lam_next, floor))
     return steps
 
 
 @settings(max_examples=25, deadline=None)
-@given(st.sampled_from(("lasso", "nnls", "game")), _SEED, _SIZE, _SIZE, st.floats(1.0, 3.0),
+@given(st.sampled_from(_FAMILIES), _SEED, _SIZE, _SIZE, st.floats(1.0, 3.0),
        st.floats(0.01, 0.999), st.floats(1e-3, 10.0), st.floats(1e-2, 1e2), st.booleans())
 def test_pdac_step_stays_above_its_floor_after_a_dual_move(
         family, seed, m, n, delta, alpha, beta, scale, nonmonotone):

@@ -4,6 +4,7 @@ import os
 import pickle
 import subprocess
 import sys
+import types
 import warnings
 from pathlib import Path
 
@@ -552,7 +553,7 @@ def solve(problem, kind):
     cfg, _ = default_config(problem, kind)
     run(kind, problem, cfg, *problem.start, max_iter=20)
 
-steps = []
+steps, codes = [], []
 def step(name):
     steps.append([name, loaded("scipy.sparse"),
                   loaded("scipy.linalg", "scipy.sparse.linalg")])
@@ -566,13 +567,17 @@ solve_reference(gen_lasso(ProblemSpec("lasso1", m=20, n=50, s=3))[0])
 step("reference")
 solve(gen_matrix_game(ProblemSpec("game1")), "pdac")
 step("game")
-cli.run_experiment(["--problem", "lasso1", "--solver", "pdac", "--max-iters", "20",
-                    "--output", sys.argv[2]])
+codes.append(cli.run_experiment(["--problem", "lasso1", "--solver", "pdac",
+                                 "--max-iters", "20", "--output", sys.argv[2]]))
 step("cli")
 sparse = read_matrix_market(sys.argv[1])
 K = build_nnls(sparse, np.ones(sparse.rows), swapped=True).K
 K.operator_norm()
 step("nnls")
+codes.append(cli.run_experiment(["--problem", "nnls-well", "--solver", "apdac", "--swapped",
+                                 "--matrix-file", sys.argv[1], "--max-iters", "20",
+                                 "--output", sys.argv[2]]))
+step("nnls-cli")
 from scipy.sparse import csr_matrix
 b = K.backing
 csr = csr_matrix((b.values, b.col_indices, b.row_offsets), shape=(b.rows, b.cols))
@@ -580,12 +585,13 @@ rng = np.random.default_rng(0)
 x, y = rng.standard_normal(K.cols), rng.standard_normal(K.rows)
 same = [K.apply(x).tobytes() == (csr @ x).tobytes(),
         K.adjoint_apply(y).tobytes() == (csr.T @ y).tobytes()]
-print(json.dumps({"steps": steps, "same_bits": same}))
+print(json.dumps({"steps": steps, "codes": codes, "same_bits": same}))
 """
 
 
 def test_dense_paths_load_no_scipy_sparse_and_no_path_loads_scipy_linalg(tmp_path):
-    # one interpreter for every path, so the suite pays for one start
+    # one interpreter for every path, so the suite pays for one start; the
+    # NNLS paths load the compiled CSR kernels and none of the package
     mtx = tmp_path / "k.mtx"
     mtx.write_text("%%MatrixMarket matrix coordinate real general\n"
                    "3 4 5\n1 1 2.0\n1 3 -1.5\n2 2 0.5\n3 1 4.0\n3 4 -3.0\n")
@@ -599,10 +605,12 @@ def test_dense_paths_load_no_scipy_sparse_and_no_path_loads_scipy_linalg(tmp_pat
     report = json.loads(out.stdout.strip().splitlines()[-1])
     steps = report["steps"]
     assert [name for name, _, _ in steps] == ["import", "lasso", "reference", "game", "cli",
-                                              "nnls"]
+                                              "nnls", "nnls-cli"]
     for name, sparse, linalg in steps:
         assert linalg == [], name
-        assert ("scipy.sparse" in sparse) == (name == "nnls"), (name, sparse)
+        kernels = ["scipy.sparse._sparsetools"] if name.startswith("nnls") else []
+        assert sparse == kernels, (name, sparse)
+    assert report["codes"] == [0, 0]
     assert report["same_bits"] == [True, True]
 
 
@@ -664,6 +672,10 @@ def test_sparse_invariants():
         SparseMatrix(1, 2, [0, 1], [0, 1], [1.0])
     with pytest.raises(ValueError, match="finite"):
         SparseMatrix(1, 2, [0, 1], [0], [np.inf])
+    with pytest.raises(ValueError, match="one length"):
+        SparseMatrix.from_coo(2, 2, [0, 1], [0, 1], [1.0])
+    with pytest.raises(ValueError, match="one length"):
+        SparseMatrix.from_coo(2, 2, [0, 1], [0], [1.0, 2.0])
 
 
 def test_sparse_matrix_copies_its_arrays():
@@ -703,6 +715,111 @@ def test_from_coo_drops_duplicates_that_cancel():
     sp = SparseMatrix.from_coo(2, 2, [0, 1, 0], [1, 0, 1], [0.5, 3.0, -0.5])
     assert sp.nnz == 1
     assert np.array_equal(sp.to_dense(), [[0.0, 0.0], [3.0, 0.0]])
+
+
+@st.composite
+def _coo_triplets(draw):
+    """(rows, cols, row_idx, col_idx, values) on at most 3x3 cells, so
+    coordinates repeat, often 8 or more times, with values that cancel and
+    signed zeros; in about half the draws one index is out of range."""
+    rows, cols, n = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(0, 40))
+    ri = draw(st.lists(st.integers(0, rows - 1), min_size=n, max_size=n))
+    ci = draw(st.lists(st.integers(0, cols - 1), min_size=n, max_size=n))
+    values = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.1, 1e16, -1e16]),
+                       st.floats(-1e100, 1e100))
+    vv = draw(st.lists(values, min_size=n, max_size=n))
+    if n and draw(st.booleans()):
+        idx, dim = draw(st.sampled_from([(ri, rows), (ci, cols)]))
+        idx[draw(st.integers(0, n - 1))] = draw(st.sampled_from([-1, dim, -(2**40), 2**40]))
+    return rows, cols, ri, ci, vv
+
+
+@settings(max_examples=40, deadline=None)
+@given(_coo_triplets())
+@example((1, 1, [0] * 9, [0] * 9, [1e16] + [1.0] * 7 + [-1e16]))
+@example((2, 3, [1] * 12 + [0], [2] * 12 + [0], [0.1] * 12 + [-0.0]))
+@example((2, 2, [0, 1, 1], [1, 0, 0], [0.5, 3.0, -3.0]))
+@example((3, 3, [], [], []))
+@example((3, 2, [0, 2], [1, -1], [1.0, 2.0]))
+@example((3, 2, [0, 3], [1, 0], [1.0, 2.0]))
+def test_from_coo_has_the_bits_of_scipy(triplets):
+    # scipy's coo_matrix is the oracle: a run of 8 or more duplicates takes
+    # reduceat's pairwise sum, which the CSR must repeat bit for bit; an
+    # index out of range raises ValueError on both
+    from scipy.sparse import coo_matrix
+
+    rows, cols, ri, ci, vv = triplets
+    try:
+        coo = coo_matrix((np.array(vv, dtype=float), (ri, ci)), shape=(rows, cols))
+    except ValueError:
+        with pytest.raises(ValueError, match="index out of range"):
+            SparseMatrix.from_coo(rows, cols, ri, ci, vv)
+        return
+    coo.sum_duplicates()
+    coo.eliminate_zeros()
+    csr = coo.tocsr()
+    sp = SparseMatrix.from_coo(rows, cols, ri, ci, vv)
+    assert sp.row_offsets.tobytes() == csr.indptr.astype(np.int64).tobytes()
+    assert sp.col_indices.tobytes() == csr.indices.astype(np.int64).tobytes()
+    assert sp.values.tobytes() == csr.data.tobytes()
+
+
+def _kernel_test_matrix(rng):
+    K = rng.standard_normal((6, 9))
+    K[np.abs(K) < 0.6] = 0.0
+    return K
+
+
+def test_kernels_load_through_the_plain_import_when_the_file_is_not_found(rng, monkeypatch):
+    # with the finder made to miss, the loader imports the extension through
+    # scipy.sparse: the same kernels, so the same bits
+    K = _kernel_test_matrix(rng)
+    before = LinearOperator(SparseMatrix.from_dense(K))
+    asked = []
+
+    class Missing:
+        def __init__(self, path, *loaders):
+            self.path = path
+
+        def find_spec(self, name):
+            asked.append((os.path.basename(self.path), name))
+            return None
+
+    monkeypatch.setattr(linop, "FileFinder", Missing)
+    monkeypatch.delitem(sys.modules, "scipy.sparse._sparsetools")
+    op = LinearOperator(SparseMatrix.from_dense(K))
+    assert asked == [("sparse", "scipy.sparse._sparsetools")]
+    assert "scipy.sparse" in sys.modules
+    assert linop._sparsetools() is sys.modules["scipy.sparse._sparsetools"]
+    for _ in range(2):
+        x, y = rng.standard_normal(9), rng.standard_normal(6)
+        assert _same_bits(op.apply(x), before.apply(x))
+        assert _same_bits(op.adjoint_apply(y), before.adjoint_apply(y))
+
+
+def test_kernels_come_from_the_module_already_imported(rng, monkeypatch):
+    # an imported _sparsetools is reused and kept in sys.modules: no file is
+    # looked for, and a matrix runs the kernels that module holds
+    K = _kernel_test_matrix(rng)
+    before = LinearOperator(SparseMatrix.from_dense(K))
+    real, calls = linop._sparsetools(), []
+
+    def counted(name):
+        def kernel(*args):
+            calls.append(name)
+            return getattr(real, name)(*args)
+        return kernel
+
+    imported = types.ModuleType("scipy.sparse._sparsetools")
+    imported.csr_matvec, imported.csr_tocsc = counted("csr_matvec"), counted("csr_tocsc")
+    monkeypatch.setitem(sys.modules, "scipy.sparse._sparsetools", imported)
+    monkeypatch.setattr(linop, "FileFinder", None)
+    op = LinearOperator(SparseMatrix.from_dense(K))
+    x, y = rng.standard_normal(9), rng.standard_normal(6)
+    assert _same_bits(op.apply(x), before.apply(x))
+    assert _same_bits(op.adjoint_apply(y), before.adjoint_apply(y))
+    assert calls == ["csr_tocsc", "csr_matvec", "csr_matvec"]
+    assert linop._sparsetools() is sys.modules["scipy.sparse._sparsetools"] is imported
 
 
 def test_sparse_round_trip(rng):

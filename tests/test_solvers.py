@@ -121,6 +121,19 @@ def test_config_schedule_ordering():
         _cfg(n_hat=10, n_zero=5).validate()
 
 
+@pytest.mark.parametrize("overrides, named", [
+    ({"n_hat": math.nan}, "n_hat"),
+    ({"n_zero": math.nan}, "n_zero"),
+    ({"n_hat": math.nan, "n_zero": 10}, "n_hat"),
+])
+def test_config_rejects_a_nan_schedule(overrides, named):
+    # n_hat > n_zero is false for NaN, so a NaN n_hat used to pass and leave
+    # nonmonotone pdac without step growth
+    prob = gen_lasso(ProblemSpec("lasso1", m=8, n=20, s=3))[0]
+    with pytest.raises(ConfigError, match=named):
+        default_config(prob, "pdac", **overrides)
+
+
 @pytest.mark.parametrize(
     "field, value, named",
     [("lambda0", 0.0, "lambda0"), ("lambda0", np.nan, "lambda0"),
