@@ -28,7 +28,8 @@ the ``csr_matvec`` kernel into its products once, so no product runs an
 import. Both kernels come from the compiled ``scipy.sparse._sparsetools``
 extension alone (``_sparsetools``), loaded where the first CSR matrix is
 built; the ``scipy.sparse`` package is imported only where that file is
-not found. With scipy 1.17 and numpy 2.4, ``import saddlesolve`` peaks at
+not found, and a later import of it still loads the extension as its own
+submodule. With scipy 1.17 and numpy 2.4, ``import saddlesolve`` peaks at
 30 MB of RSS instead of 51 MB with the package, and a 300-iteration
 swapped apdac run on the 1033x320 C12 matrix through ``run_experiment``
 at 38.4 MB instead of 53.6.
@@ -108,8 +109,10 @@ def _sparsetools():
     A module already in ``sys.modules`` (``scipy.sparse`` imported it, or an
     earlier call loaded it) is reused and never replaced: the extension
     initializes in single phase and so registers itself there when loaded.
-    Where the file is not found in scipy's ``sparse`` directory, the plain
-    import loads the same kernels."""
+    A loaded file also puts ``_YieldToPackage`` first in ``sys.meta_path``,
+    so that a later ``import scipy.sparse`` still sets the package's
+    ``_sparsetools`` attribute. Where the file is not found in scipy's
+    ``sparse`` directory, the plain import loads the same kernels."""
     if _SPARSETOOLS not in sys.modules:
         scipy = importlib.util.find_spec("scipy")
         for location in (scipy and scipy.submodule_search_locations) or ():
@@ -120,8 +123,33 @@ def _sparsetools():
                 module = importlib.util.module_from_spec(spec)
                 spec.loader.exec_module(module)
                 sys.modules.setdefault(_SPARSETOOLS, module)
+                if _YieldToPackage not in sys.meta_path:
+                    sys.meta_path.insert(0, _YieldToPackage)
                 break
     return importlib.import_module(_SPARSETOOLS)
+
+
+class _YieldToPackage:
+    """A ``sys.meta_path`` finder that stands first while the extension that
+    ``_sparsetools`` loaded from its file is in ``sys.modules`` without its
+    package. An import that finds a submodule in ``sys.modules`` never sets
+    it as the package attribute, so when ``scipy.sparse`` is looked for,
+    this finder takes itself out, drops that entry and returns the spec the
+    other finders give: the package then loads the extension itself and
+    sets the attribute. The module it loads holds the same kernel objects,
+    so every product keeps its bits. It fires on any lookup of
+    ``scipy.sparse`` through ``sys.meta_path``, a bare
+    ``importlib.util.find_spec`` that imports nothing included; after such
+    a probe the next CSR build loads the file again and puts the finder
+    back. ``path`` and ``target`` are the finder protocol's and unread."""
+
+    @staticmethod
+    def find_spec(name, path=None, target=None):
+        if name != "scipy.sparse":
+            return None
+        sys.meta_path.remove(_YieldToPackage)
+        sys.modules.pop(_SPARSETOOLS, None)
+        return importlib.util.find_spec(name)
 
 
 def _matvec(kernel, rows, cols, indptr, indices, data, x):

@@ -138,7 +138,7 @@ def _restarted_step(state, problem, bcfg):
     v, x = state.v, state.x
     fista_iterate(state, problem, bcfg)
     step = state.x - x
-    if float(v @ step) > float(state.x @ step):
+    if float(v.dot(step)) > float(state.x.dot(step)):
         state.t = 1.0
         state.v = state.x
         state.Kv = state.Kx

@@ -259,7 +259,7 @@ def primal_objective(problem, x, Kx=None):
         x = np.asarray(x, dtype=float)
         Kx = problem.K.apply(x)
     r = Kx - problem.fstar.shift
-    return 0.5 * float(r @ r) + problem.g.value(x)
+    return 0.5 * float(r.dot(r)) + problem.g.value(x)
 
 
 def _swapped_objective(problem, y, image=None):
@@ -270,7 +270,7 @@ def _swapped_objective(problem, y, image=None):
     if image is None:
         image = problem.K.adjoint_apply(y)
     r = image + problem.g.shift
-    return 0.5 * float(r @ r) + problem.fstar.value(y)
+    return 0.5 * float(r.dot(r)) + problem.fstar.value(y)
 
 
 def _check_least_squares(problem):

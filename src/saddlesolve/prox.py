@@ -112,7 +112,7 @@ class QuadShift:
 
     def value(self, v):
         d = np.asarray(v, dtype=float) + self.shift
-        return 0.5 * float(d @ d)
+        return 0.5 * float(d.dot(d))
 
     def __repr__(self):
         return f"QuadShift(dim={self.shift.size})"
@@ -128,7 +128,8 @@ class IndNonneg:
 
     def value(self, v):
         v = np.asarray(v, dtype=float)
-        return 0.0 if v.size == 0 or v.min() >= -self.feas_tol else float("inf")
+        # the reduction of v.min(), without its Python wrapper
+        return 0.0 if v.size == 0 or np.minimum.reduce(v) >= -self.feas_tol else float("inf")
 
     def __repr__(self):
         return "IndNonneg()"

@@ -218,10 +218,12 @@ class SolverState:
     ``lam_next`` hold lambda_n and lambda_{n+1}; ``beta`` is beta_n,
     constant unless the run is accelerated; ``zeta0`` is zeta_0 and
     ``zeta_cur`` is zeta_n = max(||x_n - x_{n-1}||, ||y_n - y_{n-1}||), the
-    two quantities zeta_0 measures as prox residuals at the start;
-    ``corrections`` counts the correction loop's shrinks. The cached images
-    make each outer iteration spend exactly one forward and one adjoint
-    application and the objective none. ``scratch`` holds two vectors, of
+    two quantities zeta_0 measures as prox residuals at the start.
+    ``zeta_cur`` belongs to the correction and is formed only where it runs,
+    for delta < 1; at delta >= 1 it keeps zeta_0. ``corrections`` counts the
+    correction loop's shrinks. The cached images make each outer iteration
+    spend exactly one forward and one adjoint application and the objective
+    none. ``scratch`` holds two vectors, of
     x's and of y's length, that each iteration forms its temporaries in;
     they never leave the iteration.
     """
@@ -581,8 +583,9 @@ def _pd_iterate(state, problem, cfg, accelerated):
     np.multiply(state.Ky, state.lam, out=xs)
     np.subtract(state.x, xs, out=xs)
     x_next = problem.g.prox(xs, state.lam)
-    zeta_next = vector_norm(np.subtract(x_next, state.x, out=xs))
-    if cfg.delta < 1.0:
+    correcting = cfg.delta < 1.0  # zeta is read by the correction alone
+    if correcting:
+        zeta_next = vector_norm(np.subtract(x_next, state.x, out=xs))
         x_next, zeta_next = correction_pass(state, problem, cfg, x_next, zeta_next, phi_n)
     Kx_next = K.apply(x_next)
     np.subtract(Kx_next, state.Kx, out=ys)
@@ -608,7 +611,8 @@ def _pd_iterate(state, problem, cfg, accelerated):
     state.lam = state.lam_next
     state.lam_next = lam_after
     state.beta = beta_next
-    state.zeta_cur = max(zeta_next, dy)
+    if correcting:
+        state.zeta_cur = max(zeta_next, dy)
     state.iter = n + 1
     return state
 
@@ -769,7 +773,7 @@ def fista_iterate(state, problem, bcfg):
     K = problem.K
     b = problem.fstar.shift
     rv = state.Kv - b
-    hv = 0.5 * float(rv @ rv)
+    hv = 0.5 * float(rv.dot(rv))
     grad = K.adjoint_apply(rv)
     slack = 1e-12 * (1.0 + abs(hv))
     shrinks = 0
@@ -778,8 +782,8 @@ def fista_iterate(state, problem, bcfg):
         d = x_next - state.v
         Kx_next = K.apply(x_next)
         rx = Kx_next - b
-        hx = 0.5 * float(rx @ rx)
-        if hx <= hv + float(grad @ d) + float(d @ d) / (2.0 * state.lam) + slack:
+        hx = 0.5 * float(rx.dot(rx))
+        if hx <= hv + float(grad.dot(d)) + float(d.dot(d)) / (2.0 * state.lam) + slack:
             break
         if shrinks >= _MAX_SHRINKS:
             raise LinesearchStallError(
@@ -936,7 +940,13 @@ def run(
     do not match ``problem.K``, or with a non-finite entry, raises
     ValueError, whatever the kind. After every iteration the point the
     objective reads and its image are checked, and a non-finite entry
-    raises DivergenceError. The metric row of an iteration reuses the point
+    raises DivergenceError: the check takes v.v of each, which a NaN or
+    infinite entry makes NaN or inf, and tests every entry only when one
+    of the two is not finite, so a finite point whose squares overflow
+    runs on. Numpy warns of that overflow from the check's dot, so under
+    ``np.errstate(over="raise")``, or with RuntimeWarning made an error,
+    the check itself raises there, and that error carries no ``.trace``.
+    The metric row of an iteration reuses the point
     and image that check fetched. Runs are deterministic for a fixed
     iteration budget. The last row is the last iteration run, whether the
     iteration or the time budget ended the run. A DivergenceError or
@@ -956,8 +966,6 @@ def run(
     step = globals()[f"{solver_kind}_iterate"]
     var = problem.objective_var
     point_of = attrgetter(var, "K" + var)
-    # the divergence check writes its verdicts here, so it allocates nothing
-    point_finite, image_finite = (np.empty(v.shape, bool) for v in point_of(state))
     columns = attrgetter("lam", "beta", "corrections")
     ergodic = ErgodicAverage(x0, kind.head(cfg)) if problem.family == "game" else None
 
@@ -980,9 +988,11 @@ def run(
         try:
             step(state, problem, cfg)
             point, image = point_of(state)
-            if (np.count_nonzero(np.isfinite(point, out=point_finite)) != point.size
-                    or np.count_nonzero(np.isfinite(image, out=image_finite)) != image.size):
-                raise DivergenceError(f"non-finite iterate at iteration {n}", n)
+            # a NaN or infinite entry makes v.v NaN or inf, so each entry is
+            # tested only then, or when finite squares overflow
+            if not (math.isfinite(point.dot(point)) and math.isfinite(image.dot(image))):
+                if not (np.isfinite(point).all() and np.isfinite(image).all()):
+                    raise DivergenceError(f"non-finite iterate at iteration {n}", n)
         except (DivergenceError, LinesearchStallError) as err:
             err.trace = trace
             raise

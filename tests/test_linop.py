@@ -764,6 +764,84 @@ def test_from_coo_has_the_bits_of_scipy(triplets):
     assert sp.values.tobytes() == csr.data.tobytes()
 
 
+_ATTRIBUTE_SCRIPT = """
+import json, sys
+import numpy as np
+from saddlesolve.linop import LinearOperator, SparseMatrix, _sparsetools
+
+K = np.arange(1.0, 13.0).reshape(3, 4)
+K[1, 2] = K[2, 0] = 0.0
+op = LinearOperator(SparseMatrix.from_dense(K))
+x, y = np.linspace(-1.0, 1.5, 4), np.linspace(2.0, -3.0, 3)
+bits = [op.apply(x).tobytes(), op.adjoint_apply(y).tobytes()]
+alone = sorted(m for m in sys.modules if m.startswith("scipy.sparse"))
+import scipy.sparse
+kernel = scipy.sparse._sparsetools.csr_matvec
+new = LinearOperator(SparseMatrix.from_dense(K))
+csr = scipy.sparse.csr_matrix(K)
+same = [[op.apply(x).tobytes(), op.adjoint_apply(y).tobytes()] == bits,
+        [new.apply(x).tobytes(), new.adjoint_apply(y).tobytes()] == bits,
+        [(csr @ x).tobytes(), (csr.T @ y).tobytes()] == bits]
+print(json.dumps({"alone": alone, "kernel": kernel.__name__,
+                  "shared": _sparsetools() is scipy.sparse._sparsetools, "same_bits": same}))
+"""
+
+
+def _run_script(script):
+    src = str(Path(linop.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", script],
+                         env={**os.environ, "PYTHONPATH": path},
+                         capture_output=True, text=True, check=True)
+    return json.loads(out.stdout.strip().splitlines()[-1])
+
+
+def test_scipy_sparse_imported_after_the_kernels_has_them_as_its_attribute():
+    # the kernels loaded alone stand in sys.modules; a later import of the
+    # package still loads them as its attribute, and every product keeps
+    # its bits
+    report = _run_script(_ATTRIBUTE_SCRIPT)
+    assert report == {"alone": ["scipy.sparse._sparsetools"], "kernel": "csr_matvec",
+                      "shared": True, "same_bits": [True, True, True]}
+
+
+_PROBE_SCRIPT = """
+import importlib.util, json, sys
+import numpy as np
+from saddlesolve.linop import LinearOperator, SparseMatrix, _YieldToPackage
+
+def state():
+    return [_YieldToPackage in sys.meta_path,
+            sorted(m for m in sys.modules if m.startswith("scipy.sparse"))]
+
+K = np.arange(1.0, 13.0).reshape(3, 4)
+K[1, 2] = K[2, 0] = 0.0
+x, y = np.linspace(-1.0, 1.5, 4), np.linspace(2.0, -3.0, 3)
+op = LinearOperator(SparseMatrix.from_dense(K))
+bits = [op.apply(x).tobytes(), op.adjoint_apply(y).tobytes()]
+report = {"built": state()}
+report["found"] = importlib.util.find_spec("scipy.sparse") is not None
+report["probed"] = state()
+new = LinearOperator(SparseMatrix.from_dense(K))
+report["rebuilt"] = state()
+report["same_bits"] = [[op.apply(x).tobytes(), op.adjoint_apply(y).tobytes()] == bits,
+                       [new.apply(x).tobytes(), new.adjoint_apply(y).tobytes()] == bits]
+import scipy.sparse
+report["attribute"] = scipy.sparse._sparsetools.csr_matvec.__name__
+print(json.dumps(report))
+"""
+
+
+def test_a_lookup_of_scipy_sparse_drops_the_kernels_until_the_next_build():
+    # a bare find_spec imports nothing but runs the finder: it takes itself
+    # out and drops the module, the next CSR build loads the file again and
+    # puts the finder back, and the products keep their bits throughout
+    alone = ["scipy.sparse._sparsetools"]
+    assert _run_script(_PROBE_SCRIPT) == {
+        "built": [True, alone], "found": True, "probed": [False, []],
+        "rebuilt": [True, alone], "same_bits": [True, True], "attribute": "csr_matvec"}
+
+
 def _kernel_test_matrix(rng):
     K = rng.standard_normal((6, 9))
     K[np.abs(K) < 0.6] = 0.0

@@ -733,6 +733,118 @@ def test_run_checks_the_point_and_its_image_apart(family, kind, where, value, mo
     assert [row[0] for row in exc.value.trace.rows] == [0, 1, 2]
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("where", ["point", "image"])
+@pytest.mark.parametrize(
+    "family, kind",
+    [("lasso", kind) for kind in SOLVERS]
+    + [("nnls-swapped", kind) for kind in ("pdac", "apdac", "pda", "pdal")],
+)
+def test_run_goes_on_when_finite_squares_overflow(family, kind, where, monkeypatch):
+    # from the second step on, the last entry of the point or of its image
+    # is 1e200 when run() checks it: v.v overflows to inf, the per-entry
+    # test finds every entry finite, and the run spends its whole budget.
+    # The iterate's own entry is put back before each step, so the steps
+    # never compute with 1e200; the metric rows do, and overflow there.
+    prob = _budget_problem(family)
+    name = prob.objective_var if where == "point" else "K" + prob.objective_var
+    iterate = getattr(solvers, f"{kind}_iterate")
+    held, calls = [], []
+
+    def huge(state, problem, cfg):
+        if held:
+            getattr(state, name)[-1] = held.pop()
+        iterate(state, problem, cfg)
+        calls.append(1)
+        if len(calls) >= 2:
+            vec = getattr(state, name)
+            held.append(vec[-1])
+            vec[-1] = 1e200
+            with np.errstate(over="ignore"):
+                assert not math.isfinite(vec.dot(vec))
+        return state
+
+    monkeypatch.setattr(solvers, f"{kind}_iterate", huge)
+    trace = run(kind, prob, _budget_config(kind, prob), *prob.start, max_iter=6)
+    assert [row[0] for row in trace.rows] == list(range(7))
+
+
+_CHECKED_ENTRIES = {
+    "ordinary": [0.5, -2.0],
+    "zeros": [0.0, -0.0],
+    "subnormal": [5e-324, -5e-324],
+    "nan": [np.nan, 1.0],
+    "inf": [np.inf, 1.0],
+    "-inf": [-np.inf, 1.0],
+    "inf and -inf": [np.inf, -np.inf],
+    "huge": [1e200, -1e200],
+    "largest": [np.finfo(float).max, 1.0],
+    "huge and nan": [1e200, np.nan],
+    "huge and -inf": [1e200, -np.inf],
+}
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("where", ["point", "image"])
+@pytest.mark.parametrize("entries", list(_CHECKED_ENTRIES.values()), ids=list(_CHECKED_ENTRIES))
+def test_run_divergence_verdict_is_the_per_entry_verdict(entries, where, monkeypatch):
+    # v.v is NaN or inf for every vector with a NaN or infinite entry, so
+    # the dot misses none of them; run() then raises exactly when the
+    # per-entry test finds a non-finite entry, huge finite entries included
+    entries = np.array(entries)
+    exact = bool(np.isfinite(entries).all())
+    with np.errstate(over="ignore"):
+        fast = math.isfinite(entries.dot(entries))
+    assert exact or not fast
+    prob = _budget_problem("lasso")
+    name = "x" if where == "point" else "Kx"
+    calls = []
+
+    def poisoned(state, problem, cfg):
+        pdac_iterate(state, problem, cfg)
+        calls.append(1)
+        if len(calls) == 3:
+            getattr(state, name)[-entries.size:] = entries
+        return state
+
+    monkeypatch.setattr(solvers, "pdac_iterate", poisoned)
+    args = ("pdac", prob, _budget_config("pdac", prob), *prob.start)
+    if exact:
+        assert [row[0] for row in run(*args, max_iter=3).rows] == [0, 1, 2, 3]
+    else:
+        with pytest.raises(DivergenceError) as exc:
+            run(*args, max_iter=3)
+        assert exc.value.iteration == 3
+
+
+@pytest.mark.parametrize("kind, delta", [("pdac", 1.0), ("apdac", 1.0), ("pdac", 0.62)])
+def test_zeta_is_formed_only_where_the_correction_runs(kind, delta, monkeypatch):
+    # zeta_n is read by the delta < 1 correction alone: at delta >= 1 an
+    # iteration takes only the two norms of the step rule, ||dy|| and
+    # ||K* dy||, and zeta_cur keeps zeta_0
+    prob = _budget_problem("lasso")
+    cfg, _ = default_config(prob, kind, delta=delta)
+    st = init_state(prob, *prob.start, cfg, kind=kind)
+    real, norms = solvers.vector_norm, []
+
+    def counted(v):
+        norms.append(1)
+        return real(v)
+
+    monkeypatch.setattr(solvers, "vector_norm", counted)
+    step = getattr(solvers, f"{kind}_iterate")
+    for _ in range(5):
+        y_prev = st.y
+        step(st, prob, cfg)
+        if delta >= 1.0:
+            assert st.zeta_cur == st.zeta0
+        else:
+            assert st.zeta_cur == max(math.sqrt((st.x - st.x_prev).dot(st.x - st.x_prev)),
+                                      math.sqrt((st.y - y_prev).dot(st.y - y_prev)))
+    # each correction shrink takes one norm more
+    assert len(norms) == 5 * 2 + (0 if delta >= 1.0 else 5 + st.corrections)
+
+
 def test_run_input_checks():
     prob, _ = gen_lasso(ProblemSpec("lasso1", seed=2, m=8, n=12, s=2))
     cfg = _cfg(delta=0.62, alpha=1.27, lambda0=0.1)
