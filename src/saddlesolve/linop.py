@@ -26,10 +26,12 @@ arrays in numpy with the steps and bits of ``coo_matrix``, and a
 ``SparseMatrix`` is constructed with the ``csr_tocsc`` kernel and binds
 the ``csr_matvec`` kernel into its products once, so no product runs an
 import. Both kernels come from the compiled ``scipy.sparse._sparsetools``
-extension alone (``_sparsetools``), loaded where the first CSR matrix is
-built; the ``scipy.sparse`` package is imported only where that file is
-not found, and a later import of it still loads the extension as its own
-submodule. With scipy 1.17 and numpy 2.4, ``import saddlesolve`` peaks at
+extension alone, loaded from its file under saddlesolve's own name
+``saddlesolve._sparsetools`` (``_sparsetools``) where the first CSR matrix
+is built. No ``scipy.sparse`` module is loaded and no import hook is
+installed; the package is imported only where that file is not found, and
+a later import of it loads the extension as its own submodule, apart from
+this one. With scipy 1.17 and numpy 2.4, ``import saddlesolve`` peaks at
 30 MB of RSS instead of 51 MB with the package, and a 300-iteration
 swapped apdac run on the 1033x320 C12 matrix through ``run_experiment``
 at 38.4 MB instead of 53.6.
@@ -88,8 +90,9 @@ _INDEX_MAX = np.iinfo(np.int64).max
 _HUGE_PAGE = 2 << 20
 _PLACE_MIN_BYTES = 1 << 20
 
-# scipy's compiled module of CSR kernels (see _sparsetools)
-_SPARSETOOLS = "scipy.sparse._sparsetools"
+# scipy's compiled module of CSR kernels, under saddlesolve's own name (see
+# _sparsetools)
+_SPARSETOOLS = "saddlesolve._sparsetools"
 
 
 def vector_norm(v):
@@ -103,17 +106,19 @@ def vector_norm(v):
 
 def _sparsetools():
     """scipy's compiled ``_sparsetools`` extension, which holds the CSR
-    kernels, loaded from its file without running ``scipy/sparse/__init__.py``
-    and the whole package it imports.
+    kernels, loaded once from its file in scipy's ``sparse`` directory under
+    saddlesolve's own name ``saddlesolve._sparsetools``, without running
+    ``scipy/sparse/__init__.py`` and the whole package it imports.
 
-    A module already in ``sys.modules`` (``scipy.sparse`` imported it, or an
-    earlier call loaded it) is reused and never replaced: the extension
-    initializes in single phase and so registers itself there when loaded.
-    A loaded file also puts ``_YieldToPackage`` first in ``sys.meta_path``,
-    so that a later ``import scipy.sparse`` still sets the package's
-    ``_sparsetools`` attribute. Where the file is not found in scipy's
-    ``sparse`` directory, the plain import loads the same kernels."""
-    if _SPARSETOOLS not in sys.modules:
+    The extension loader finds the file and its ``PyInit__sparsetools`` by
+    the last name component alone. scipy never sees this module: a later
+    ``import scipy.sparse`` loads the extension as its own submodule, whose
+    kernels run the same code, so every product keeps its bits. Where the
+    file is not found, the plain import of ``scipy.sparse._sparsetools``
+    loads the same kernels. Either module is kept in ``sys.modules`` under
+    this name, so every later call is one dict lookup."""
+    module = sys.modules.get(_SPARSETOOLS)
+    if module is None:
         scipy = importlib.util.find_spec("scipy")
         for location in (scipy and scipy.submodule_search_locations) or ():
             finder = FileFinder(os.path.join(location, "sparse"),
@@ -122,34 +127,11 @@ def _sparsetools():
             if spec is not None:
                 module = importlib.util.module_from_spec(spec)
                 spec.loader.exec_module(module)
-                sys.modules.setdefault(_SPARSETOOLS, module)
-                if _YieldToPackage not in sys.meta_path:
-                    sys.meta_path.insert(0, _YieldToPackage)
                 break
-    return importlib.import_module(_SPARSETOOLS)
-
-
-class _YieldToPackage:
-    """A ``sys.meta_path`` finder that stands first while the extension that
-    ``_sparsetools`` loaded from its file is in ``sys.modules`` without its
-    package. An import that finds a submodule in ``sys.modules`` never sets
-    it as the package attribute, so when ``scipy.sparse`` is looked for,
-    this finder takes itself out, drops that entry and returns the spec the
-    other finders give: the package then loads the extension itself and
-    sets the attribute. The module it loads holds the same kernel objects,
-    so every product keeps its bits. It fires on any lookup of
-    ``scipy.sparse`` through ``sys.meta_path``, a bare
-    ``importlib.util.find_spec`` that imports nothing included; after such
-    a probe the next CSR build loads the file again and puts the finder
-    back. ``path`` and ``target`` are the finder protocol's and unread."""
-
-    @staticmethod
-    def find_spec(name, path=None, target=None):
-        if name != "scipy.sparse":
-            return None
-        sys.meta_path.remove(_YieldToPackage)
-        sys.modules.pop(_SPARSETOOLS, None)
-        return importlib.util.find_spec(name)
+        else:
+            module = importlib.import_module("scipy.sparse._sparsetools")
+        sys.modules[_SPARSETOOLS] = module
+    return module
 
 
 def _matvec(kernel, rows, cols, indptr, indices, data, x):
@@ -263,10 +245,10 @@ class SparseMatrix:
     entries with one numpy assignment. A copy unpickles through the
     constructor, so a pickle holds the three arrays and the norm, not the
     transpose. Its construction is where the ``_sparsetools`` extension is
-    first loaded, without the ``scipy.sparse`` package; nothing dense loads
-    it. Invariants enforced at construction: nondecreasing row offsets,
-    strictly increasing column indices within each row, finite nonzero
-    values.
+    first loaded, as ``saddlesolve._sparsetools`` and without any
+    ``scipy.sparse`` module; nothing dense loads it. Invariants enforced at
+    construction: nondecreasing row offsets, strictly increasing column
+    indices within each row, finite nonzero values.
     """
 
     def __init__(self, rows, cols, row_offsets, col_indices, values):

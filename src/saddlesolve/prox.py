@@ -63,17 +63,40 @@ def proj_simplex(v):
 
     Sort-and-threshold method: with v sorted descending, take the largest k
     such that v_(k) > (sum of the k largest - 1) / k, then shift by that
-    threshold and clip at zero. Output is nonnegative and sums to one.
+    threshold tau and clip at zero. Output is nonnegative and sums to one.
+
+    The k largest lie in (tau, tau + 1], so the running sum that gives tau
+    is off by at most (k - 1) u k (|tau| + 1), with u = 2**-53 the unit
+    roundoff, and the subtraction of 1 and the division by k add u |tau|
+    each: tau is off by at most (k + 1) u (|tau| + 1), and the sum of the
+    up to n entries v_i - tau by n times that. Where its part that grows
+    with tau, n (k + 1) u |tau|, exceeds ``IndSimplex.sum_tol`` (a large
+    common offset in v), v - max(v) is projected instead: the projection is
+    the same under a common shift, the shift is exact (Sterbenz) on every
+    entry within 1 of the max once |max| >= 2, the only entries that stay
+    positive, and the shifted max is 0, so its threshold lies in [-1, 0).
+    Where |max| >= 2**52 the shift comes before the threshold pass: tau lies
+    in [max - 1, max), so the bound is exceeded anyway, and from 2**53 on
+    max - 1 can round back to max and leave no k. Where neither shift
+    happens, the computation, and so every bit, is the plain method's.
     """
     v = np.asarray(v, dtype=float)
     if v.ndim != 1 or v.size == 0:
         raise ValueError("proj_simplex requires a nonempty vector")
     u = np.sort(v)[::-1]
-    css = np.cumsum(u) - 1.0
+    if abs(u[0]) >= 2.0**52:
+        return proj_simplex(v - u[0])
+    css = np.cumsum(u)
+    css -= 1.0
     ks = np.arange(1, v.size + 1)
-    # k=1 always qualifies: u[0] - (u[0] - 1) = 1 > 0
-    k = np.nonzero(u - css / ks > 0.0)[0][-1] + 1
+    # u_k > css_k / k is u_k - css_k / k > 0 without its array: a rounded
+    # difference of finite floats is 0 only where they are equal. k=1
+    # always qualifies: below 2**52, u[0] - 1 < u[0]
+    k = np.nonzero(u > css / ks)[0][-1] + 1
     tau = css[k - 1] / k
+    # n (k + 1) u |tau|, with tau first: a numpy integer times a float is slow
+    if abs(tau) * (k + 1) * v.size * 2.0**-53 > IndSimplex.sum_tol and u[0] != 0.0:
+        return proj_simplex(v - u[0])
     return np.maximum(v - tau, 0.0)
 
 

@@ -3,8 +3,9 @@ reduction of the accelerated solver at gamma = 0, deterministic traces, the
 correction bound on the primal displacement, a correction that does not stall
 from the all-zero start, one K and one K* per iteration, an objective that
 has the same bits whether it is given the point's image or applies K, a
-monotone step ratio that never rises above the spectral start, and a pdac
-step that stays above its floor after every dual move that is not roundoff."""
+monotone step ratio that never rises above the spectral start, and pdac and
+apdac steps that stay above their floors after every dual move that is not
+roundoff."""
 
 import math
 
@@ -18,6 +19,7 @@ from saddlesolve.solvers import (
     DELTA_LOWER,
     LinesearchStallError,
     SolverConfig,
+    apdac_iterate,
     default_config,
     default_lambda0,
     init_state,
@@ -150,20 +152,29 @@ def test_monotone_step_ratio_stays_under_the_spectral_start(kind_family, seed, m
     assert np.all(lam[1:] * np.sqrt(beta[:-1]) * L <= start * (1.0 + 1e-13))
 
 
-def _pdac_steps(prob, cfg, iters):
+def _pd_steps(prob, cfg, iters, accelerated=False):
     """(||y_{n+1} - y_n|| / ||y_n||, lambda_{n+2}, floor) for each of the
-    first ``iters`` pdac iterations, with floor = min(alpha / (sqrt(beta) L),
-    lambda_{n+1}, lambda_cap): the least step the rule can predict while the
-    cached difference K*y_{n+1} - K*y_n is at most L ||y_{n+1} - y_n||. A
-    move from y_n = 0 (the swapped NNLS start) is relative move inf: K*y_n
-    is then exactly 0, so the difference holds no cancellation."""
+    first ``iters`` pdac iterations (apdac ones when ``accelerated``), with
+    floor = min(alpha / (sqrt(beta_{n+1}) L), sqrt(beta_n / beta_{n+1})
+    lambda_{n+1}), and lambda_cap too in nonmonotone mode: the least step the
+    rule can predict while the cached difference K*y_{n+1} - K*y_n is at most
+    L ||y_{n+1} - y_n||. Each iteration is checked to grow beta as beta_{n+1}
+    = beta_n (1 + gamma lambda_{n+1}), with gamma = 0 for pdac, where the
+    ratio is then exactly 1. A move from y_n = 0 (the swapped NNLS start) is
+    relative move inf: K*y_n is then exactly 0, so the difference holds no
+    cancellation."""
+    iterate, gamma = (apdac_iterate, cfg.gamma) if accelerated else (pdac_iterate, 0.0)
     L = prob.K.operator_norm()
     state, steps = init_state(prob, *prob.start, cfg), []
     for _ in range(iters):
-        y, lam_next = state.y, state.lam_next
-        pdac_iterate(state, prob, cfg)
+        y, beta, lam_next = state.y, state.beta, state.lam_next
+        iterate(state, prob, cfg)
+        assert state.beta == beta * (1.0 + gamma * lam_next)
         move = vector_norm(state.y - y)
-        floor = min(cfg.alpha / (math.sqrt(state.beta) * L), lam_next, cfg.lambda_cap)
+        floor = min(cfg.alpha / (math.sqrt(state.beta) * L),
+                    math.sqrt(beta / state.beta) * lam_next)
+        if cfg.nonmonotone:
+            floor = min(floor, cfg.lambda_cap)
         size = vector_norm(y)
         relative = move / size if size else math.inf
         steps.append((relative if move else 0.0, state.lam_next, floor))
@@ -184,7 +195,25 @@ def test_pdac_step_stays_above_its_floor_after_a_dual_move(
     cfg, _ = default_config(prob, "pdac", delta=delta, alpha=alpha / delta**0.5, beta=beta,
                             lambda0=scale * default_lambda0(prob, beta),
                             nonmonotone=nonmonotone)
-    for move, lam, floor in _pdac_steps(prob, cfg, 25):
+    for move, lam, floor in _pd_steps(prob, cfg, 25):
+        if move >= 1e-6:
+            assert lam >= floor * (1.0 - 1e-8)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(_FAMILIES), _SEED, _SIZE, _SIZE, st.floats(1.0, 3.0),
+       st.floats(0.01, 0.999), st.floats(1e-3, 10.0), st.floats(1e-3, 10.0),
+       st.floats(1e-2, 1e2))
+def test_apdac_step_stays_above_its_floor_as_beta_grows(
+        family, seed, m, n, delta, alpha, beta, gamma, scale):
+    # the pdac floor with beta_{n+1} in the ratio term and the cap
+    # sqrt(beta_n / beta_{n+1}) lambda_{n+1} that apdac's monotone rule
+    # takes in place of lambda_{n+1}; moves below 1e-6 ||y_n|| are not
+    # checked, as above
+    prob = _instance(family, seed, m, n)
+    cfg, _ = default_config(prob, "apdac", delta=delta, alpha=alpha / delta**0.5, beta=beta,
+                            gamma=gamma, lambda0=scale * default_lambda0(prob, beta))
+    for move, lam, floor in _pd_steps(prob, cfg, 25, accelerated=True):
         if move >= 1e-6:
             assert lam >= floor * (1.0 - 1e-8)
 
@@ -198,7 +227,7 @@ def test_pdac_step_falls_below_its_floor_after_a_roundoff_dual_move():
     K, b = rng.standard_normal((12, 2)), rng.standard_normal(12)
     prob = build_nnls(K, b)
     cfg, _ = default_config(prob, "pdac", nonmonotone=False, delta=1.0, alpha=0.99)
-    steps = _pdac_steps(prob, cfg, 20)
+    steps = _pd_steps(prob, cfg, 20)
     move, lam, floor = steps[0]
     assert 0.0 < move < 1e-16
     assert 0.978 < lam / floor < 0.98

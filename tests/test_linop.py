@@ -4,7 +4,6 @@ import os
 import pickle
 import subprocess
 import sys
-import types
 import warnings
 from pathlib import Path
 
@@ -198,7 +197,7 @@ def test_swapped_nnls_reuses_the_transpose_it_holds(rng, monkeypatch, tmp_path):
     # parsing runs the csr_tocsc kernel once, for the adjoint; the swapped
     # problem's -K^T is made of those arrays, and its own transpose is -K
     # over the parsed arrays
-    import scipy.sparse._sparsetools as sparsetools
+    sparsetools = linop._sparsetools()
 
     path = tmp_path / "c12.mtx"
     path.write_text(c12_matrix_market_text())
@@ -554,9 +553,10 @@ def solve(problem, kind):
     run(kind, problem, cfg, *problem.start, max_iter=20)
 
 steps, codes = [], []
+finders = list(sys.meta_path)
 def step(name):
     steps.append([name, loaded("scipy.sparse"),
-                  loaded("scipy.linalg", "scipy.sparse.linalg")])
+                  loaded("scipy.linalg", "scipy.sparse.linalg"), sys.meta_path == finders])
 
 step("import")
 lasso = gen_lasso(ProblemSpec("lasso1"))[0]
@@ -591,7 +591,8 @@ print(json.dumps({"steps": steps, "codes": codes, "same_bits": same}))
 
 def test_dense_paths_load_no_scipy_sparse_and_no_path_loads_scipy_linalg(tmp_path):
     # one interpreter for every path, so the suite pays for one start; the
-    # NNLS paths load the compiled CSR kernels and none of the package
+    # NNLS paths load the compiled CSR kernels under saddlesolve's name, so
+    # no path loads a scipy.sparse module or changes sys.meta_path
     mtx = tmp_path / "k.mtx"
     mtx.write_text("%%MatrixMarket matrix coordinate real general\n"
                    "3 4 5\n1 1 2.0\n1 3 -1.5\n2 2 0.5\n3 1 4.0\n3 4 -3.0\n")
@@ -604,12 +605,12 @@ def test_dense_paths_load_no_scipy_sparse_and_no_path_loads_scipy_linalg(tmp_pat
     )
     report = json.loads(out.stdout.strip().splitlines()[-1])
     steps = report["steps"]
-    assert [name for name, _, _ in steps] == ["import", "lasso", "reference", "game", "cli",
+    assert [name for name, *_ in steps] == ["import", "lasso", "reference", "game", "cli",
                                               "nnls", "nnls-cli"]
-    for name, sparse, linalg in steps:
+    for name, sparse, linalg, finders in steps:
         assert linalg == [], name
-        kernels = ["scipy.sparse._sparsetools"] if name.startswith("nnls") else []
-        assert sparse == kernels, (name, sparse)
+        assert sparse == [], (name, sparse)
+        assert finders, name
     assert report["codes"] == [0, 0]
     assert report["same_bits"] == [True, True]
 
@@ -765,7 +766,7 @@ def test_from_coo_has_the_bits_of_scipy(triplets):
 
 
 _ATTRIBUTE_SCRIPT = """
-import json, sys
+import importlib.util, json, sys
 import numpy as np
 from saddlesolve.linop import LinearOperator, SparseMatrix, _sparsetools
 
@@ -775,6 +776,8 @@ op = LinearOperator(SparseMatrix.from_dense(K))
 x, y = np.linspace(-1.0, 1.5, 4), np.linspace(2.0, -3.0, 3)
 bits = [op.apply(x).tobytes(), op.adjoint_apply(y).tobytes()]
 alone = sorted(m for m in sys.modules if m.startswith("scipy.sparse"))
+ours = _sparsetools()
+found = importlib.util.find_spec("scipy.sparse") is not None
 import scipy.sparse
 kernel = scipy.sparse._sparsetools.csr_matvec
 new = LinearOperator(SparseMatrix.from_dense(K))
@@ -782,7 +785,9 @@ csr = scipy.sparse.csr_matrix(K)
 same = [[op.apply(x).tobytes(), op.adjoint_apply(y).tobytes()] == bits,
         [new.apply(x).tobytes(), new.adjoint_apply(y).tobytes()] == bits,
         [(csr @ x).tobytes(), (csr.T @ y).tobytes()] == bits]
-print(json.dumps({"alone": alone, "kernel": kernel.__name__,
+print(json.dumps({"alone": alone, "found": found, "kept": _sparsetools() is ours,
+                  "kernel": kernel.__name__,
+                  "own": scipy.sparse._sparsetools is sys.modules["scipy.sparse._sparsetools"],
                   "shared": _sparsetools() is scipy.sparse._sparsetools, "same_bits": same}))
 """
 
@@ -797,49 +802,13 @@ def _run_script(script):
 
 
 def test_scipy_sparse_imported_after_the_kernels_has_them_as_its_attribute():
-    # the kernels loaded alone stand in sys.modules; a later import of the
-    # package still loads them as its attribute, and every product keeps
-    # its bits
+    # the kernels load under saddlesolve's own name and no scipy.sparse
+    # module; a later lookup and import of the package leave them in place,
+    # the package loads the extension as its own attribute, and every
+    # product keeps its bits
     report = _run_script(_ATTRIBUTE_SCRIPT)
-    assert report == {"alone": ["scipy.sparse._sparsetools"], "kernel": "csr_matvec",
-                      "shared": True, "same_bits": [True, True, True]}
-
-
-_PROBE_SCRIPT = """
-import importlib.util, json, sys
-import numpy as np
-from saddlesolve.linop import LinearOperator, SparseMatrix, _YieldToPackage
-
-def state():
-    return [_YieldToPackage in sys.meta_path,
-            sorted(m for m in sys.modules if m.startswith("scipy.sparse"))]
-
-K = np.arange(1.0, 13.0).reshape(3, 4)
-K[1, 2] = K[2, 0] = 0.0
-x, y = np.linspace(-1.0, 1.5, 4), np.linspace(2.0, -3.0, 3)
-op = LinearOperator(SparseMatrix.from_dense(K))
-bits = [op.apply(x).tobytes(), op.adjoint_apply(y).tobytes()]
-report = {"built": state()}
-report["found"] = importlib.util.find_spec("scipy.sparse") is not None
-report["probed"] = state()
-new = LinearOperator(SparseMatrix.from_dense(K))
-report["rebuilt"] = state()
-report["same_bits"] = [[op.apply(x).tobytes(), op.adjoint_apply(y).tobytes()] == bits,
-                       [new.apply(x).tobytes(), new.adjoint_apply(y).tobytes()] == bits]
-import scipy.sparse
-report["attribute"] = scipy.sparse._sparsetools.csr_matvec.__name__
-print(json.dumps(report))
-"""
-
-
-def test_a_lookup_of_scipy_sparse_drops_the_kernels_until_the_next_build():
-    # a bare find_spec imports nothing but runs the finder: it takes itself
-    # out and drops the module, the next CSR build loads the file again and
-    # puts the finder back, and the products keep their bits throughout
-    alone = ["scipy.sparse._sparsetools"]
-    assert _run_script(_PROBE_SCRIPT) == {
-        "built": [True, alone], "found": True, "probed": [False, []],
-        "rebuilt": [True, alone], "same_bits": [True, True], "attribute": "csr_matvec"}
+    assert report == {"alone": [], "found": True, "kept": True, "kernel": "csr_matvec",
+                      "own": True, "shared": False, "same_bits": [True, True, True]}
 
 
 def _kernel_test_matrix(rng):
@@ -864,40 +833,15 @@ def test_kernels_load_through_the_plain_import_when_the_file_is_not_found(rng, m
             return None
 
     monkeypatch.setattr(linop, "FileFinder", Missing)
-    monkeypatch.delitem(sys.modules, "scipy.sparse._sparsetools")
+    monkeypatch.delitem(sys.modules, "saddlesolve._sparsetools")
     op = LinearOperator(SparseMatrix.from_dense(K))
-    assert asked == [("sparse", "scipy.sparse._sparsetools")]
+    assert asked == [("sparse", "saddlesolve._sparsetools")]
     assert "scipy.sparse" in sys.modules
-    assert linop._sparsetools() is sys.modules["scipy.sparse._sparsetools"]
+    assert linop._sparsetools() is sys.modules["saddlesolve._sparsetools"]
     for _ in range(2):
         x, y = rng.standard_normal(9), rng.standard_normal(6)
         assert _same_bits(op.apply(x), before.apply(x))
         assert _same_bits(op.adjoint_apply(y), before.adjoint_apply(y))
-
-
-def test_kernels_come_from_the_module_already_imported(rng, monkeypatch):
-    # an imported _sparsetools is reused and kept in sys.modules: no file is
-    # looked for, and a matrix runs the kernels that module holds
-    K = _kernel_test_matrix(rng)
-    before = LinearOperator(SparseMatrix.from_dense(K))
-    real, calls = linop._sparsetools(), []
-
-    def counted(name):
-        def kernel(*args):
-            calls.append(name)
-            return getattr(real, name)(*args)
-        return kernel
-
-    imported = types.ModuleType("scipy.sparse._sparsetools")
-    imported.csr_matvec, imported.csr_tocsc = counted("csr_matvec"), counted("csr_tocsc")
-    monkeypatch.setitem(sys.modules, "scipy.sparse._sparsetools", imported)
-    monkeypatch.setattr(linop, "FileFinder", None)
-    op = LinearOperator(SparseMatrix.from_dense(K))
-    x, y = rng.standard_normal(9), rng.standard_normal(6)
-    assert _same_bits(op.apply(x), before.apply(x))
-    assert _same_bits(op.adjoint_apply(y), before.adjoint_apply(y))
-    assert calls == ["csr_tocsc", "csr_matvec", "csr_matvec"]
-    assert linop._sparsetools() is sys.modules["scipy.sparse._sparsetools"] is imported
 
 
 def test_sparse_round_trip(rng):

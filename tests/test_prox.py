@@ -120,6 +120,26 @@ def test_proj_simplex_feasible_and_optimal(xs):
     assert np.allclose(y, oracle, atol=1e-8)
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.floats(min_value=-12.0, max_value=300.0), st.sampled_from([-1.0, 1.0]),
+       st.floats(min_value=-12.0, max_value=12.0),
+       st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=49))
+# the plain threshold at this offset left the sum 1.2e-4 off
+@example(12.0, 1.0, 0.0, [0.1, 0.5, 0.9])
+# from 2**53 on, u[0] - 1 rounds back to u[0] and the plain threshold keeps no entry
+@example(17.0, 1.0, 0.0, [0.0, 0.0])
+@example(16.0, -1.0, 0.0, [0.0, 0.0])
+def test_proj_simplex_is_feasible_under_a_large_common_offset(offset_exp, sign, spread_exp,
+                                                               unit):
+    # entries of order 1e-12 to 1e300 around a common offset: the result is a
+    # point of the simplex, and the projection of v - max(v)
+    v = sign * 10.0**offset_exp + 10.0**spread_exp * np.array(unit)
+    y = proj_simplex(v)
+    assert IndSimplex.contains(y), abs(y.sum() - 1.0)
+    assert y.min() >= 0.0
+    assert np.allclose(y, proj_simplex(v - v.max()), rtol=0.0, atol=IndSimplex.sum_tol)
+
+
 def test_proj_matches_enumeration_bulk(rng):
     for _ in range(200):
         d = int(rng.integers(1, 7))
