@@ -470,10 +470,12 @@ class LinearOperator:
         steps theta, the largest eigenvalue of T_k, is taken; the iteration
         stops when its Ritz residual beta_k |s_k| is at most 1e-13 theta,
         when beta_k = 0 (an invariant subspace), or after as many steps as
-        the Gram operator has rows, and returns sqrt(theta). The products
-        are taken with K divided by its largest entry, so the Gram operator
-        neither overflows nor underflows. A start vector in the null space
-        is drawn again.
+        the Gram operator has rows, and returns sqrt(theta). Each product
+        with K is divided by its largest entry, so the Gram operator does not
+        underflow. It can overflow only where ||K||^2 / max|K| leaves the
+        float range, as it does when ||K|| nears the largest float; numpy
+        then warns, and a non-finite Lanczos residual raises ValueError, as a
+        zero K does. A start vector in the null space is drawn again.
         """
         cache = self.backing.norm_cache
         if cache.value is not None:
@@ -498,6 +500,8 @@ class LinearOperator:
             w -= beta * q_prev
             alphas.append(alpha)
             beta = vector_norm(w)
+            if not beta < math.inf:
+                raise ValueError("operator_norm: ||K||^2/max|K| leaves the float range")
             k += 1
             if beta == 0.0 or k == check or k == dim:
                 theta, s_k = _top_ritz_pair(alphas, betas)

@@ -9,7 +9,7 @@ bits.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -87,19 +87,17 @@ class SaddleProblem:
     """One saddle-point instance: min_x max_y g(x) + <Kx, y> - fstar(y).
 
     ``gamma`` is the known strong-convexity constant of g (0 if none).
-    ``objective(point, image=None)`` evaluates the underlying minimization
-    objective; ``objective_var`` names which iterate ("x" or "y") it
-    consumes, which matters for swapped formulations. ``image`` is the
-    point's image under this problem's operator, K x for "x" and K* y for
-    "y"; given, it spares the objective its matrix application, and left
-    out, the objective applies this problem's own K (or K*) itself. A
-    problem owns exactly one operator, ``K``: every builder makes one, and
-    no objective reaches another operator or problem, so ``K``'s counters
-    see every product the problem spends. ``run`` always passes the image, so
-    an objective set by hand must accept it as a second argument. ``start``
-    is the conventional initial point pair for the family. The ``prox`` of
-    g and of fstar must return a new array, not its input or a view of it:
-    the corrected solver hands them scratch vectors that it overwrites.
+    ``objective`` and ``objective_var`` follow from the types of g and
+    fstar, as ``family`` does. A problem owns exactly one operator, ``K``:
+    every builder makes one, and no objective reaches another operator or
+    problem, so ``K``'s counters see every product the problem spends; and
+    no problem refers to itself, so a dropped one is freed at once. An
+    objective set by hand on the instance (``problem.objective = fn``)
+    shadows the method; ``run`` always passes the image, so such an ``fn``
+    must accept it as a second argument. ``start`` is the conventional
+    initial point pair for the family. The ``prox`` of g and of fstar must
+    return a new array, not its input or a view of it: the corrected solver
+    hands them scratch vectors that it overwrites.
 
     ``family`` names the kind of problem, worked out from the types of g
     and fstar alone, however the problem was built; the solvers' defaults,
@@ -111,8 +109,6 @@ class SaddleProblem:
     K: LinearOperator
     gamma: float = 0.0
     label: str = ""
-    objective: Optional[Callable[..., float]] = None
-    objective_var: str = "x"
     start: Optional[tuple] = field(default=None, repr=False)
 
     @property
@@ -132,6 +128,33 @@ class SaddleProblem:
         elif isinstance(self.g, IndSimplex) and isinstance(self.fstar, IndSimplex):
             return "game"
         return None
+
+    @property
+    def objective_var(self):
+        """The iterate the objective reads: "y" for the swapped NNLS form, g a
+        ``QuadShift`` and fstar an ``IndNonneg``, whose dual iterate is the
+        original primal variable; "x" otherwise."""
+        return "y" if isinstance(self.g, QuadShift) and isinstance(self.fstar, IndNonneg) else "x"
+
+    def objective(self, point, image=None):
+        """The underlying minimization objective at ``point``, the iterate
+        ``objective_var`` names. ``image`` is the point's image under this
+        problem's operator, K x for "x" and K* y for "y"; given, it spares
+        the objective its matrix application, and left out, the objective
+        applies this problem's own K (or K*) itself.
+
+        "lasso" and "nnls": ``primal_objective``. Swapped NNLS: the unswapped
+        objective 0.5||K y - b||^2 + [y >= 0], as g(image) + fstar(y): its
+        image K_sw* y = -K y plus the shift b has the bits of -(K y - b), so
+        no negated copy of the image is made. NaN for any other problem."""
+        if self.objective_var == "y":
+            if image is None:
+                image = self.K.adjoint_apply(point)
+            return self.g.value(image) + self.fstar.value(point)
+        try:
+            return primal_objective(self, point, image)
+        except UnsupportedMetricError:
+            return float("nan")
 
 
 def gen_lasso(spec):
@@ -171,7 +194,6 @@ def gen_lasso(spec):
         label=spec.family,
         start=(np.zeros(n), -b.copy()),
     )
-    prob.objective = lambda x, image=None: primal_objective(prob, x, image)
     return prob, GroundTruth(w=w, b=b)
 
 
@@ -209,10 +231,8 @@ def build_nnls(sparse, b, swapped=False, label="nnls"):
     coupling operator becomes the negated adjoint, and g picks up strong
     convexity gamma = 1/2. Either way the problem holds one operator and no
     other problem: the swapped one builds only -K^T. Its dual iterate is the
-    original primal variable, so its objective, which consumes "y", is
-    ``primal_objective`` of the unswapped problem, formed from the swapped
-    image K_sw* y = -K y (applied through its own K* when not handed in)
-    as the residual K_sw* y + b, which is -(K y - b) bit for bit.
+    original primal variable, so its ``objective``, which follows from the
+    swapped form and reads "y", is the unswapped problem's.
     """
     if not isinstance(sparse, SparseMatrix):
         sparse = SparseMatrix.from_dense(np.asarray(sparse, dtype=float))
@@ -221,16 +241,11 @@ def build_nnls(sparse, b, swapped=False, label="nnls"):
     if b.shape != (m,):
         raise ValueError(f"observation must have length {m}, got {b.shape}")
     if not swapped:
-        prob = SaddleProblem(g=IndNonneg(), fstar=QuadShift(b), K=LinearOperator(sparse),
+        return SaddleProblem(g=IndNonneg(), fstar=QuadShift(b), K=LinearOperator(sparse),
                              label=label, start=(np.zeros(n), -b.copy()))
-        prob.objective = lambda x, image=None: primal_objective(prob, x, image)
-        return prob
-    prob = SaddleProblem(g=QuadShift(b), fstar=IndNonneg(),
+    return SaddleProblem(g=QuadShift(b), fstar=IndNonneg(),
                          K=LinearOperator(sparse.negated_transpose()), gamma=0.5,
-                         label=f"{label}-swapped", objective_var="y",
-                         start=(np.zeros(m), np.zeros(n)))
-    prob.objective = lambda y, image=None: _swapped_objective(prob, y, image)
-    return prob
+                         label=f"{label}-swapped", start=(np.zeros(m), np.zeros(n)))
 
 
 def load_nnls(spec, swapped=False):
@@ -260,17 +275,6 @@ def primal_objective(problem, x, Kx=None):
         Kx = problem.K.apply(x)
     r = Kx - problem.fstar.shift
     return 0.5 * float(r.dot(r)) + problem.g.value(x)
-
-
-def _swapped_objective(problem, y, image=None):
-    """The unswapped objective 0.5||K y - b||^2 + [y >= 0] of the swapped NNLS
-    ``problem`` (g the shifted quadratic, fstar the orthant indicator) at its
-    dual iterate ``y``, from its image K_sw* y = -K y: the residual image + b
-    has the bits of -(K y - b), so no negated copy of the image is made."""
-    if image is None:
-        image = problem.K.adjoint_apply(y)
-    r = image + problem.g.shift
-    return 0.5 * float(r.dot(r)) + problem.fstar.value(y)
 
 
 def _check_least_squares(problem):

@@ -78,13 +78,16 @@ def proj_simplex(v):
     Where |max| >= 2**52 the shift comes before the threshold pass: tau lies
     in [max - 1, max), so the bound is exceeded anyway, and from 2**53 on
     max - 1 can round back to max and leave no k. Where neither shift
-    happens, the computation, and so every bit, is the plain method's.
+    happens, the computation, and so every bit, is the plain method's. An
+    input with a NaN or +inf entry has no projection and gives all NaN.
     """
     v = np.asarray(v, dtype=float)
     if v.ndim != 1 or v.size == 0:
         raise ValueError("proj_simplex requires a nonempty vector")
     u = np.sort(v)[::-1]
-    if abs(u[0]) >= 2.0**52:
+    if not abs(u[0]) < 2.0**52:
+        if not u[0] < np.inf:  # a NaN (sorted first) or +inf entry
+            return np.full(v.size, np.nan)
         return proj_simplex(v - u[0])
     css = np.cumsum(u)
     css -= 1.0

@@ -32,7 +32,7 @@ import numpy as np
 
 from .diagnostics import ErgodicAverage
 from .linop import vector_norm
-from .problems import pd_gap_game
+from .problems import FeasibilityError, pd_gap_game
 from .prox import QuadShift
 
 __all__ = [
@@ -94,8 +94,9 @@ class LinesearchStallError(RuntimeError):
 
 
 class DivergenceError(RuntimeError):
-    """``run`` found a non-finite iterate or image. ``iteration`` records
-    where; ``trace`` may carry the partial run trace."""
+    """``run`` found a non-finite iterate or image, or a matrix game's
+    non-finite ergodic average. ``iteration`` records where; ``trace`` may
+    carry the partial run trace."""
 
     def __init__(self, message, iteration):
         super().__init__(message)
@@ -320,14 +321,17 @@ def default_lambda0(problem, beta):
     <= alpha ||dy|| for every dy. In monotone mode lambda_{n+1} sqrt(beta_n)
     never rises above its start, so the start bounds every step a monotone
     or accelerated run takes. A ``beta`` that is not positive and finite
-    raises ConfigError.
+    raises ConfigError, and any error ``operator_norm()`` raises on a
+    nonzero K propagates.
     """
     if not (beta > 0 and math.isfinite(beta)):
         raise ConfigError(f"beta must be positive and finite; got {beta}")
     try:
         L = problem.K.operator_norm()
-    except ValueError:  # a zero K, which bounds no step
-        return 1.0
+    except ValueError:
+        if problem.K.frobenius_norm() > 0.0:
+            raise
+        return 1.0  # a zero K bounds no step
     return 0.99 / (math.sqrt(beta) * L)
 
 
@@ -932,11 +936,12 @@ def run(
     same names: the ``lambda, beta, corrections`` columns are its ``lam``,
     ``beta`` and ``corrections``, and the objective reads its
     ``problem.objective_var`` (``x`` or ``y``) and that point's image (``Kx``
-    or ``Ky``). The metric column holds the
-    problem objective (minus ``reference_value`` when given), evaluated with
-    the K-image the solver state caches, so an objective row applies no
-    matrix; for a matrix game (``problem.family == "game"``) it holds the
-    primal-dual gap of the running ergodic average. A start whose lengths
+    or ``Ky``). The metric column holds
+    ``problem.objective`` (minus ``reference_value`` when given), evaluated
+    with the K-image the solver state caches, so an objective row applies no
+    matrix, and NaN for a problem of no known form; for a matrix game
+    (``problem.family == "game"``) it holds the primal-dual gap of the
+    running ergodic average. A start whose lengths
     do not match ``problem.K``, or with a non-finite entry, raises
     ValueError, whatever the kind. After every iteration the point the
     objective reads and its image are checked, and a non-finite entry
@@ -946,12 +951,14 @@ def run(
     runs on. Numpy warns of that overflow from the check's dot, so under
     ``np.errstate(over="raise")``, or with RuntimeWarning made an error,
     the check itself raises there, and that error carries no ``.trace``.
-    The metric row of an iteration reuses the point
-    and image that check fetched. Runs are deterministic for a fixed
-    iteration budget. The last row is the last iteration run, whether the
-    iteration or the time budget ended the run. A DivergenceError or
-    LinesearchStallError carries the trace recorded so far in its ``trace``
-    attribute. A negative ``max_iter``, a NaN or negative ``max_seconds`` and
+    A matrix game's metric row that finds a non-finite entry in the ergodic
+    average (its weights or sums overflowed, or it took in a non-finite
+    dual iterate) raises DivergenceError too. The metric row of an
+    iteration reuses the point and image that check fetched. Runs are
+    deterministic for a fixed iteration budget. The last row is the last
+    iteration run, whether the iteration or the time budget ended the run.
+    A DivergenceError or LinesearchStallError carries the trace recorded so
+    far in its ``trace`` attribute. A negative ``max_iter``, a NaN or negative ``max_seconds`` and
     a ``trace_every`` below 1 raise ValueError.
     """
     if max_iter < 0:
@@ -971,11 +978,18 @@ def run(
 
     def metric(point, image):
         if ergodic is not None:
-            if ergodic.updates:
-                return pd_gap_game(problem.K, ergodic.X, ergodic.Y)
-            return pd_gap_game(problem.K, x0, y0)
-        if problem.objective is None:
-            return float("nan")
+            if not ergodic.updates:
+                return pd_gap_game(problem.K, x0, y0)
+            X, Y = ergodic.X, ergodic.Y
+            try:
+                return pd_gap_game(problem.K, X, Y)
+            except FeasibilityError:
+                # an average whose weights or sums overflowed, or that took
+                # in a NaN dual iterate, is a divergence
+                if np.isfinite(X).all() and np.isfinite(Y).all():
+                    raise
+                n = ergodic.updates
+                raise DivergenceError(f"non-finite ergodic average at iteration {n}", n) from None
         value = problem.objective(point, image)
         if reference_value is not None:
             value -= reference_value
@@ -993,14 +1007,14 @@ def run(
             if not (math.isfinite(point.dot(point)) and math.isfinite(image.dot(image))):
                 if not (np.isfinite(point).all() and np.isfinite(image).all()):
                     raise DivergenceError(f"non-finite iterate at iteration {n}", n)
+            if ergodic is not None:
+                ergodic.update(*kind.sample(state, cfg))
+            out_of_time = max_seconds is not None and time.perf_counter() - t0 > max_seconds
+            if n % trace_every == 0 or n == max_iter or out_of_time:
+                trace.append(n, time.perf_counter() - t0, metric(point, image), *columns(state))
         except (DivergenceError, LinesearchStallError) as err:
             err.trace = trace
             raise
-        if ergodic is not None:
-            ergodic.update(*kind.sample(state, cfg))
-        out_of_time = max_seconds is not None and time.perf_counter() - t0 > max_seconds
-        if n % trace_every == 0 or n == max_iter or out_of_time:
-            trace.append(n, time.perf_counter() - t0, metric(point, image), *columns(state))
         if out_of_time:
             break
     return trace

@@ -241,6 +241,36 @@ def test_divergence_exit_code_flushes_trace(tmp_path, monkeypatch):
     assert out.exists() and len(_read_lines(out)) == 2
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("flags", [["--solver", "pdac", "--lambda0", "1e308"],
+                                   ["--solver", "apdac", "--lambda0", "1e300", "--beta", "1e300"]])
+def test_game_steps_past_the_float_range_end_in_a_divergence(tmp_path, capsys, flags):
+    # pdac's steps make a dual iterate non-finite; apdac's ergodic weight
+    # beta * lambda overflows, so the ergodic average is not finite
+    out = tmp_path / "t.csv"
+    code = run_experiment(["--problem", "game1", *flags, "--max-iters", "50",
+                           "--output", str(out)])
+    assert code == 2
+    assert "error: non-finite" in capsys.readouterr().err
+    assert _read_lines(out)[1].startswith("0,")
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("solver", [["pdac"], ["pda"], ["pgm"], ["apdac", "--swapped"]])
+def test_a_matrix_near_the_largest_float_exits_with_a_named_error(tmp_path, capsys, solver):
+    # ||K|| = 1e308 is finite, but a product of its Lanczos overflows
+    path = tmp_path / "big.mtx"
+    path.write_text("%%MatrixMarket matrix coordinate real general\n10 10 100\n"
+                    + "".join(f"{i} {j} 1e307\n" for i in range(1, 11) for j in range(1, 11)))
+    code = run_experiment(["--problem", "nnls-well", "--matrix-file", str(path),
+                           "--solver", *solver, "--max-iters", "5",
+                           "--output", str(tmp_path / "t.csv")])
+    assert code == 1
+    assert "error: operator_norm: ||K||^2/max|K| leaves the float range" in capsys.readouterr().err
+
+
 class _NanProx:
     """A prox that returns NaN, so no backtracking test ever accepts."""
 

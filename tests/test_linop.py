@@ -475,6 +475,19 @@ def test_operator_norm_matches_svd_on_random_shapes(K, sparse):
     _assert_norm_is_svd(LinearOperator(SparseMatrix.from_dense(K) if sparse else K))
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("sparse", [False, True])
+def test_operator_norm_names_a_gram_product_that_overflows(sparse):
+    # ||K|| = 1e308 is finite, but a product with K of a vector of K / max|K|
+    # nears ||K||^2 / max|K| = 1e309, past the largest float
+    K = np.full((10, 10), 1e307)
+    op = LinearOperator(SparseMatrix.from_dense(K) if sparse else K)
+    with pytest.raises(ValueError, match="leaves the float range"):
+        op.operator_norm()
+    assert op.cached_norm is None
+
+
 @pytest.mark.parametrize("scale", [1e-200, 1e-160, 1e160, 1e200])
 def test_operator_norm_holds_at_extreme_scales(rng, scale):
     # K*K of these matrices under- or overflows; the iteration runs on K

@@ -140,6 +140,14 @@ def test_proj_simplex_is_feasible_under_a_large_common_offset(offset_exp, sign, 
     assert np.allclose(y, proj_simplex(v - v.max()), rtol=0.0, atol=IndSimplex.sum_tol)
 
 
+def test_proj_simplex_of_a_nan_or_plus_inf_entry_is_all_nan():
+    # no threshold qualifies on such an input; -inf projects as usual
+    for v in ([np.nan, 1.0], [np.inf, 1.0], [1.0, np.nan, -2.0], [np.inf, np.nan]):
+        y = proj_simplex(v)
+        assert y.shape == (len(v),) and np.isnan(y).all()
+    assert np.array_equal(proj_simplex([-np.inf, 1.0]), [0.0, 1.0])
+
+
 def test_proj_matches_enumeration_bulk(rng):
     for _ in range(200):
         d = int(rng.integers(1, 7))

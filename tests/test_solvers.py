@@ -1098,6 +1098,28 @@ def test_default_lambda0_scales_with_k_at_extreme_scales(scale):
     assert default_lambda0(prob, 1.0) == pytest.approx(0.99 / (L * scale), rel=1e-14, abs=0.0)
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("swapped", [False, True])
+def test_default_lambda0_passes_on_a_gram_product_that_overflows(swapped):
+    # ||K||^2 / max|K| leaves the float range: the named error of the
+    # nonzero K, not the start of 1 of a zero K
+    K = SparseMatrix.from_dense(np.full((10, 10), 1e307))
+    prob = build_nnls(K, np.ones(10), swapped=swapped)
+    with pytest.raises(ValueError, match="leaves the float range"):
+        default_lambda0(prob, 1e-4)
+
+
+def test_default_lambda0_passes_on_an_error_of_a_nonzero_k(monkeypatch):
+    def fails(op):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(LinearOperator, "operator_norm", fails)
+    with pytest.raises(np.linalg.LinAlgError):
+        default_lambda0(build_nnls(np.eye(3), np.ones(3)), 1.0)
+    assert default_lambda0(build_nnls(np.zeros((3, 3)), np.ones(3)), 1.0) == 1.0
+
+
 
 def test_default_config_spends_no_product_on_a_start_it_does_not_use():
     # L is asked for only to form the default start: a given lambda0, or a

@@ -97,8 +97,9 @@ COLUMNS = ("metric", "lambda", "beta")  # compared as floats; corrections as cou
 class Operators:
     """The LinearOperators built since the last ``take``. Hooks construction
     only, so no product pays for the count. They are held, not weakly
-    referenced as in the bench, because a run's problem can be freed by the
-    time the run returns (a game's has no reference cycle)."""
+    referenced as in the bench, because a run's problem, which refers to
+    nothing that refers back to it, is freed as soon as the run returns,
+    before its operator's counters are read."""
 
     def __init__(self):
         self.built = []
