@@ -7,7 +7,6 @@ from .linop import (
     DenseMatrix,
     LinearOperator,
     MatrixMarketError,
-    PowerIterationError,
     SparseMatrix,
     read_matrix_market,
 )
@@ -16,9 +15,7 @@ from .prox import (
     IndSimplex,
     QuadShift,
     ScaledL1,
-    Zero,
     prox_l1,
-    prox_quad_shift,
     proj_nonneg,
     proj_simplex,
 )

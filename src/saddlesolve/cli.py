@@ -16,10 +16,12 @@ Exit codes of the installed ``saddle-solve`` command (``console_main``), of
 configuration or bad input (unknown flag, a solver flag the run does not read
 at the chosen solver and settings, ``--swapped`` or ``--matrix-file`` on a
 LASSO or game problem, inadmissible parameter, a negative or NaN budget,
-missing data, a reference file without a finite ``phi_star``); 2
-diverged (non-finite iterate); 3 stalled (a backtracking loop hit its shrink
-cap). On 2 and 3 the trace recorded so far is still written to the output
-file.
+missing data, a reference file without a finite ``phi_star``, a reference
+solve of a matrix game, an operator norm that cannot be computed); 2
+diverged (a non-finite iterate, a non-finite ergodic average or a step rule
+that predicts a step that is not positive); 3 stalled (a backtracking loop
+hit its shrink cap). On 2 and 3 the trace recorded so far is still written
+to the output file.
 """
 
 from __future__ import annotations
@@ -202,9 +204,6 @@ def cli_run(
 @click.option("--matrix-file", type=click.Path(), default=None)
 def cli_reference(problem_name, seed, max_iters, output, matrix_file):
     """Long high-accuracy solve; writes x_bar, y_bar, phi_star, and residual."""
-    kind = _family_kind(problem_name)
-    if kind == "game":
-        raise click.UsageError("matrix games have a reference-free gap; no reference file needed")
     problem = _build_problem(problem_name, seed, False, matrix_file)
     ref, phi_star, iters = solve_reference(problem, max_iter=max_iters)
     if ref.quality > _RESIDUAL_TARGET:
@@ -215,7 +214,7 @@ def cli_reference(problem_name, seed, max_iters, output, matrix_file):
         )
     payload = {
         "problem": problem_name,
-        "seed": seed if seed is not None else _default_seed(kind),
+        "seed": seed if seed is not None else _default_seed(_family_kind(problem_name)),
         "phi_star": phi_star,
         "residual": ref.quality,
         "iterations": iters,

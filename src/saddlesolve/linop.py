@@ -60,7 +60,6 @@ __all__ = [
     "SparseMatrix",
     "LinearOperator",
     "MatrixMarketError",
-    "PowerIterationError",
     "read_matrix_market",
     "vector_norm",
 ]
@@ -150,15 +149,6 @@ class MatrixMarketError(ValueError):
             message = f"{message} (line {line_no})"
         super().__init__(message)
         self.line_no = line_no
-
-
-class PowerIterationError(RuntimeError):
-    """The operator-norm iteration exhausted its budget; ``estimate`` holds
-    its last value."""
-
-    def __init__(self, message, estimate):
-        super().__init__(message)
-        self.estimate = estimate
 
 
 def _placed_copy(arr):
@@ -407,12 +397,6 @@ class LinearOperator:
         self.adjoint_calls = 0
 
     @property
-    def cached_norm(self):
-        """The spectral norm once ``operator_norm`` has computed it for this
-        matrix or for the transpose it was made from, else None."""
-        return self.backing.norm_cache.value
-
-    @property
     def rows(self):
         return self.backing.rows
 
@@ -441,10 +425,6 @@ class LinearOperator:
             )
         self.adjoint_calls += 1
         return self.backing.adjoint_product(y)
-
-    def reset_counters(self):
-        self.apply_calls = 0
-        self.adjoint_calls = 0
 
     def frobenius_norm(self):
         """The root of the sum of the squared entries. When that sum under-
@@ -475,7 +455,8 @@ class LinearOperator:
         underflow. It can overflow only where ||K||^2 / max|K| leaves the
         float range, as it does when ||K|| nears the largest float; numpy
         then warns, and a non-finite Lanczos residual raises ValueError, as a
-        zero K does. A start vector in the null space is drawn again.
+        zero K does and as an iteration does that has not converged after
+        1,000 Gram products. A start vector in the null space is drawn again.
         """
         cache = self.backing.norm_cache
         if cache.value is not None:
@@ -516,10 +497,8 @@ class LinearOperator:
                 check = k + max(_LANCZOS_CHECK, k // 16)
             betas.append(beta)
             q_prev, q = q, w / beta
-        theta = _top_ritz_pair(alphas, betas[: len(alphas) - 1])[0] if k else 0.0
-        raise PowerIterationError(
-            f"Lanczos iteration did not converge within {_LANCZOS_MAX_ITER} steps",
-            scale * math.sqrt(theta) if theta > 0 else 0.0,
+        raise ValueError(
+            f"operator_norm: Lanczos did not converge within {_LANCZOS_MAX_ITER} steps"
         )
 
 

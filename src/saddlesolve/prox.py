@@ -1,9 +1,9 @@
 """Proximal operators and projections used by all solvers.
 
 The catalog covers the handful of functions the benchmark problems need:
-a weighted l1 norm, a shifted quadratic, the nonnegative orthant, the unit
-simplex, and the zero function. All entries expose ``prox(v, t)`` and a
-function-value evaluator ``value(v)``.
+a weighted l1 norm, a shifted quadratic, the nonnegative orthant and the
+unit simplex. All entries expose ``prox(v, t)`` and a function-value
+evaluator ``value(v)``.
 """
 
 from __future__ import annotations
@@ -12,14 +12,12 @@ import numpy as np
 
 __all__ = [
     "prox_l1",
-    "prox_quad_shift",
     "proj_nonneg",
     "proj_simplex",
     "ScaledL1",
     "QuadShift",
     "IndNonneg",
     "IndSimplex",
-    "Zero",
 ]
 
 
@@ -32,25 +30,6 @@ def prox_l1(x, t):
         raise ValueError("threshold must be nonnegative")
     x = np.asarray(x, dtype=float)
     return np.sign(x) * np.maximum(np.abs(x) - t, 0.0)
-
-
-def prox_quad_shift(v, s, b):
-    """Prox of s * (0.5 ||. + b||^2), i.e. (v - s*b) / (1 + s)."""
-    return _quad_shift_step(np.asarray(v, dtype=float), s, np.asarray(b, dtype=float))
-
-
-def _quad_shift_step(v, s, b):
-    """(v - s*b) / (1 + s) for float arrays ``v`` and ``b``: its operations in
-    their order, so its bits, in one buffer. A step that is not positive
-    (NaN included) or arrays of two shapes raise ValueError."""
-    if not s > 0:
-        raise ValueError("prox step must be positive")
-    if v.shape != b.shape:
-        raise ValueError(f"shape mismatch: v {v.shape} vs shift {b.shape}")
-    out = s * b
-    np.subtract(v, out, out=out)
-    out /= 1.0 + s
-    return out
 
 
 def proj_nonneg(x):
@@ -132,9 +111,18 @@ class QuadShift:
         self.shift = shift
 
     def prox(self, v, t):
-        # prox_quad_shift without its conversions: the shift was checked at
-        # construction, and v is the solver's float vector
-        return _quad_shift_step(v, t, self.shift)
+        """Prox of t * f at the float array ``v``, (v - t*shift) / (1 + t):
+        its operations in their order, so its bits, in one buffer. A step
+        that is not positive (NaN included) or a ``v`` of another shape than
+        the shift raise ValueError."""
+        if not t > 0:
+            raise ValueError("prox step must be positive")
+        if v.shape != self.shift.shape:
+            raise ValueError(f"shape mismatch: v {v.shape} vs shift {self.shift.shape}")
+        out = t * self.shift
+        np.subtract(v, out, out=out)
+        out /= 1.0 + t
+        return out
 
     def value(self, v):
         d = np.asarray(v, dtype=float) + self.shift
@@ -182,16 +170,3 @@ class IndSimplex:
 
     def __repr__(self):
         return "IndSimplex()"
-
-
-class Zero:
-    """The zero function; prox is the identity."""
-
-    def prox(self, v, t):
-        return np.array(v, dtype=float)
-
-    def value(self, v):
-        return 0.0
-
-    def __repr__(self):
-        return "Zero()"

@@ -95,13 +95,16 @@ class LinesearchStallError(RuntimeError):
 
 class DivergenceError(RuntimeError):
     """``run`` found a non-finite iterate or image, or a matrix game's
-    non-finite ergodic average. ``iteration`` records where; ``trace`` may
-    carry the partial run trace."""
+    non-finite ergodic average, or a pdac or apdac iteration predicted a
+    next step that is not positive (NaN, or 0 where ||K* dy|| overflowed).
+    ``iteration`` records where; ``trace`` may carry the partial run
+    trace."""
+
+    trace = None
 
     def __init__(self, message, iteration):
         super().__init__(message)
         self.iteration = iteration
-        self.trace = None
 
 
 @dataclass
@@ -577,7 +580,8 @@ def _pd_iterate(state, problem, cfg, accelerated):
     and the differences whose norms are taken are formed in place in
     ``state.scratch``; IEEE + and * commute, so they keep the bits of the
     expressions above, and at delta = 1 the product delta*(K x_{n+1} - K x_n)
-    is skipped.
+    is skipped. A predicted lambda_{n+2} that is not positive (NaN, or 0
+    where ||K* dy|| overflowed) raises DivergenceError.
     """
     n = state.iter
     K = problem.K
@@ -606,6 +610,10 @@ def _pd_iterate(state, problem, cfg, accelerated):
     kdy = vector_norm(np.subtract(Ky_next, state.Ky, out=xs))
     cap = math.sqrt(state.beta / beta_next) * state.lam_next
     lam_after = predict_step(dy, kdy, cap, phi_n, cfg, beta_next)
+    if not lam_after > 0.0:
+        raise DivergenceError(
+            f"non-finite or zero step {lam_after!r} predicted at iteration {n + 1}", n + 1
+        )
 
     state.x_prev = state.x
     state.x = x_next
@@ -737,7 +745,7 @@ def _smooth_start(problem, x0, bcfg):
     """``x0`` checked by ``_checked_vector``, after ``bcfg`` is validated; a
     problem that is not least squares in x raises ConfigError."""
     bcfg.validate()
-    if not isinstance(problem.fstar, QuadShift) or problem.objective_var != "x":
+    if not isinstance(problem.fstar, QuadShift):
         raise ConfigError("gradient baselines need a least-squares objective 0.5||Kx - b||^2")
     return _checked_vector(x0, problem.K.cols, "x0")
 
@@ -835,10 +843,6 @@ class IterationTrace:
     @property
     def wall_time(self):
         return self.rows[-1][1] if self.rows else 0.0
-
-    def column(self, name):
-        idx = TRACE_HEADER.split(",").index(name)
-        return [row[idx] for row in self.rows]
 
     def to_csv(self, path):
         with open(path, "w", encoding="ascii") as fh:

@@ -9,6 +9,7 @@ once, in memory and as Matrix Market text.
 The gap functions P and D against a reference saddle point, the Lyapunov
 pair (a_n, b_n) of the convergence analysis with the combined gap eta_n,
 and empirical burn-in detection check the solvers against that analysis.
+``Zero``, the zero function, is the g or f* of hand-built toy problems.
 """
 
 import math
@@ -25,6 +26,19 @@ class OracleResult:
 
     value: object
     certificate: float
+
+
+class Zero:
+    """The zero function; prox is the identity."""
+
+    def prox(self, v, t):
+        return np.array(v, dtype=float)
+
+    def value(self, v):
+        return 0.0
+
+    def __repr__(self):
+        return "Zero()"
 
 
 def naive_matvec(entries, x):

@@ -16,6 +16,7 @@ from saddlesolve.cli import DATA_ENV, reference_solve_cmd, run_experiment
 from saddlesolve.diagnostics import ErgodicAverage
 from saddlesolve.linop import SparseMatrix, read_matrix_market
 from oracles import (
+    Zero,
     c12_matrix_market_text,
     lyapunov_series,
     prox_l1_oracle,
@@ -36,9 +37,7 @@ from saddlesolve.prox import (
     IndSimplex,
     QuadShift,
     ScaledL1,
-    Zero,
     prox_l1,
-    prox_quad_shift,
     proj_nonneg,
     proj_simplex,
 )
@@ -98,7 +97,7 @@ def test_c01_prox_matches_oracles(rng):
         s = float(rng.uniform(0.05, 4.0))
         b = rng.uniform(-2.0, 2.0, size=d)
         assert np.all(
-            np.abs(prox_quad_shift(x, s, b) - prox_quad_shift_oracle(x, s, b)) <= 1e-8
+            np.abs(QuadShift(b).prox(x, s) - prox_quad_shift_oracle(x, s, b)) <= 1e-8
         )
         assert np.all(np.abs(proj_nonneg(x) - qp_project_nonneg_oracle(x).value) <= 1e-8)
         assert np.all(np.abs(proj_simplex(x) - qp_project_simplex_oracle(x).value) <= 1e-8)

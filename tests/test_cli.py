@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import saddlesolve.cli as cli
+import saddlesolve.linop as linop
 from saddlesolve.cli import reference_solve_cmd, run_experiment
 from saddlesolve.linop import LinearOperator, SparseMatrix
 from saddlesolve.problems import (
@@ -256,19 +257,49 @@ def test_game_steps_past_the_float_range_end_in_a_divergence(tmp_path, capsys, f
     assert _read_lines(out)[1].startswith("0,")
 
 
+def _matrix_near_the_largest_float(tmp_path):
+    """A Matrix Market file of the 10x10 matrix of entries 1e307, whose
+    ||K|| = 1e308 is finite but whose products overflow."""
+    path = tmp_path / "big.mtx"
+    path.write_text("%%MatrixMarket matrix coordinate real general\n10 10 100\n"
+                    + "".join(f"{i} {j} 1e307\n" for i in range(1, 11) for j in range(1, 11)))
+    return str(path)
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 @pytest.mark.parametrize("solver", [["pdac"], ["pda"], ["pgm"], ["apdac", "--swapped"]])
 def test_a_matrix_near_the_largest_float_exits_with_a_named_error(tmp_path, capsys, solver):
-    # ||K|| = 1e308 is finite, but a product of its Lanczos overflows
-    path = tmp_path / "big.mtx"
-    path.write_text("%%MatrixMarket matrix coordinate real general\n10 10 100\n"
-                    + "".join(f"{i} {j} 1e307\n" for i in range(1, 11) for j in range(1, 11)))
-    code = run_experiment(["--problem", "nnls-well", "--matrix-file", str(path),
+    # a product of its Lanczos overflows
+    code = run_experiment(["--problem", "nnls-well",
+                           "--matrix-file", _matrix_near_the_largest_float(tmp_path),
                            "--solver", *solver, "--max-iters", "5",
                            "--output", str(tmp_path / "t.csv")])
     assert code == 1
     assert "error: operator_norm: ||K||^2/max|K| leaves the float range" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("solver", [["pdac"], ["apdac", "--swapped"]])
+def test_an_overflowed_step_rule_is_a_divergence(tmp_path, capsys, solver):
+    # a given lambda0 skips the Lanczos; ||K* dy|| then overflows, so the
+    # step rule predicts 0, which the next prox would reject as a bad step
+    out = tmp_path / "t.csv"
+    code = run_experiment(["--problem", "nnls-well",
+                           "--matrix-file", _matrix_near_the_largest_float(tmp_path),
+                           "--solver", *solver, "--lambda0", "9.9e-309", "--max-iters", "5",
+                           "--output", str(out)])
+    assert code == 2
+    assert "error: non-finite or zero step 0.0 predicted at iteration 1" in capsys.readouterr().err
+    assert _read_lines(out)[1].startswith("0,")
+
+
+def test_a_lanczos_that_runs_out_of_steps_exits_with_a_named_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(linop, "_LANCZOS_MAX_ITER", 1)
+    code = run_experiment(["--problem", "game1", "--solver", "pda", "--max-iters", "5",
+                           "--output", str(tmp_path / "t.csv")])
+    assert code == 1
+    assert "error: operator_norm: Lanczos did not converge" in capsys.readouterr().err
 
 
 class _NanProx:

@@ -3,6 +3,7 @@ import pytest
 
 from oracles import (
     IterateWindow,
+    Zero,
     find_burn_in,
     gap_D,
     gap_P,
@@ -12,7 +13,7 @@ from oracles import (
 from saddlesolve.diagnostics import ErgodicAverage, ReferencePoint
 from saddlesolve.linop import LinearOperator
 from saddlesolve.problems import ProblemSpec, SaddleProblem, gen_lasso
-from saddlesolve.prox import IndSimplex, QuadShift, ScaledL1, Zero
+from saddlesolve.prox import IndSimplex, QuadShift, ScaledL1
 from saddlesolve.solvers import SolverConfig, default_lambda0, init_state, pdac_iterate
 from saddlesolve.oracle import solve_reference
 

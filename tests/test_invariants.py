@@ -116,9 +116,9 @@ _PRODUCT_KINDS = [(kind, family) for kind in ("pdac", "apdac", "pda", "pgm", "pd
 def _products(kind, prob, cfg, budget):
     """(K, K*) applications of a run of ``budget`` iterations at
     trace_every=1."""
-    prob.K.reset_counters()
+    before = prob.K.apply_calls, prob.K.adjoint_calls
     run(kind, prob, cfg, *prob.start, max_iter=budget)
-    return prob.K.apply_calls, prob.K.adjoint_calls
+    return prob.K.apply_calls - before[0], prob.K.adjoint_calls - before[1]
 
 
 @settings(max_examples=100, deadline=None)

@@ -19,7 +19,6 @@ from saddlesolve.linop import (
     DenseMatrix,
     LinearOperator,
     MatrixMarketError,
-    PowerIterationError,
     SparseMatrix,
     read_matrix_market,
     vector_norm,
@@ -158,7 +157,7 @@ def _pickled_copy(op, entries_nbytes):
     blob = pickle.dumps(op)
     assert len(blob) <= entries_nbytes + 2048
     copy = pickle.loads(blob)
-    assert copy.cached_norm == op.cached_norm
+    assert copy.backing.norm_cache.value == op.backing.norm_cache.value
     assert (copy.apply_calls, copy.adjoint_calls) == (op.apply_calls, op.adjoint_calls)
     if isinstance(copy.backing, DenseMatrix):
         # both products run on the copy's own entries, not on a second copy
@@ -232,11 +231,11 @@ def test_a_matrix_and_its_negated_transpose_share_one_lanczos(first):
            "swapped": LinearOperator(sparse.negated_transpose())}
     other = ops["swapped" if first == "plain" else "plain"]
     L = ops[first].operator_norm()
-    assert other.cached_norm == L and other.operator_norm() == L
+    assert other.backing.norm_cache.value == L and other.operator_norm() == L
     assert other.apply_calls == other.adjoint_calls == 0
     assert L == _c12_operator().operator_norm()  # the same bits in either order
     copy = pickle.loads(pickle.dumps(other))
-    assert copy.cached_norm == L
+    assert copy.backing.norm_cache.value == L
 
 
 # shapes on both sides of the placement threshold (1 MiB = 131072 floats)
@@ -411,9 +410,10 @@ def test_operator_norm_zero_matrix_rejected():
 def test_operator_norm_budget_error(monkeypatch):
     monkeypatch.setattr(linop, "_LANCZOS_MAX_ITER", 1)
     op = LinearOperator(np.array([[2.0, 1.0], [1.0, 3.0]]))
-    with pytest.raises(PowerIterationError) as exc:
+    # the type of the zero-K and overflow failures, which the CLI maps to exit 1
+    with pytest.raises(ValueError, match="^operator_norm: Lanczos did not converge within 1 "):
         op.operator_norm()
-    assert exc.value.estimate > 0.0
+    assert op.backing.norm_cache.value is None
 
 
 def _svd_norm(entries):
@@ -485,7 +485,7 @@ def test_operator_norm_names_a_gram_product_that_overflows(sparse):
     op = LinearOperator(SparseMatrix.from_dense(K) if sparse else K)
     with pytest.raises(ValueError, match="leaves the float range"):
         op.operator_norm()
-    assert op.cached_norm is None
+    assert op.backing.norm_cache.value is None
 
 
 @pytest.mark.parametrize("scale", [1e-200, 1e-160, 1e160, 1e200])
@@ -525,11 +525,11 @@ def test_default_pda_steps_hold_against_the_svd_norm(build):
 def test_operator_norm_product_budget_on_lasso1():
     # the power iteration this replaced took 330 of each on this operator
     op = _lasso1_operator()
-    op.reset_counters()
     op.operator_norm()
-    assert op.apply_calls <= 80 and op.adjoint_calls <= 80
+    calls = op.apply_calls, op.adjoint_calls
+    assert max(calls) <= 80
     op.operator_norm()  # cached: no further products
-    assert op.apply_calls <= 80 and op.adjoint_calls <= 80
+    assert (op.apply_calls, op.adjoint_calls) == calls
 
 
 def test_operator_norm_redraws_a_start_in_the_null_space(monkeypatch):
@@ -1082,5 +1082,3 @@ def test_counters(rng):
     op.adjoint_apply(np.ones(3))
     op.apply(np.ones(3))
     assert (op.apply_calls, op.adjoint_calls) == (2, 1)
-    op.reset_counters()
-    assert (op.apply_calls, op.adjoint_calls) == (0, 0)

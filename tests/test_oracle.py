@@ -14,10 +14,11 @@ from saddlesolve.oracle import (
     solve_reference,
 )
 from saddlesolve.problems import ProblemSpec, SaddleProblem, build_nnls, gen_lasso, primal_objective
-from saddlesolve.prox import QuadShift, ScaledL1, Zero, proj_simplex
+from saddlesolve.prox import QuadShift, ScaledL1, proj_simplex
 from saddlesolve.solvers import BaselineConfig, init_fista
 from make_fixtures import build_records, FIXTURE_PATH
 from oracles import (
+    Zero,
     c12_matrix,
     gram_norm_oracle,
     naive_matvec,

@@ -4,6 +4,7 @@ import weakref
 import numpy as np
 import pytest
 
+from oracles import Zero
 from saddlesolve.linop import LinearOperator, SparseMatrix
 from saddlesolve.problems import (
     FeasibilityError,
@@ -17,7 +18,7 @@ from saddlesolve.problems import (
     pd_gap_game,
     primal_objective,
 )
-from saddlesolve.prox import IndNonneg, IndSimplex, QuadShift, ScaledL1, Zero
+from saddlesolve.prox import IndNonneg, IndSimplex, QuadShift, ScaledL1
 from saddlesolve.oracle import solve_reference
 
 

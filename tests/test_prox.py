@@ -3,15 +3,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import prox_l1_oracle, qp_project_nonneg_oracle, qp_project_simplex_oracle
+from oracles import Zero, prox_l1_oracle, qp_project_nonneg_oracle, qp_project_simplex_oracle
 from saddlesolve.prox import (
     IndNonneg,
     IndSimplex,
     QuadShift,
     ScaledL1,
-    Zero,
     prox_l1,
-    prox_quad_shift,
     proj_nonneg,
     proj_simplex,
 )
@@ -36,16 +34,16 @@ def test_prox_l1_matches_candidate_oracle(xs, t):
 
 def test_prox_quad_shift_fixed_point():
     b = np.array([1.5, -2.0])
-    assert np.allclose(prox_quad_shift(-b, 3.7, b), -b)
+    assert np.allclose(QuadShift(b).prox(-b, 3.7), -b)
 
 
 def test_prox_quad_shift_shrink():
-    assert prox_quad_shift(np.array([1.0]), 1.0, np.array([0.0]))[0] == 0.5
+    assert QuadShift(np.array([0.0])).prox(np.array([1.0]), 1.0)[0] == 0.5
 
 
 def test_prox_quad_shift_matches_grid_oracle(fixtures):
     rec = fixtures["quadshift_grid"]
-    got = prox_quad_shift(np.array([rec["v"]]), rec["s"], np.array([rec["b"]]))[0]
+    got = QuadShift(np.array([rec["b"]])).prox(np.array([rec["v"]]), rec["s"])[0]
     assert got == pytest.approx(rec["out"], abs=rec["tol"])
     assert got == pytest.approx(1.0 / 3.0, rel=1e-12)
 
@@ -55,13 +53,10 @@ def test_prox_quad_shift_bits_of_the_closed_form(rng):
         v, b = rng.standard_normal(n), rng.standard_normal(n)
         for s in (1e-3, 0.37, 1.0, 250.0):
             closed_form = ((v - s * b) / (1.0 + s)).tobytes()
-            assert prox_quad_shift(v, s, b).tobytes() == closed_form
             assert QuadShift(b).prox(v, s).tobytes() == closed_form
 
 
 def test_prox_quad_shift_dim_mismatch():
-    with pytest.raises(ValueError, match="mismatch"):
-        prox_quad_shift(np.zeros(2), 1.0, np.zeros(3))
     with pytest.raises(ValueError, match="mismatch"):
         QuadShift(np.zeros(3)).prox(np.zeros(2), 1.0)
 
@@ -70,15 +65,12 @@ def test_prox_quad_shift_dim_mismatch():
     "call, match",
     [
         (lambda: prox_l1(np.ones(2), -0.1), "nonnegative"),
-        (lambda: prox_quad_shift(np.ones(2), 0.0, np.zeros(2)), "positive"),
-        (lambda: prox_quad_shift(np.ones(2), -1.0, np.zeros(2)), "positive"),
         (lambda: QuadShift(np.zeros(2)).prox(np.ones(2), 0.0), "positive"),
         (lambda: QuadShift(np.zeros(2)).prox(np.ones(2), -1.0), "positive"),
         (lambda: ScaledL1(-0.5), "nonnegative"),
         # each check accepts only good values, so NaN fails it
         (lambda: prox_l1(np.ones(2), np.nan), "nonnegative"),
         (lambda: ScaledL1(np.nan), "nonnegative"),
-        (lambda: prox_quad_shift(np.ones(2), np.nan, np.zeros(2)), "positive"),
         (lambda: QuadShift(np.zeros(2)).prox(np.ones(2), np.nan), "positive"),
         (lambda: QuadShift(np.array([1.0, np.nan])), "finite"),
         (lambda: QuadShift(np.array([np.inf])), "finite"),
