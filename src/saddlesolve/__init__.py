@@ -24,13 +24,11 @@ from .problems import (
     GroundTruth,
     ProblemSpec,
     SaddleProblem,
-    UnsupportedMetricError,
     build_nnls,
     gen_lasso,
     gen_matrix_game,
     load_nnls,
     pd_gap_game,
-    primal_objective,
 )
 from .solvers import (
     BaselineConfig,

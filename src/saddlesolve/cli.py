@@ -21,7 +21,10 @@ solve of a matrix game, an operator norm that cannot be computed); 2
 diverged (a non-finite iterate, a non-finite ergodic average or a step rule
 that predicts a step that is not positive); 3 stalled (a backtracking loop
 hit its shrink cap). On 2 and 3 the trace recorded so far is still written
-to the output file.
+to the output file. The ``run`` command returns 2 and 3 as its value, and
+``main.main(standalone_mode=False)`` passes that value back; click's
+standalone mode drops a command's return value, so call ``main`` through
+these three entry points, not on its own.
 """
 
 from __future__ import annotations
@@ -187,7 +190,7 @@ def cli_run(
         if err.trace is not None:
             err.trace.to_csv(output)
         click.echo(f"error: {err}", err=True)
-        sys.exit(EXIT_DIVERGED if isinstance(err, DivergenceError) else EXIT_STALLED)
+        return EXIT_DIVERGED if isinstance(err, DivergenceError) else EXIT_STALLED
     trace.to_csv(output)
     click.echo(
         f"summary problem={problem_name} solver={solver} iters={trace.rows[-1][0]} "
@@ -231,10 +234,7 @@ def cli_reference(problem_name, seed, max_iters, output, matrix_file):
 
 def _invoke(args):
     try:
-        main.main(args=args, standalone_mode=False)
-        return 0
-    except SystemExit as exc:  # raised by divergence handling
-        return int(exc.code or 0)
+        return main.main(args=args, standalone_mode=False) or 0
     except click.UsageError as exc:
         click.echo(f"error: {exc.format_message()}", err=True)
         return 1

@@ -13,7 +13,6 @@ import math
 import numpy as np
 
 from .diagnostics import ReferencePoint
-from .problems import primal_objective
 from .solvers import BaselineConfig, fista_iterate, init_fista, prox_residual
 
 __all__ = ["saddle_residual", "solve_reference"]
@@ -161,8 +160,11 @@ def solve_reference(problem, *, max_iter=1_000_000):
     stalls for 5000 iterations, or the budget runs out; then the same polish
     runs on the last iterate and the best point is kept. Returns
     (ReferencePoint, phi_star, iterations); the reference dual point is
-    y_bar = K x_bar - b and the quality field holds the measured saddle
-    residual. A negative ``max_iter`` raises ValueError.
+    y_bar = K x_bar - b, the quality field holds the measured saddle
+    residual, and phi_star is ``problem.objective(x_bar, K x_bar)``, so an
+    objective set on the instance shadows the method for phi_star as it
+    does for ``run``'s metric column. A negative ``max_iter`` raises
+    ValueError.
     """
     if problem.family not in ("lasso", "nnls"):
         raise ValueError("reference solves support LASSO and unswapped NNLS only")
@@ -207,5 +209,5 @@ def solve_reference(problem, *, max_iter=1_000_000):
     Kx_bar = problem.K.apply(x_bar)
     y_bar = Kx_bar - b
     ref = ReferencePoint(x_bar=x_bar, y_bar=y_bar, quality=quality)
-    phi_star = primal_objective(problem, x_bar, Kx_bar)
+    phi_star = problem.objective(x_bar, Kx_bar)
     return ref, phi_star, iters_done

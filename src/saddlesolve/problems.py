@@ -21,12 +21,10 @@ __all__ = [
     "GroundTruth",
     "SaddleProblem",
     "FeasibilityError",
-    "UnsupportedMetricError",
     "gen_lasso",
     "gen_matrix_game",
     "build_nnls",
     "load_nnls",
-    "primal_objective",
     "pd_gap_game",
     "LASSO_FAMILIES",
     "GAME_FAMILIES",
@@ -53,10 +51,6 @@ NNLS_FAMILIES = {
 
 class FeasibilityError(ValueError):
     """An input violates a feasibility requirement (named in the message)."""
-
-
-class UnsupportedMetricError(ValueError):
-    """The requested metric is undefined for this problem family."""
 
 
 @dataclass(frozen=True)
@@ -93,7 +87,8 @@ class SaddleProblem:
     problem, so ``K``'s counters see every product the problem spends; and
     no problem refers to itself, so a dropped one is freed at once. An
     objective set by hand on the instance (``problem.objective = fn``)
-    shadows the method; ``run`` always passes the image, so such an ``fn``
+    shadows the method, for ``run``'s metric column and for the phi_star of
+    ``solve_reference`` alike; both always pass the image, so such an ``fn``
     must accept it as a second argument. ``start`` is the conventional
     initial point pair for the family. The ``prox`` of g and of fstar must
     return a new array, not its input or a view of it: the corrected solver
@@ -101,7 +96,7 @@ class SaddleProblem:
 
     ``family`` names the kind of problem, worked out from the types of g
     and fstar alone, however the problem was built; the solvers' defaults,
-    ``run``'s metric, ``primal_objective`` and ``solve_reference`` read it.
+    ``run``'s metric, ``objective`` and ``solve_reference`` read it.
     """
 
     g: object
@@ -115,8 +110,8 @@ class SaddleProblem:
     def family(self):
         """The kind of problem: "lasso" or "nnls" for min 0.5||Kx - b||^2 +
         g(x), that is fstar a ``QuadShift`` and g a ``ScaledL1`` or an
-        ``IndNonneg``, the form of ``primal_objective`` and
-        ``solve_reference``; "game" when g and fstar are both
+        ``IndNonneg``, the form that ``objective`` evaluates and
+        ``solve_reference`` solves; "game" when g and fstar are both
         ``IndSimplex``, the only case in which ``pd_gap_game`` is the saddle
         gap and ``run`` measures it on the ergodic average; None for
         anything else, swapped NNLS included."""
@@ -143,18 +138,24 @@ class SaddleProblem:
         the objective its matrix application, and left out, the objective
         applies this problem's own K (or K*) itself.
 
-        "lasso" and "nnls": ``primal_objective``. Swapped NNLS: the unswapped
-        objective 0.5||K y - b||^2 + [y >= 0], as g(image) + fstar(y): its
-        image K_sw* y = -K y plus the shift b has the bits of -(K y - b), so
-        no negated copy of the image is made. NaN for any other problem."""
+        "lasso" and "nnls": 0.5||Kx - b||^2 + g(x), with g = mu ||x||_1 for
+        LASSO and, for NNLS, g 0 for x within -1e-12 of the orthant and +inf
+        otherwise. Swapped NNLS: the unswapped objective 0.5||K y - b||^2 +
+        [y >= 0], as g(image) + fstar(y): its image K_sw* y = -K y plus the
+        shift b has the bits of -(K y - b), so no negated copy of the image
+        is made. NaN for any other problem, matrix games included. This is
+        also where ``solve_reference`` takes phi_star from."""
         if self.objective_var == "y":
             if image is None:
                 image = self.K.adjoint_apply(point)
             return self.g.value(image) + self.fstar.value(point)
-        try:
-            return primal_objective(self, point, image)
-        except UnsupportedMetricError:
+        if self.family not in ("lasso", "nnls"):
             return float("nan")
+        if image is None:
+            point = np.asarray(point, dtype=float)
+            image = self.K.apply(point)
+        r = image - self.fstar.shift
+        return 0.5 * float(r.dot(r)) + self.g.value(point)
 
 
 def gen_lasso(spec):
@@ -258,30 +259,6 @@ def load_nnls(spec, swapped=False):
     rng = np.random.default_rng(spec.seed)
     b = rng.standard_normal(sparse.rows)
     return build_nnls(sparse, b, swapped=swapped, label=spec.family)
-
-
-def primal_objective(problem, x, Kx=None):
-    """Objective of the underlying minimization at a primal point:
-    0.5||Kx - b||^2 + g(x) for the least-squares families.
-
-    LASSO: g = mu ||x||_1. NNLS: g is 0 for x within -1e-12 of the orthant
-    and +inf otherwise. Matrix games have no primal objective here. ``Kx``,
-    when given, stands in for ``problem.K.apply(x)``, so the objective
-    applies no matrix.
-    """
-    _check_least_squares(problem)
-    if Kx is None:
-        x = np.asarray(x, dtype=float)
-        Kx = problem.K.apply(x)
-    r = Kx - problem.fstar.shift
-    return 0.5 * float(r.dot(r)) + problem.g.value(x)
-
-
-def _check_least_squares(problem):
-    if problem.family not in ("lasso", "nnls"):
-        raise UnsupportedMetricError(
-            f"problem {problem.label!r} has no primal objective in this form"
-        )
 
 
 def _check_simplex_point(name, v, n):

@@ -116,9 +116,10 @@ class SolverConfig:
     0 < rho < 1, lambda0 and beta0 positive and finite, gamma finite and
     nonnegative, lambda_cap positive, where lambda_cap = inf means no cap,
     and n_hat <= n_zero, neither of them NaN. The accelerated variant
-    additionally needs delta >= 1 and the monotone step rule. ``gamma`` is read only by the accelerated variant. ``validate``
-    takes the kind the config is for, ``"pdac"`` or ``"apdac"``; any other
-    kind raises ConfigError.
+    additionally needs delta >= 1 and the monotone step rule. ``gamma`` is
+    read only by the accelerated variant. ``validate`` takes the kind the
+    config is for, ``"pdac"`` or ``"apdac"``; any other kind raises
+    ConfigError.
     """
 
     delta: float = 0.62
@@ -830,7 +831,8 @@ class IterationTrace:
     rows: list = field(default_factory=list)  # (iter, seconds, metric, lam, beta, corr)
 
     def append(self, it, seconds, metric, lam, beta, corrections):
-        self.rows.append((int(it), float(seconds), float(metric), float(lam), float(beta), int(corrections)))
+        row = (int(it), float(seconds), float(metric), float(lam), float(beta), int(corrections))
+        self.rows.append(row)
 
     @property
     def final_metric(self):

@@ -13,7 +13,7 @@ from saddlesolve.oracle import (
     saddle_residual,
     solve_reference,
 )
-from saddlesolve.problems import ProblemSpec, SaddleProblem, build_nnls, gen_lasso, primal_objective
+from saddlesolve.problems import ProblemSpec, SaddleProblem, build_nnls, gen_lasso
 from saddlesolve.prox import QuadShift, ScaledL1, proj_simplex
 from saddlesolve.solvers import BaselineConfig, init_fista
 from make_fixtures import build_records, FIXTURE_PATH
@@ -124,12 +124,19 @@ def test_reference_zero_problem():
         K=LinearOperator(np.zeros((2, 3)) + 1e-30),
         label="degenerate",
     )
-    prob.objective = lambda x, image=None: 0.5 * float(
-        (prob.K.apply(x) - prob.fstar.shift) @ (prob.K.apply(x) - prob.fstar.shift)
-    )
     ref, phi_star, _ = solve_reference(prob, max_iter=100)
     assert phi_star == pytest.approx(0.0, abs=1e-12)
     assert np.allclose(ref.x_bar, 0.0)
+
+
+def test_reference_phi_star_is_the_problems_own_objective():
+    # phi_star is problem.objective at x_bar, so an objective set on the
+    # instance shadows the method for phi_star as for run's metric column
+    prob, _ = gen_lasso(ProblemSpec("lasso1", seed=26, m=14, n=30, s=3))
+    base = prob.objective
+    prob.objective = lambda x, image=None: base(x, image) + 1.0
+    ref, phi_star, _ = solve_reference(prob)
+    assert phi_star == prob.objective(ref.x_bar)
 
 
 def _reference_to_stall(problem, stall_window=5000):
@@ -203,7 +210,7 @@ def test_reference_certified_stop_matches_stalled_polish(make, sooner):
     assert ref.x_bar.tobytes() == x_stall.tobytes()
     assert ref.y_bar.tobytes() == (problem.K.apply(x_stall) - problem.fstar.shift).tobytes()
     assert ref.quality == quality_stall
-    assert phi_star == primal_objective(problem, x_stall)
+    assert phi_star == problem.objective(x_stall)
     if sooner:
         assert iters < iters_stall
     else:

@@ -10,13 +10,11 @@ from saddlesolve.problems import (
     FeasibilityError,
     ProblemSpec,
     SaddleProblem,
-    UnsupportedMetricError,
     build_nnls,
     gen_lasso,
     gen_matrix_game,
     load_nnls,
     pd_gap_game,
-    primal_objective,
 )
 from saddlesolve.prox import IndNonneg, IndSimplex, QuadShift, ScaledL1
 from saddlesolve.oracle import solve_reference
@@ -93,6 +91,10 @@ def test_problem_kind_follows_from_g_and_fstar():
         SaddleProblem(g=Zero(), fstar=Zero(), K=game.K),
     ]
     assert [p.family for p in problems] == ["game", "lasso", "nnls", None, "game", None]
+    # the least-squares objective is defined for lasso, nnls and swapped nnls only
+    points = [np.zeros(p.K.cols if p.objective_var == "x" else p.K.rows) for p in problems]
+    nan = [bool(np.isnan(p.objective(v))) for p, v in zip(problems, points)]
+    assert nan == [True, False, False, False, True, True]
 
 
 def test_game_instances():
@@ -188,7 +190,7 @@ def test_nnls_swapped_objective_evaluates_original():
     swapped = build_nnls(sp, b, swapped=True)
     unswapped = build_nnls(sp, b)
     v = np.array([0.5, 0.0, 1.2, 0.3])
-    assert swapped.objective(v) == pytest.approx(primal_objective(unswapped, v))
+    assert swapped.objective(v) == pytest.approx(unswapped.objective(v))
     assert swapped.objective(np.array([-1.0, 0, 0, 0])) == np.inf
 
 
@@ -231,17 +233,17 @@ def test_load_nnls_file(tmp_path):
     assert swapped.gamma == 0.5
 
 
-def test_primal_objective_lasso_formula(fixtures):
+def test_objective_lasso_formula(fixtures):
     op = LinearOperator(np.array([[1.0]]))
     from saddlesolve.problems import SaddleProblem
 
     prob = SaddleProblem(g=ScaledL1(0.1), fstar=QuadShift(np.array([1.0])), K=op)
-    assert primal_objective(prob, np.array([0.0])) == pytest.approx(
+    assert prob.objective(np.array([0.0])) == pytest.approx(
         fixtures["lasso_obj_1d"]["out"]
     )
 
 
-def test_primal_objective_zero_noise_ground_truth():
+def test_objective_zero_noise_ground_truth():
     # with zero noise, phi(w) = mu*||w||_1 at the planted signal
     rng = np.random.default_rng(3)
     K = rng.standard_normal((10, 20))
@@ -250,19 +252,13 @@ def test_primal_objective_zero_noise_ground_truth():
     from saddlesolve.problems import SaddleProblem
 
     prob = SaddleProblem(g=ScaledL1(0.1), fstar=QuadShift(K @ w), K=LinearOperator(K))
-    assert primal_objective(prob, w) == pytest.approx(0.1 * 3.5)
+    assert prob.objective(w) == pytest.approx(0.1 * 3.5)
 
 
-def test_primal_objective_nnls_sentinel():
+def test_objective_nnls_sentinel():
     sp, b = _toy_sparse()
     prob = build_nnls(sp, b)
-    assert primal_objective(prob, np.array([0.0, 0.0, -1.0, 0.0])) == np.inf
-
-
-def test_primal_objective_unsupported_on_games():
-    game = gen_matrix_game(ProblemSpec("game1", seed=1, m=4, n=4))
-    with pytest.raises(UnsupportedMetricError):
-        primal_objective(game, np.full(4, 0.25))
+    assert prob.objective(np.array([0.0, 0.0, -1.0, 0.0])) == np.inf
 
 
 def test_pd_gap_cases(fixtures):
