@@ -16,6 +16,7 @@ Exit codes of the installed ``saddle-solve`` command (``console_main``), of
 configuration or bad input (unknown flag, a solver flag the run does not read
 at the chosen solver and settings, ``--swapped`` or ``--matrix-file`` on a
 LASSO or game problem, inadmissible parameter, a negative or NaN budget,
+an ``--output`` that cannot be written, found before the problem is built,
 missing data, a reference file without a finite ``phi_star``, a reference
 solve of a matrix game, an operator norm that cannot be computed); 2
 diverged (a non-finite iterate, a non-finite ergodic average or a step rule
@@ -105,6 +106,16 @@ def _read_phi_star(path):
     return float(value)
 
 
+def _check_output(path):
+    """Raise BadParameter unless the file ``path`` can be written: it is no
+    directory, and it, or its directory where it does not exist yet, is
+    writable (a missing directory is not). The commands call this before
+    they build the problem, so a bad path costs no solve."""
+    folder = os.path.dirname(path) or os.curdir
+    if os.path.isdir(path) or not os.access(path if os.path.exists(path) else folder, os.W_OK):
+        raise click.BadParameter(f"cannot write {path}", param_hint="--output")
+
+
 def _build_problem(problem_name, seed, swapped, matrix_file):
     kind = _family_kind(problem_name)
     if kind != "nnls" and (swapped or matrix_file):
@@ -165,6 +176,9 @@ def cli_run(
     """Run one solver on one problem and write a CSV trace."""
     if max_iters < 0:
         raise click.UsageError("--max-iters must be nonnegative")
+    if output is None:
+        output = f"trace_{problem_name}_{solver}.csv"
+    _check_output(output)
     problem = _build_problem(problem_name, seed, swapped, matrix_file)
     cfg, unread = default_config(problem, solver, **flags)
     if unread:
@@ -172,8 +186,6 @@ def cli_run(
         raise click.UsageError(f"--solver {solver} does not read {names}")
     reference_value = _read_phi_star(reference_path) if reference_path else None
     x0, y0 = problem.start
-    if output is None:
-        output = f"trace_{problem_name}_{solver}.csv"
     try:
         trace = run(
             solver,
@@ -207,6 +219,7 @@ def cli_run(
 @click.option("--matrix-file", type=click.Path(), default=None)
 def cli_reference(problem_name, seed, max_iters, output, matrix_file):
     """Long high-accuracy solve; writes x_bar, y_bar, phi_star, and residual."""
+    _check_output(output)
     problem = _build_problem(problem_name, seed, False, matrix_file)
     ref, phi_star, iters = solve_reference(problem, max_iter=max_iters)
     if ref.quality > _RESIDUAL_TARGET:

@@ -138,24 +138,38 @@ class SaddleProblem:
         the objective its matrix application, and left out, the objective
         applies this problem's own K (or K*) itself.
 
-        "lasso" and "nnls": 0.5||Kx - b||^2 + g(x), with g = mu ||x||_1 for
-        LASSO and, for NNLS, g 0 for x within -1e-12 of the orthant and +inf
-        otherwise. Swapped NNLS: the unswapped objective 0.5||K y - b||^2 +
-        [y >= 0], as g(image) + fstar(y): its image K_sw* y = -K y plus the
-        shift b has the bits of -(K y - b), so no negated copy of the image
-        is made. NaN for any other problem, matrix games included. This is
-        also where ``solve_reference`` takes phi_star from."""
+        "lasso" and "nnls": ``least_squares(image)`` + g(x), with g = mu
+        ||x||_1 for LASSO and, for NNLS, g 0 for x within -1e-12 of the
+        orthant and +inf otherwise, so an infeasible point gives inf.
+        Swapped NNLS: the unswapped objective 0.5||K y - b||^2 + [y >= 0],
+        as ``least_squares(image)`` + fstar(y). NaN for any other problem,
+        matrix games included. This is also where ``solve_reference`` takes
+        phi_star from."""
         if self.objective_var == "y":
             if image is None:
                 image = self.K.adjoint_apply(point)
-            return self.g.value(image) + self.fstar.value(point)
+            return self.least_squares(image) + self.fstar.value(point)
         if self.family not in ("lasso", "nnls"):
             return float("nan")
         if image is None:
             point = np.asarray(point, dtype=float)
             image = self.K.apply(point)
-        r = image - self.fstar.shift
-        return 0.5 * float(r.dot(r)) + self.g.value(point)
+        return self.least_squares(image) + self.g.value(point)
+
+    def least_squares(self, image):
+        """The least-squares term 0.5||K x - b||^2 of a LASSO or NNLS
+        objective, from the image K x and the shift b of fstar. On swapped
+        NNLS the image is K_sw* y = -K y and b is the shift of g, and the
+        residual is the image plus b, which has the bits of -(K y - b), so
+        no negated copy of the image is made and the term has the bits of
+        the unswapped problem's. ``run`` reads this term alone on the NNLS
+        rows after the start, where the point is the projection's output and
+        g(x) (fstar(y) when swapped) is exactly 0."""
+        if isinstance(self.g, QuadShift):
+            r = image + self.g.shift
+        else:
+            r = image - self.fstar.shift
+        return 0.5 * float(r.dot(r))
 
 
 def gen_lasso(spec):

@@ -141,6 +141,11 @@ class IndNonneg:
         return proj_nonneg(v)
 
     def value(self, v):
+        """0.0 for ``v`` within -feas_tol of the orthant, an empty ``v``
+        included, and +inf otherwise, a NaN entry included. The projection's
+        output is never negative, so ``run`` leaves this reduction out of the
+        NNLS rows after the start, and ``SaddleProblem.objective`` still
+        takes it."""
         v = np.asarray(v, dtype=float)
         # the reduction of v.min(), without its Python wrapper
         return 0.0 if v.size == 0 or np.minimum.reduce(v) >= -self.feas_tol else float("inf")

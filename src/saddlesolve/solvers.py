@@ -22,6 +22,7 @@ once: ``default_config``, ``run`` and the CLI reach every kind through it.
 from __future__ import annotations
 
 import math
+import sys
 import time
 from collections.abc import Callable
 from dataclasses import dataclass, field, fields, replace
@@ -32,7 +33,7 @@ import numpy as np
 
 from .diagnostics import ErgodicAverage
 from .linop import vector_norm
-from .problems import FeasibilityError, pd_gap_game
+from .problems import FeasibilityError, SaddleProblem, pd_gap_game
 from .prox import QuadShift
 
 __all__ = [
@@ -115,7 +116,8 @@ class SolverConfig:
     (sqrt(5)-1)/2, 0 < alpha < 1/sqrt(delta), 1 < nu_corr <= mu_corr < inf,
     0 < rho < 1, lambda0 and beta0 positive and finite, gamma finite and
     nonnegative, lambda_cap positive, where lambda_cap = inf means no cap,
-    and n_hat <= n_zero, neither of them NaN. The accelerated variant
+    and n_hat <= n_zero, both numbers within the float range, NaN and inf
+    not among them. The accelerated variant
     additionally needs delta >= 1 and the monotone step rule. ``gamma`` is
     read only by the accelerated variant. ``validate`` takes the kind the
     config is for, ``"pdac"`` or ``"apdac"``; any other kind raises
@@ -168,8 +170,11 @@ class SolverConfig:
         if not (self.gamma >= 0 and math.isfinite(self.gamma)):
             raise ConfigError(f"gamma must be finite and nonnegative; got {self.gamma}")
         for name in ("n_hat", "n_zero"):
-            if math.isnan(getattr(self, name)):
-                raise ConfigError(f"{name} must be a number; got {getattr(self, name)}")
+            value = getattr(self, name)
+            # an int compares with a float exactly, with no conversion that
+            # could overflow, and phi_schedule turns n - n_hat into a float
+            if not abs(value) <= sys.float_info.max:
+                raise ConfigError(f"{name} must be a number in the float range; got {value}")
         if not self.n_hat <= self.n_zero:
             raise ConfigError(
                 f"schedule needs n_hat <= n_zero; got n_hat={self.n_hat}, n_zero={self.n_zero}"
@@ -586,42 +591,46 @@ def _pd_iterate(state, problem, cfg, accelerated):
     """
     n = state.iter
     K = problem.K
+    x, y, Kx, Ky = state.x, state.y, state.Kx, state.Ky
+    lam, lam_next, beta = state.lam, state.lam_next, state.beta
+    delta = cfg.delta
     gamma = cfg.gamma if accelerated else 0.0
-    phi_n = phi_schedule(n, cfg)
+    phi_n = phi_schedule(n, cfg) if cfg.nonmonotone else 1.0
     xs, ys = state.scratch
-    np.multiply(state.Ky, state.lam, out=xs)
-    np.subtract(state.x, xs, out=xs)
-    x_next = problem.g.prox(xs, state.lam)
-    correcting = cfg.delta < 1.0  # zeta is read by the correction alone
+    np.multiply(Ky, lam, out=xs)
+    np.subtract(x, xs, out=xs)
+    x_next = problem.g.prox(xs, lam)
+    correcting = delta < 1.0  # zeta is read by the correction alone
     if correcting:
-        zeta_next = vector_norm(np.subtract(x_next, state.x, out=xs))
+        zeta_next = vector_norm(np.subtract(x_next, x, out=xs))
         x_next, zeta_next = correction_pass(state, problem, cfg, x_next, zeta_next, phi_n)
+        lam_next = state.lam_next  # the correction shrinks the steps in place
     Kx_next = K.apply(x_next)
-    np.subtract(Kx_next, state.Kx, out=ys)
-    if cfg.delta != 1.0:  # 1.0 * d is d bit for bit
-        np.multiply(ys, cfg.delta, out=ys)
+    np.subtract(Kx_next, Kx, out=ys)
+    if delta != 1.0:  # 1.0 * d is d bit for bit
+        np.multiply(ys, delta, out=ys)
     np.add(ys, Kx_next, out=ys)  # K z_{n+1}
-    beta_next = state.beta * (1.0 + gamma * state.lam_next)
-    s = beta_next * state.lam_next
+    beta_next = beta * (1.0 + gamma * lam_next)
+    s = beta_next * lam_next
     np.multiply(ys, s, out=ys)
-    np.add(ys, state.y, out=ys)
+    np.add(ys, y, out=ys)
     y_next = problem.fstar.prox(ys, s)
     Ky_next = K.adjoint_apply(y_next)
-    dy = vector_norm(np.subtract(y_next, state.y, out=ys))
-    kdy = vector_norm(np.subtract(Ky_next, state.Ky, out=xs))
-    cap = math.sqrt(state.beta / beta_next) * state.lam_next
+    dy = vector_norm(np.subtract(y_next, y, out=ys))
+    kdy = vector_norm(np.subtract(Ky_next, Ky, out=xs))
+    cap = math.sqrt(beta / beta_next) * lam_next
     lam_after = predict_step(dy, kdy, cap, phi_n, cfg, beta_next)
     if not lam_after > 0.0:
         raise DivergenceError(
             f"non-finite or zero step {lam_after!r} predicted at iteration {n + 1}", n + 1
         )
 
-    state.x_prev = state.x
+    state.x_prev = x
     state.x = x_next
     state.Kx = Kx_next
     state.y = y_next
     state.Ky = Ky_next
-    state.lam = state.lam_next
+    state.lam = lam_next
     state.lam_next = lam_after
     state.beta = beta_next
     if correcting:
@@ -947,16 +956,27 @@ def run(
     with the K-image the solver state caches, so an objective row applies no
     matrix, and NaN for a problem of no known form; for a matrix game
     (``problem.family == "game"``) it holds the primal-dual gap of the
-    running ergodic average. A start whose lengths
+    running ergodic average. What evaluates a row is settled once, when the
+    run starts. An objective set on the instance is called on every row.
+    Otherwise the rows after the start of a LASSO or NNLS problem, in
+    either form, take the objective in its parts, as it sums them:
+    ``problem.least_squares(image)`` + g(x) on LASSO, and the first term
+    alone on NNLS, whose iterate comes out of the projection onto the
+    orthant, where the indicator is exactly 0.0 and adding it changes no
+    bit. A start whose lengths
     do not match ``problem.K``, or with a non-finite entry, raises
     ValueError, whatever the kind. After every iteration the point the
     objective reads and its image are checked, and a non-finite entry
     raises DivergenceError: the check takes v.v of each, which a NaN or
     infinite entry makes NaN or inf, and tests every entry only when one
     of the two is not finite, so a finite point whose squares overflow
-    runs on. Numpy warns of that overflow from the check's dot, so under
-    ``np.errstate(over="raise")``, or with RuntimeWarning made an error,
-    the check itself raises there, and that error carries no ``.trace``.
+    runs on. On a row taken in parts the value comes first, and a finite
+    one vouches for the image, whose NaN or infinite entry would make it
+    NaN or inf, so only the point's v.v remains; a value that is not
+    finite leaves the check as above. Numpy warns of that overflow from
+    the dot that meets it, so under ``np.errstate(over="raise")``, or with
+    RuntimeWarning made an error, the check or the row raises there, and
+    that error carries no ``.trace``.
     A matrix game's metric row that finds a non-finite entry in the ergodic
     average (its weights or sums overflowed, or it took in a non-finite
     dual iterate) raises DivergenceError too. The metric row of an
@@ -977,47 +997,67 @@ def run(
     kind = SOLVERS[solver_kind]
     state = kind.init(problem, x0, y0, cfg)
     step = globals()[f"{solver_kind}_iterate"]
+    family = problem.family
     var = problem.objective_var
     point_of = attrgetter(var, "K" + var)
     columns = attrgetter("lam", "beta", "corrections")
-    ergodic = ErgodicAverage(x0, kind.head(cfg)) if problem.family == "game" else None
+    ergodic = ErgodicAverage(x0, kind.head(cfg)) if family == "game" else None
+    # x - 0.0 is x bit for bit, and a game's gap takes no reference
+    offset = 0.0 if reference_value is None or ergodic is not None else reference_value
 
     def metric(point, image):
-        if ergodic is not None:
-            if not ergodic.updates:
-                return pd_gap_game(problem.K, x0, y0)
-            X, Y = ergodic.X, ergodic.Y
-            try:
-                return pd_gap_game(problem.K, X, Y)
-            except FeasibilityError:
-                # an average whose weights or sums overflowed, or that took
-                # in a NaN dual iterate, is a divergence
-                if np.isfinite(X).all() and np.isfinite(Y).all():
-                    raise
-                n = ergodic.updates
-                raise DivergenceError(f"non-finite ergodic average at iteration {n}", n) from None
-        value = problem.objective(point, image)
-        if reference_value is not None:
-            value -= reference_value
-        return value
+        if ergodic is None:
+            return problem.objective(point, image)
+        if not ergodic.updates:
+            return pd_gap_game(problem.K, x0, y0)
+        X, Y = ergodic.X, ergodic.Y
+        try:
+            return pd_gap_game(problem.K, X, Y)
+        except FeasibilityError:
+            # an average whose weights or sums overflowed, or that took in a
+            # NaN dual iterate, is a divergence
+            if np.isfinite(X).all() and np.isfinite(Y).all():
+                raise
+            n = ergodic.updates
+            raise DivergenceError(f"non-finite ergodic average at iteration {n}", n) from None
+
+    # the rows after the start take the problem's own least-squares objective
+    # in its parts: least_squares(image) + g(x) on LASSO, and the first alone
+    # on NNLS, whose iterate comes out of the projection onto the orthant
+    least_squares = penalty = None
+    own = getattr(problem.objective, "__func__", None) is SaddleProblem.objective
+    if own and (family in ("lasso", "nnls") or var == "y"):
+        least_squares = problem.least_squares
+        if family == "lasso":
+            penalty = problem.g.value
 
     trace = IterationTrace()
     t0 = time.perf_counter()
-    trace.append(0, 0.0, metric(*point_of(state)), *columns(state))
+    trace.append(0, 0.0, metric(*point_of(state)) - offset, *columns(state))
     for n in range(1, max_iter + 1):
         try:
             step(state, problem, cfg)
             point, image = point_of(state)
-            # a NaN or infinite entry makes v.v NaN or inf, so each entry is
-            # tested only then, or when finite squares overflow
-            if not (math.isfinite(point.dot(point)) and math.isfinite(image.dot(image))):
+            out_of_time = max_seconds is not None and time.perf_counter() - t0 > max_seconds
+            row = n % trace_every == 0 or n == max_iter or out_of_time
+            value = math.nan
+            if row and least_squares is not None:
+                value = least_squares(image)
+                if penalty is not None:
+                    value += penalty(point)
+            # a NaN or infinite entry makes v.v NaN or inf, and one in the
+            # image makes a least-squares value so too; each entry is tested
+            # only when one of them is not finite, or finite squares overflow
+            if not ((math.isfinite(value) or math.isfinite(image.dot(image)))
+                    and math.isfinite(point.dot(point))):
                 if not (np.isfinite(point).all() and np.isfinite(image).all()):
                     raise DivergenceError(f"non-finite iterate at iteration {n}", n)
             if ergodic is not None:
                 ergodic.update(*kind.sample(state, cfg))
-            out_of_time = max_seconds is not None and time.perf_counter() - t0 > max_seconds
-            if n % trace_every == 0 or n == max_iter or out_of_time:
-                trace.append(n, time.perf_counter() - t0, metric(point, image), *columns(state))
+            if row:
+                if least_squares is None:
+                    value = metric(point, image)
+                trace.append(n, time.perf_counter() - t0, value - offset, *columns(state))
         except (DivergenceError, LinesearchStallError) as err:
             err.trace = trace
             raise

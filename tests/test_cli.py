@@ -193,6 +193,52 @@ def test_zero_delta_or_beta_names_the_field(tmp_path, capsys, solver, flag, name
     assert not out.exists()
 
 
+_HUGE = "1" + "0" * 400  # past the float range, which phi_schedule computes in
+
+
+@pytest.mark.parametrize(
+    "flags, named",
+    [(["--n-hat", _HUGE], "n_hat"), (["--n-zero", _HUGE], "n_zero"),
+     (["--n-hat", "-" + _HUGE, "--n-zero", "10000"], "n_hat")],
+)
+def test_a_schedule_length_past_the_float_range_exits_with_a_named_error(
+        tmp_path, monkeypatch, capsys, flags, named):
+    out = tmp_path / "t.csv"
+    argv = ["run", "--problem", "lasso1", "--solver", "pdac", "--max-iters", "3",
+            "--output", str(out), *flags]
+    assert _script_exit_code(monkeypatch, argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {named} must be a number in the float range")
+    assert "Traceback" not in err and not out.exists()
+
+
+@pytest.mark.parametrize("where", ["missing directory", "directory"])
+@pytest.mark.parametrize("command", ["run", "reference"])
+def test_an_output_that_cannot_be_written_is_found_before_the_solve(
+        tmp_path, monkeypatch, capsys, command, where):
+    products = []
+
+    def counted(name):
+        real = getattr(LinearOperator, name)
+
+        def product(op, v):
+            products.append(name)
+            return real(op, v)
+
+        return product
+
+    for name in ("apply", "adjoint_apply"):
+        monkeypatch.setattr(LinearOperator, name, counted(name))
+    out = tmp_path / "missing" / "t.csv" if where == "missing directory" else tmp_path
+    argv = [command, "--problem", "lasso1", "--max-iters", "20000", "--output", str(out)]
+    if command == "run":
+        argv += ["--solver", "pdac"]
+    assert _script_exit_code(monkeypatch, argv) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: Invalid value for --output: cannot write {out}\n"
+    assert products == []
+
+
 def test_invalid_config_rejected(tmp_path):
     out = tmp_path / "t.csv"
     code = run_experiment(

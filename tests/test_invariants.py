@@ -2,21 +2,25 @@
 reduction of the accelerated solver at gamma = 0, deterministic traces, the
 correction bound on the primal displacement, a correction that does not stall
 from the all-zero start, one K and one K* per iteration, an objective that
-has the same bits whether it is given the point's image or applies K, a
-monotone step ratio that never rises above the spectral start, and pdac and
+has the same bits whether it is given the point's image or applies K, trace
+rows that are the objective of their iterates bit for bit, a monotone step
+ratio that never rises above the spectral start, and pdac and
 apdac steps that stay above their floors after every dual move that is not
 roundoff."""
 
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import saddlesolve.solvers as solvers
 from saddlesolve.linop import vector_norm
 from saddlesolve.problems import ProblemSpec, build_nnls, gen_lasso, gen_matrix_game
 from saddlesolve.solvers import (
     DELTA_LOWER,
+    SOLVERS,
     LinesearchStallError,
     SolverConfig,
     apdac_iterate,
@@ -262,3 +266,39 @@ def test_objective_of_the_cached_image_has_the_bits_of_the_objective(
         p = np.maximum(p, 0.0)
     got, want = prob.objective(p, image_of(p)), prob.objective(p)
     assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+_ROW_KINDS = [(kind, family) for kind in SOLVERS for family in ("lasso", "nnls")]
+_ROW_KINDS += [(kind, "nnls-swapped") for kind in ("pdac", "apdac", "pda", "pdal")]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(_ROW_KINDS), _SEED, _SIZE, _SIZE, st.integers(1, 3),
+       st.one_of(st.none(), st.floats(-10.0, 10.0)))
+def test_each_row_is_the_objective_of_its_iterate(kind_family, seed, m, n, every, reference):
+    # run() takes LASSO and NNLS rows in parts; each must keep the bits of
+    # problem.objective(point, image) - reference at that iteration's state
+    kind, family = kind_family
+    prob = _instance(family, seed, m, n)
+    cfg, _ = default_config(prob, kind)
+    var = prob.objective_var
+    iterate, states = getattr(solvers, f"{kind}_iterate"), []
+
+    def recorded(state, problem, cfg):
+        iterate(state, problem, cfg)
+        states.append((getattr(state, var).copy(), getattr(state, "K" + var).copy()))
+        return state
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solvers, f"{kind}_iterate", recorded)
+        try:
+            rows = run(kind, prob, cfg, *prob.start, max_iter=25, trace_every=every,
+                       reference_value=reference).rows
+        except LinesearchStallError as err:
+            rows = err.trace.rows
+    start = prob.start[0 if var == "x" else 1]
+    for it, _, metric, *_ in rows:
+        want = prob.objective(*states[it - 1]) if it else prob.objective(start)
+        if reference is not None:
+            want -= reference
+        assert np.float64(metric).tobytes() == np.float64(want).tobytes()

@@ -817,6 +817,51 @@ def test_run_divergence_verdict_is_the_per_entry_verdict(entries, where, monkeyp
         assert exc.value.iteration == 3
 
 
+@pytest.mark.parametrize("kind", ["pdac", "apdac"])
+@pytest.mark.parametrize("family", ["nnls", "nnls-swapped"])
+def test_an_instance_objective_sees_every_row(family, kind):
+    # run() takes the NNLS rows after the start from least_squares alone,
+    # but an objective set on the instance is called once per row, after
+    # the check, and its return is the row's metric
+    prob = _budget_problem(family)
+    own, returned = prob.objective, []
+
+    def counted(point, image=None):
+        value = 2.0 * own(point, image) + 1.0
+        returned.append(value)
+        return value
+
+    prob.objective = counted
+    trace = run(kind, prob, _budget_config(kind, prob), *prob.start, max_iter=10,
+                trace_every=3, reference_value=0.5)
+    assert [row[0] for row in trace.rows] == [0, 3, 6, 9, 10]
+    assert [row[2] for row in trace.rows] == [value - 0.5 for value in returned]
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("family", ["nnls", "nnls-swapped"])
+def test_an_instance_objective_does_not_vouch_for_the_image(family, value, monkeypatch):
+    # an objective set on the instance may not read the image at all, so
+    # a non-finite entry in the image alone still ends the run
+    prob = _budget_problem(family)
+    prob.objective = lambda point, image=None: 0.0
+    name = "K" + prob.objective_var
+    calls = []
+
+    def poisoned(state, problem, cfg):
+        pdac_iterate(state, problem, cfg)
+        calls.append(1)
+        if len(calls) == 3:
+            getattr(state, name)[-1] = value
+        return state
+
+    monkeypatch.setattr(solvers, "pdac_iterate", poisoned)
+    with pytest.raises(DivergenceError) as exc:
+        run("pdac", prob, _budget_config("pdac", prob), *prob.start, max_iter=10)
+    assert exc.value.iteration == 3
+    assert [row[2] for row in exc.value.trace.rows] == [0.0, 0.0, 0.0]
+
+
 @pytest.mark.parametrize("kind, delta", [("pdac", 1.0), ("apdac", 1.0), ("pdac", 0.62)])
 def test_zeta_is_formed_only_where_the_correction_runs(kind, delta, monkeypatch):
     # zeta_n is read by the delta < 1 correction alone: at delta >= 1 an
